@@ -225,14 +225,11 @@ def allocate(params: SystemParams, epsilon: float | None = None,
                             u_s_total=u_s, feasible=u_p <= epsilon)
 
 
-def feasibility_region(params_template: SystemParams, rate_p_grid,
-                       rate_s_grid, alpha_grid=None) -> RegionMap:
+def feasibility_region(rate_p_grid, rate_s_grid, alpha_grid=None) -> RegionMap:
     """Region map over rate grids and splits.
 
-    The structure depends only on the rates (the bounds' branch points);
-    params_template is accepted for interface symmetry with the sweep runner.
+    The structure depends only on the rates (the bounds' branch points).
     """
-    del params_template
     if len(rate_p_grid) == 0 or len(rate_s_grid) == 0:
         raise ValueError("rate grids must be nonempty")
     if alpha_grid is None:

@@ -7,11 +7,7 @@ reproduction check fails.
 import argparse
 import sys
 
-from .allocation import (
-    allocate,
-    common_alpha_band,
-    feasibility_region,
-)
+from .allocation import allocate, common_alpha_band
 from .analytic import conditional_outages, total_secondary_outage
 from .harness import (
     MODES,
@@ -40,13 +36,16 @@ def _build_parser() -> argparse.ArgumentParser:
                           "link_vars.sp=0.1 or epsilon=0.05")
     top.add_argument("--seed", type=int, default=0)
     top.add_argument("--trials", type=int, default=None,
-                     help="Monte Carlo trials (default 1e6; reproduction "
-                          "targets default to 1e5 per sweep point)")
+                     help="Monte Carlo trials, at least 1 (default 1e6; "
+                          "sweeps and reproduction targets default to 1e5 "
+                          "per sweep point)")
     top.add_argument("--workers", type=int, default=1)
     top.add_argument("--out-dir", default=None,
                      help="output directory (default $CRRELAY_OUT_DIR or ./out)")
     top.add_argument("--quad-tol", type=float, default=1e-10,
-                     help="absolute and relative quadrature tolerance")
+                     help="absolute and relative quadrature tolerance "
+                          "(reproduction targets run at the default "
+                          "tolerance)")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analytic", help="closed-form outage summary")
@@ -108,7 +107,7 @@ def _cmd_analytic(params, args, quad):
 
 
 def _cmd_simulate(params, args):
-    trials = args.trials or 1_000_000
+    trials = 1_000_000 if args.trials is None else args.trials
     est = estimate(params, args.alpha, trials, args.seed, args.scheme,
                    args.workers)
     print(f"scheme={args.scheme} alpha={args.alpha} trials={trials} "
@@ -138,23 +137,23 @@ def _cmd_region(params, args):
     rate_p = params.rate_p if args.rate_p is None else args.rate_p
     rate_s = params.rate_s if args.rate_s is None else args.rate_s
     band = common_alpha_band(rate_p, rate_s)
-    region = feasibility_region(params, (rate_p,), (rate_s,))
     if band is None:
         print(f"rates ({rate_p}, {rate_s}): no common split band")
     else:
         print(f"rates ({rate_p}, {rate_s}): common split band "
               f"[{band[0]:.4f}, {band[1]:.4f}]")
-    print(f"common region nonempty: {bool(region.common[0, 0])}")
+    print(f"common region nonempty: {band is not None}")
     return 0
 
 
-def _cmd_sweep(params, args):
+def _cmd_sweep(params, args, quad):
     schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
     spec = SweepSpec.from_range(
         params, args.axis, args.start, args.stop, args.step,
-        schemes=schemes, mode=args.mode, trials=args.trials or 100_000,
+        schemes=schemes, mode=args.mode,
+        trials=100_000 if args.trials is None else args.trials,
         seed=args.seed, alpha=args.alpha, snr_r_policy=args.snr_r_policy)
-    table = run_sweep(spec, workers=args.workers)
+    table = run_sweep(spec, workers=args.workers, quad=quad)
     if args.out is None:
         sys.stdout.write(table.to_csv_text())
     else:
@@ -175,8 +174,9 @@ def _cmd_reproduce(args):
 
 
 def _cmd_verify(params, args, quad):
-    report = compare_analytic_mc(params, args.alpha, args.trials or 1_000_000,
-                                 args.seed, args.workers, quad)
+    trials = 1_000_000 if args.trials is None else args.trials
+    report = compare_analytic_mc(params, args.alpha, trials, args.seed,
+                                 args.workers, quad)
     print(report.render())
     out = resolve_out_dir(args.out_dir)
     (out / "verify_report.txt").write_text(report.render())
@@ -197,7 +197,7 @@ def main(argv=None) -> int:
         if args.command == "region":
             return _cmd_region(params, args)
         if args.command == "sweep":
-            return _cmd_sweep(params, args)
+            return _cmd_sweep(params, args, quad)
         if args.command == "reproduce":
             return _cmd_reproduce(args)
         if args.command == "verify":

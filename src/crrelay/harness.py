@@ -26,6 +26,7 @@ from .allocation import (
     allocate,
     common_alpha_band,
     min_snr_r_for_epsilon,
+    rate_p_at_split_floor,
     rate_s_at_split_ceiling,
     with_relay_snr,
 )
@@ -63,7 +64,9 @@ SWEEP_AXES = ("snr_p_db", "snr_r_db", "epsilon", "alpha", "rate_p", "rate_s",
 
 MODES = ("analytic", "montecarlo", "both")
 
-REPRODUCE_TARGETS = ("table1", "fig2", "fig3", "fig4", "fig5", "fig6")
+# Longest axis SweepSpec.from_range builds; a finer step is refused before
+# any value is allocated.
+MAX_SWEEP_POINTS = 10_000
 
 # Published reference values the reproduction targets compare against.
 _TABLE1_EPS = (0.04, 0.05, 0.06, 0.07, 0.08, 0.09)
@@ -198,10 +201,14 @@ class SweepSpec:
 
     @classmethod
     def from_range(cls, scenario, axis, start, stop, step, **kw):
+        if not all(math.isfinite(x) for x in (start, stop, step)):
+            raise ValueError("range start, stop and step must be finite")
         if step <= 0 or stop < start:
             raise ValueError("need step > 0 and stop >= start")
-        n = int(math.floor((stop - start) / step + 1e-9))
-        values = tuple(start + k * step for k in range(n + 1))
+        span = (stop - start) / step + 1e-9
+        if not span < MAX_SWEEP_POINTS:
+            raise ValueError(f"axis range exceeds {MAX_SWEEP_POINTS} points")
+        values = tuple(start + k * step for k in range(math.floor(span) + 1))
         return cls(scenario=scenario, axis=axis, values=values, **kw)
 
 
@@ -236,20 +243,28 @@ def _csv_cell(x) -> str:
     return str(x)
 
 
+def _csv_bytes(header, rows) -> bytes:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_csv_cell(x) for x in row])
+    return buf.getvalue().encode("utf-8")
+
+
 @dataclass(frozen=True)
 class ResultTable:
     rows: tuple
 
-    def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\r\n")
-        writer.writerow(_CSV_COLUMNS)
-        for row in self.rows:
-            writer.writerow([_csv_cell(getattr(row, col)) for col in _CSV_COLUMNS])
-        return buf.getvalue()
+    def cells(self) -> list:
+        """Raw cell values, one list per row in _CSV_COLUMNS order."""
+        return [[getattr(row, col) for col in _CSV_COLUMNS] for row in self.rows]
 
     def to_csv_bytes(self) -> bytes:
-        return self.to_csv_text().encode("utf-8")
+        return _csv_bytes(_CSV_COLUMNS, self.cells())
+
+    def to_csv_text(self) -> str:
+        return self.to_csv_bytes().decode("utf-8")
 
     def write_csv(self, path) -> Path:
         path = Path(path)
@@ -450,22 +465,18 @@ def resolve_out_dir(out_dir=None) -> Path:
     return path
 
 
-def _write_simple_csv(path: Path, header, rows) -> Path:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_csv_cell(x) for x in row])
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(buf.getvalue().encode("utf-8"))
-    return path
-
-
 # ---------------------------------------------------------------------------
 # reproduction targets
+#
+# Each builder returns (title, csv header, csv rows, checks); reproduce()
+# writes <target>.csv and <target>_report.txt from them.
 
 
-def _reproduce_table1(out_dir: Path, quad) -> Report:
+def _db_or_none(snr):
+    return linear_to_db(snr) if snr else None
+
+
+def _table1():
     rows, checks = [], []
     for eps, a_ref, u_ref in zip(_TABLE1_EPS, _TABLE1_ALPHA_REF,
                                  _TABLE1_USP_REF):
@@ -489,27 +500,14 @@ def _reproduce_table1(out_dir: Path, quad) -> Report:
         "below the reference magnitudes; no printed-formula variant closes "
         "the gap (see the verification report for simulation agreement)",
     ))
-    path = _write_simple_csv(
-        out_dir / "table1.csv",
-        ("epsilon", "alpha_eps", "u_p", "u_s_prime", "snr_s", "snr_r_db"),
-        rows,
-    )
-    return Report("table1: allocation versus admission threshold",
-                  tuple(checks), (path,))
+    return ("table1: allocation versus admission threshold",
+            ("epsilon", "alpha_eps", "u_p", "u_s_prime", "snr_s", "snr_r_db"),
+            rows, checks)
 
 
-def _reproduce_fig2(out_dir: Path) -> Report:
-    from .allocation import rate_p_at_split_floor
-
-    rows = []
-    alphas = [0.01 * k for k in range(1, 100)]
-    for a in alphas:
-        rows.append((a, rate_p_at_split_floor(a), rate_s_at_split_ceiling(a)))
-    path = _write_simple_csv(
-        out_dir / "fig2.csv",
-        ("alpha", "rate_p_at_primary_floor", "rate_s_at_secondary_ceiling"),
-        rows,
-    )
+def _fig2():
+    rows = [(a, rate_p_at_split_floor(a), rate_s_at_split_ceiling(a))
+            for a in (0.01 * k for k in range(1, 100))]
     band = common_alpha_band(0.4, 0.2)
     checks = [
         _value_check("band(0.4,0.2) lower", band[0], _FIG2_BAND_COMPUTED[0], 5e-5),
@@ -521,23 +519,19 @@ def _reproduce_fig2(out_dir: Path) -> Report:
         _note("band upper rounding", "computed 0.7579 rounds to 0.76, one "
               "unit above the reference 0.75 in the 2nd decimal"),
     ]
-    return Report("fig2: rate/split feasibility boundaries", tuple(checks),
-                  (path,))
+    return ("fig2: rate/split feasibility boundaries",
+            ("alpha", "rate_p_at_primary_floor", "rate_s_at_secondary_ceiling"),
+            rows, checks)
 
 
-def _fig3_sweep(trials, seed, workers) -> ResultTable:
+def _fig3(trials, seed, workers):
+    params = default_params()
     spec = SweepSpec.from_range(
-        default_params(), "snr_p_db", 5.0, 30.0, 1.0,
+        params, "snr_p_db", 5.0, 30.0, 1.0,
         schemes=SCHEMES, mode="both", trials=trials, seed=seed,
         alpha=0.5, snr_r_policy="min_for_epsilon",
     )
-    return run_sweep(spec, workers=workers)
-
-
-def _reproduce_fig3(out_dir: Path, trials, seed, workers) -> Report:
-    table = _fig3_sweep(trials, seed, workers)
-    path = table.write_csv(out_dir / "fig3.csv")
-    params = default_params()
+    table = run_sweep(spec, workers=workers)
     cutoff_db = linear_to_db(
         secondary_cutoff_snr(params.rate_p, params.epsilon, params.link_vars.pp)
     )
@@ -584,151 +578,146 @@ def _reproduce_fig3(out_dir: Path, trials, seed, workers) -> Report:
         "PASS" if not dominated else "FAIL",
         f"{len(dominated)} violations over {len(table.rows)} rows",
     ))
-    return Report("fig3: secondary outage versus primary SNR",
-                  tuple(checks), (path,))
+    return ("fig3: secondary outage versus primary SNR", _CSV_COLUMNS,
+            table.cells(), checks)
 
 
 _MU_FAMILIES = ((1.0, 1.0), (0.5, 1.0), (0.1, 1.0), (1.0, 0.5), (1.0, 0.1))
 
 
-def _mu_family_point(mu1, mu2, snr_p_db, alpha=0.5):
-    """Minimum relay power and secondary bound for one channel-condition
-    family point; returns None below the admission cutoff."""
+def _min_relay_curve(scenario, alpha=0.5, start=12.0, stop=30.0):
+    """Analytic proposed-scheme rows along snr_p_db, relay SNR minimized per
+    point, keeping only the points above the admission cutoff."""
+    spec = SweepSpec.from_range(scenario, "snr_p_db", start, stop, 1.0,
+                                mode="analytic", alpha=alpha,
+                                snr_r_policy="min_for_epsilon")
+    return [r for r in run_sweep(spec).rows if r.snr_s != 0.0]
+
+
+def _mu_family_curves() -> dict:
+    """Minimum-relay-power curve per channel-condition family (mu1, mu2)."""
     base = default_params()
-    lv = replace(base.link_vars, pr=mu1, rp=mu1, sr=mu2, rs=mu2)
-    params = replace(base, link_vars=lv, snr_p=db_to_linear(snr_p_db))
-    derived = derive(params)
-    if derived.snr_s == 0.0:
-        return None
-    snr_r = min_snr_r_for_epsilon(derived, alpha, params.epsilon)
-    d_r = with_relay_snr(derived, snr_r)
-    summary = total_secondary_outage(d_r, alpha)
-    return {"snr_r": snr_r, "u_s_prime": summary.total_sec,
-            "p_d1": summary.p_d1, "snr_s": derived.snr_s}
+    return {(mu1, mu2): _min_relay_curve(replace(base, link_vars=replace(
+                base.link_vars, pr=mu1, rp=mu1, sr=mu2, rs=mu2)))
+            for mu1, mu2 in _MU_FAMILIES}
 
 
-def _reproduce_fig45(out_dir: Path, which: str) -> Report:
-    rows4, rows5 = [], []
-    at20 = {}
-    for mu1, mu2 in _MU_FAMILIES:
-        for k in range(12, 31):
-            pt = _mu_family_point(mu1, mu2, float(k))
-            if pt is None:
-                continue
-            rows4.append((float(k), mu1, mu2, pt["u_s_prime"], pt["p_d1"],
-                          pt["snr_s"]))
-            rows5.append((float(k), mu1, mu2, pt["snr_r"],
-                          linear_to_db(pt["snr_r"]) if pt["snr_r"] > 0 else None))
-            if k == 20:
-                at20[(mu1, mu2)] = pt
-    checks = []
-    if which == "fig4":
-        path = _write_simple_csv(
-            out_dir / "fig4.csv",
-            ("snr_p_db", "mu1", "mu2", "u_s_prime", "p_d1", "snr_s"), rows4)
-        checks += [
-            _less_check("20 dB: u_s_prime(mu1=0.5) < u_s_prime(mu1=1)",
-                        at20[(0.5, 1.0)]["u_s_prime"], at20[(1.0, 1.0)]["u_s_prime"]),
-            _less_check("20 dB: u_s_prime(mu1=0.1) < u_s_prime(mu1=0.5)",
-                        at20[(0.1, 1.0)]["u_s_prime"], at20[(0.5, 1.0)]["u_s_prime"]),
-            _less_check("20 dB: u_s_prime(mu2=1) < u_s_prime(mu2=0.5)",
-                        at20[(1.0, 1.0)]["u_s_prime"], at20[(1.0, 0.5)]["u_s_prime"]),
-            _less_check("20 dB: u_s_prime(mu2=0.5) < u_s_prime(mu2=0.1)",
-                        at20[(1.0, 0.5)]["u_s_prime"], at20[(1.0, 0.1)]["u_s_prime"]),
-            _note("trend-only", "the mu value set {1, 0.5, 0.1} is a harness "
-                  "default; curves are trend comparisons, not value "
-                  "reproductions"),
-            _note("low-SNR reversal", "with the relay power re-minimized per "
-                  "point the mu1 trend reverses within ~3 dB of the cutoff, "
-                  "where the relay-silent branch dominates the mixture"),
-        ]
-        title = "fig4: secondary outage bound under channel conditions"
-    else:
-        path = _write_simple_csv(
-            out_dir / "fig5.csv",
-            ("snr_p_db", "mu1", "mu2", "snr_r_min", "snr_r_min_db"), rows5)
-        checks += [
-            _less_check("20 dB: snr_r_min(mu1=1) < snr_r_min(mu1=0.5)",
-                        at20[(1.0, 1.0)]["snr_r"], at20[(0.5, 1.0)]["snr_r"]),
-            _less_check("20 dB: snr_r_min(mu1=0.5) < snr_r_min(mu1=0.1)",
-                        at20[(0.5, 1.0)]["snr_r"], at20[(0.1, 1.0)]["snr_r"]),
-            _note("mu2 invariance", "the minimum relay power depends on the "
-                  "relay-to-primary link only, so it is flat in mu2"),
-        ]
-        title = "fig5: relay power consumed for constant split"
-    return Report(title, tuple(checks), (path,))
+def _at_20db(curve):
+    return next(r for r in curve if r.value == 20.0)
 
 
-def _reproduce_fig6(out_dir: Path) -> Report:
+def _fig4():
+    curves = _mu_family_curves()
+    u = {mu: _at_20db(curve).analytic_sec for mu, curve in curves.items()}
+    checks = [
+        _less_check("20 dB: u_s_prime(mu1=0.5) < u_s_prime(mu1=1)",
+                    u[(0.5, 1.0)], u[(1.0, 1.0)]),
+        _less_check("20 dB: u_s_prime(mu1=0.1) < u_s_prime(mu1=0.5)",
+                    u[(0.1, 1.0)], u[(0.5, 1.0)]),
+        _less_check("20 dB: u_s_prime(mu2=1) < u_s_prime(mu2=0.5)",
+                    u[(1.0, 1.0)], u[(1.0, 0.5)]),
+        _less_check("20 dB: u_s_prime(mu2=0.5) < u_s_prime(mu2=0.1)",
+                    u[(1.0, 0.5)], u[(1.0, 0.1)]),
+        _note("trend-only", "the mu value set {1, 0.5, 0.1} is a harness "
+              "default; curves are trend comparisons, not value "
+              "reproductions"),
+        _note("low-SNR reversal", "with the relay power re-minimized per "
+              "point the mu1 trend reverses within ~3 dB of the cutoff, "
+              "where the relay-silent branch dominates the mixture"),
+    ]
+    rows = [(r.value, mu1, mu2, r.analytic_sec, r.p_d1, r.snr_s)
+            for (mu1, mu2), curve in curves.items() for r in curve]
+    return ("fig4: secondary outage bound under channel conditions",
+            ("snr_p_db", "mu1", "mu2", "u_s_prime", "p_d1", "snr_s"),
+            rows, checks)
+
+
+def _fig5():
+    curves = _mu_family_curves()
+    snr_r = {mu: _at_20db(curve).snr_r for mu, curve in curves.items()}
+    checks = [
+        _less_check("20 dB: snr_r_min(mu1=1) < snr_r_min(mu1=0.5)",
+                    snr_r[(1.0, 1.0)], snr_r[(0.5, 1.0)]),
+        _less_check("20 dB: snr_r_min(mu1=0.5) < snr_r_min(mu1=0.1)",
+                    snr_r[(0.5, 1.0)], snr_r[(0.1, 1.0)]),
+        _note("mu2 invariance", "the minimum relay power depends on the "
+              "relay-to-primary link only, so it is flat in mu2"),
+    ]
+    rows = [(r.value, mu1, mu2, r.snr_r, _db_or_none(r.snr_r))
+            for (mu1, mu2), curve in curves.items() for r in curve]
+    return ("fig5: relay power consumed for constant split",
+            ("snr_p_db", "mu1", "mu2", "snr_r_min", "snr_r_min_db"),
+            rows, checks)
+
+
+def _fig6():
     base = default_params()
-    derived0 = derive(base)
-    floor = primary_split_floor(derived0.lambda_p)
-    alphas = (0.43, 0.5, 0.76, 1.0)
-    rows = []
-    at20 = {}
-    for alpha in alphas:
-        for k in range(12, 31):
-            params = replace(base, snr_p=db_to_linear(float(k)))
-            derived = derive(params)
-            if derived.snr_s == 0.0:
-                continue
-            snr_r = min_snr_r_for_epsilon(derived, alpha, params.epsilon)
-            d_r = with_relay_snr(derived, snr_r)
-            summary = total_secondary_outage(d_r, alpha)
-            rows.append((float(k), alpha,
-                         linear_to_db(snr_r) if snr_r > 0 else None,
-                         summary.total_sec, summary.bound))
-            if k == 20:
-                at20[alpha] = summary.total_sec
+    derived = derive(base)
+    floor = primary_split_floor(derived.lambda_p)
+    curves = {a: _min_relay_curve(base, a) for a in (0.43, 0.5, 0.76, 1.0)}
+    u = {a: _at_20db(curve).analytic_sec for a, curve in curves.items()}
     # a split below the floor cannot protect the primary: outage 1 by policy
     below_floor_alpha = 0.42
-    rows.append((20.0, below_floor_alpha, None, 1.0, False))
-    path = _write_simple_csv(
-        out_dir / "fig6.csv",
-        ("snr_p_db", "alpha", "snr_r_min_db", "u_s_prime", "is_bound"), rows)
+    (below,) = _min_relay_curve(base, below_floor_alpha, 20.0, 20.0)
     checks = [
         _less_check("20 dB: u_s_prime(0.43) < u_s_prime(0.5)",
-                    at20[0.43], at20[0.5]),
+                    u[0.43], u[0.5]),
         _less_check("20 dB: u_s_prime(0.5) < u_s_prime(0.76)",
-                    at20[0.5], at20[0.76]),
+                    u[0.5], u[0.76]),
         _less_check("20 dB: u_s_prime(0.76) <= u_s_prime(1.0)",
-                    at20[0.76], at20[1.0], strict=False),
+                    u[0.76], u[1.0], strict=False),
         Check("split below the floor reports outage 1",
-              "PASS" if below_floor_alpha < floor else "FAIL",
+              "PASS" if below_floor_alpha < floor
+              and below.analytic_sec == 1.0 else "FAIL",
               f"alpha={below_floor_alpha} < floor={floor:.6f}"),
         _note("flat region", "the secondary bound is split-independent above "
-              f"{1.0 / (1.0 + derived0.lambda_s):.4f}, so 0.76 and 1.0 "
+              f"{1.0 / (1.0 + derived.lambda_s):.4f}, so 0.76 and 1.0 "
               "coincide analytically"),
     ]
-    return Report("fig6: secondary outage bound versus split",
-                  tuple(checks), (path,))
+    rows = [(r.value, r.alpha, _db_or_none(r.snr_r), r.analytic_sec,
+             r.analytic_is_bound)
+            for curve in (*curves.values(), [below]) for r in curve]
+    return ("fig6: secondary outage bound versus split",
+            ("snr_p_db", "alpha", "snr_r_min_db", "u_s_prime", "is_bound"),
+            rows, checks)
+
+
+_TARGET_BUILDERS = {
+    "table1": _table1,
+    "fig2": _fig2,
+    "fig3": _fig3,
+    "fig4": _fig4,
+    "fig5": _fig5,
+    "fig6": _fig6,
+}
+
+REPRODUCE_TARGETS = tuple(_TARGET_BUILDERS)
 
 
 def reproduce(target: str, out_dir=None, trials=None, seed: int = 0,
-              workers: int = 1,
-              quad: QuadratureSpec = DEFAULT_QUADRATURE) -> Report:
+              workers: int = 1) -> Report:
     """Run one reproduction target: emit its CSV and a deviation report.
 
-    Every reference comparison prints produced value, reference value,
-    tolerance and verdict; nothing passes silently.  The report text is also
-    written next to the CSV.
+    trials (default 100,000 per sweep point), seed and workers drive fig3,
+    the one simulated target.  Every reference comparison prints produced
+    value, reference value, tolerance and verdict; nothing passes silently.
+    The report text is also written next to the CSV.
     """
-    if target not in REPRODUCE_TARGETS:
+    if target not in _TARGET_BUILDERS:
         raise ValueError(f"target must be one of {REPRODUCE_TARGETS}")
     out = resolve_out_dir(out_dir)
-    if target == "table1":
-        report = _reproduce_table1(out, quad)
-    elif target == "fig2":
-        report = _reproduce_fig2(out)
-    elif target == "fig3":
-        report = _reproduce_fig3(out, trials or 100_000, seed, workers)
-    elif target in ("fig4", "fig5"):
-        report = _reproduce_fig45(out, target)
+    build = _TARGET_BUILDERS[target]
+    if target == "fig3":
+        trials = 100_000 if trials is None else trials
+        title, header, rows, checks = build(trials, seed, workers)
     else:
-        report = _reproduce_fig6(out)
+        title, header, rows, checks = build()
+    csv_path = out / f"{target}.csv"
+    csv_path.write_bytes(_csv_bytes(header, rows))
+    report = Report(title, tuple(checks), (csv_path,))
     report_path = out / f"{target}_report.txt"
     report_path.write_text(report.render())
-    return replace(report, files=report.files + (report_path,))
+    return replace(report, files=(csv_path, report_path))
 
 
 # ---------------------------------------------------------------------------

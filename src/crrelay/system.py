@@ -15,8 +15,11 @@ LINKS = ("pp", "sp", "ps", "ss", "pr", "sr", "rp", "rs")
 
 
 def db_to_linear(x_db: float) -> float:
-    """Convert a dB value to a linear power ratio."""
-    return 10.0 ** (x_db / 10.0)
+    """Convert a dB value to a linear power ratio (inf when it overflows)."""
+    try:
+        return 10.0 ** (x_db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def linear_to_db(x: float) -> float:
@@ -86,6 +89,9 @@ class SystemParams:
             raise ValueError("snr_r must be nonnegative")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie strictly between 0 and 1")
+        for name in ("rate_p", "rate_s", "snr_p", "snr_r"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         for name, var in self.link_vars.as_dict().items():
             if not var > 0.0 or not math.isfinite(var):
                 raise ValueError(f"link variance {name} must be positive and finite")

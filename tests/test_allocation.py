@@ -208,8 +208,8 @@ def test_band_empty_iff_threshold_product_exceeds_one():
                 (product <= 1.0)
 
 
-def test_region_map_flags(table1):
-    rmap = feasibility_region(table1, (0.3, 0.5, 1.0), (0.2, 1.0),
+def test_region_map_flags():
+    rmap = feasibility_region((0.3, 0.5, 1.0), (0.2, 1.0),
                               alpha_grid=(0.1, 0.45, 0.75, 0.9))
     for i, rate_p in enumerate(rmap.rate_p_grid):
         floor = primary_split_floor(two_slot_threshold(rate_p))
@@ -225,9 +225,9 @@ def test_region_map_flags(table1):
                 (common_alpha_band(rate_p, rate_s) is not None)
 
 
-def test_region_map_rejects_empty_grids(table1):
+def test_region_map_rejects_empty_grids():
     with pytest.raises(ValueError):
-        feasibility_region(table1, (), (0.2,))
+        feasibility_region((), (0.2,))
 
 
 # ---- derived-table relay repoint -------------------------------------------------

@@ -1,9 +1,11 @@
 import csv
+import hashlib
 import io
 
 import pytest
 
 from crrelay import (
+    ResultTable,
     SweepSpec,
     compare_analytic_mc,
     default_params,
@@ -17,6 +19,7 @@ from crrelay import (
 from crrelay.cli import main as cli_main
 from crrelay.harness import (
     _CSV_COLUMNS,
+    REPRODUCE_TARGETS,
     config_text,
     parse_config_text,
 )
@@ -109,6 +112,21 @@ def test_sweep_from_range_inclusive():
                                 mode="analytic")
     assert len(spec.values) == 26
     assert spec.values[0] == 5.0 and spec.values[-1] == 30.0
+
+
+def test_sweep_from_range_caps_axis_length():
+    from crrelay.harness import MAX_SWEEP_POINTS
+    params = default_params()
+    # ~2.5e10 points: must be refused before any value is built
+    with pytest.raises(ValueError, match="points"):
+        SweepSpec.from_range(params, "snr_p_db", 5.0, 30.0, 1e-9)
+    spec = SweepSpec.from_range(params, "alpha", 0.0, MAX_SWEEP_POINTS - 1,
+                                1.0, mode="analytic")
+    assert len(spec.values) == MAX_SWEEP_POINTS
+    with pytest.raises(ValueError, match="points"):
+        SweepSpec.from_range(params, "alpha", 0.0, MAX_SWEEP_POINTS, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        SweepSpec.from_range(params, "snr_p_db", 5.0, float("inf"), 1.0)
 
 
 def test_sweep_error_rows_do_not_abort():
@@ -224,6 +242,27 @@ def test_reproduce_fig3_small(tmp_path):
     assert len(rows) == 26 * 3
 
 
+# SHA-256 of each target CSV with fig3 at trials=20_000, seed=1.  Any change
+# to a formula, a sweep or the CSV cell format moves a digest.
+_TARGET_CSV_SHA256 = {
+    "table1": "e8b950e34d23f10f0eed3a37bef42d5b06503d3ad7312cef81eacf7e03ecb893",
+    "fig2": "52db93623e19184c4fd60a88e75ed56631d4ad908e1fc782ed49d740b385a516",
+    "fig3": "fd4658a8065669444fa68e26521408941a5658151ac774ba5b5fd2c28f28edf1",
+    "fig4": "1aef9e3171fb347d079a26452a1d852fc2abdc474507a8d837cdfaeb5600a55c",
+    "fig5": "7a17cfd2c4be0419f5bd7b0903cfbaa73cbd0f9c320242442e6657e2846fd791",
+    "fig6": "5ff385f89b1fcfe09f834167878486daf8e963c8e14c9846dcb3c2749ecf450e",
+}
+
+
+def test_reproduce_target_csv_bytes_pinned(tmp_path):
+    assert set(REPRODUCE_TARGETS) == set(_TARGET_CSV_SHA256)
+    for target in REPRODUCE_TARGETS:
+        reproduce(target, out_dir=tmp_path, trials=20_000, seed=1)
+    digests = {t: hashlib.sha256((tmp_path / f"{t}.csv").read_bytes()).hexdigest()
+               for t in REPRODUCE_TARGETS}
+    assert digests == _TARGET_CSV_SHA256
+
+
 def test_reproduce_rejects_unknown_target(tmp_path):
     with pytest.raises(ValueError):
         reproduce("fig7", out_dir=tmp_path)
@@ -318,3 +357,50 @@ def test_cli_config_errors(tmp_path):
     bad.write_text("rate_p = 0.4\n")
     assert cli_main(["--config", str(bad), "analytic"]) == 1
     assert cli_main(["--set", "epsilon=2.0", "analytic"]) == 1
+
+
+@pytest.mark.parametrize("override", [
+    "snr_p_db=inf", "snr_p_db=4000", "rate_p=inf", "rate_s=inf",
+])
+def test_cli_rejects_non_finite_scenario(override, capsys):
+    assert cli_main(["--set", override, "analytic"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_accepts_silent_relay(capsys):
+    assert cli_main(["--set", "snr_r_db=-inf", "analytic"]) == 0
+    assert "nan" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate"],
+    ["verify"],
+    ["sweep", "--axis", "snr_p_db", "--start", "20", "--stop", "20",
+     "--step", "1"],
+    ["reproduce", "--target", "fig3"],
+], ids=["simulate", "verify", "sweep", "reproduce"])
+def test_cli_rejects_zero_trials(command, tmp_path, capsys):
+    assert cli_main(["--out-dir", str(tmp_path), "--trials", "0",
+                     *command]) == 1
+    assert "trials" in capsys.readouterr().err
+
+
+def test_cli_sweep_rejects_oversized_axis(capsys):
+    rc = cli_main(["sweep", "--axis", "snr_p_db", "--start", "5",
+                   "--stop", "30", "--step", "1e-9", "--mode", "analytic"])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_sweep_uses_quad_tol(monkeypatch):
+    seen = []
+
+    def fake_run_sweep(spec, workers=1, quad=None):
+        seen.append(quad)
+        return ResultTable(rows=())
+
+    monkeypatch.setattr("crrelay.cli.run_sweep", fake_run_sweep)
+    assert cli_main(["--quad-tol", "1e-6", "sweep", "--axis", "alpha",
+                     "--start", "0.5", "--stop", "0.5", "--step", "1",
+                     "--mode", "analytic"]) == 0
+    assert [(q.abs_tol, q.rel_tol) for q in seen] == [(1e-6, 1e-6)]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,8 @@ def test_cutoff_validation():
 @pytest.mark.parametrize("field,value", [
     ("rate_p", 0.0), ("rate_s", -1.0), ("snr_p", 0.0), ("snr_r", -0.1),
     ("epsilon", 0.0), ("epsilon", 1.0),
+    ("rate_p", math.inf), ("rate_s", math.inf), ("snr_p", math.inf),
+    ("snr_r", math.inf),
 ])
 def test_invalid_params_rejected(field, value):
     good = dict(rate_p=0.4, rate_s=0.2, snr_p=100.0, snr_r=10.0, epsilon=0.04,
@@ -109,6 +113,17 @@ def test_invalid_params_rejected(field, value):
     good[field] = value
     with pytest.raises(ValueError):
         SystemParams(**good)
+
+
+def test_db_scenario_edges():
+    # a silent relay (-inf dB) is a valid scenario; a dB value whose linear
+    # power overflows is rejected like any other non-finite value
+    silent = SystemParams.from_db(0.4, 0.2, 20.0, -math.inf, 0.04,
+                                  LinkTable.uniform(1.0))
+    assert silent.snr_r == 0.0
+    with pytest.raises(ValueError, match="finite"):
+        SystemParams.from_db(0.4, 0.2, 4000.0, 10.0, 0.04,
+                             LinkTable.uniform(1.0))
 
 
 def test_link_table_requires_all_links():
