@@ -43,6 +43,7 @@ from .montecarlo import (
     SchemeEstimates,
     SlotOutcome,
     estimate,
+    estimate_many,
     relay_decision,
     sample_channels,
     simulate_slot,

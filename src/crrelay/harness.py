@@ -43,7 +43,8 @@ from .analytic import (
     total_secondary_outage,
     upper_bound_d1,
 )
-from .montecarlo import SCHEMES, OutageEstimate, estimate
+from .montecarlo import (SCHEMES, OutageEstimate, check_request, estimate,
+                         estimate_many)
 from .quadrature import DEFAULT_QUADRATURE, QuadratureError, QuadratureSpec
 from .system import (
     LINKS,
@@ -316,9 +317,12 @@ def run_sweep(spec: SweepSpec, workers: int = 1,
     """Evaluate the requested schemes along the axis.
 
     Row errors are captured in the error column instead of aborting the
-    sweep; rows without secondary access report secondary outage 1.
+    sweep; rows without secondary access report secondary outage 1.  Every
+    simulated row reads the same trials of the seed's stream, so they are
+    estimated together in one estimate_many() call.
     """
     rows = []
+    mc_rows, requests = [], []
     for value in spec.values:
         try:
             params, alpha = _apply_axis(spec.scenario, spec.axis, value,
@@ -366,15 +370,24 @@ def run_sweep(spec: SweepSpec, workers: int = 1,
                             row.analytic_sec = 1.0
                             row.analytic_is_bound = False
                 if spec.mode in ("montecarlo", "both"):
-                    est = estimate(params, alpha, spec.trials, spec.seed,
-                                   scheme, workers)
-                    row.mc_sec = est.sec.p_hat
-                    row.mc_sec_std_err = est.sec.std_err
-                    if est.p_d1 is not None:
-                        row.p_d1 = est.p_d1.p_hat
+                    check_request(alpha, scheme)
+                    mc_rows.append(row)
+                    requests.append((params, alpha, scheme))
             except (ValueError, ArithmeticError, QuadratureError) as exc:
                 row.error = str(exc)
             rows.append(row)
+    if requests:
+        try:
+            ests = estimate_many(spec.seed, spec.trials, requests, workers)
+        except ValueError as exc:
+            for row in mc_rows:
+                row.error = str(exc)
+        else:
+            for row, est in zip(mc_rows, ests):
+                row.mc_sec = est.sec.p_hat
+                row.mc_sec_std_err = est.sec.std_err
+                if est.p_d1 is not None:
+                    row.p_d1 = est.p_d1.p_hat
     return ResultTable(rows=tuple(rows))
 
 
@@ -746,8 +759,9 @@ def compare_analytic_mc(params: SystemParams, alpha: float,
         )
         return Report(title, checks)
 
-    est = estimate(params, alpha, trials, seed, "proposed", workers)
-    nc = estimate(params, alpha, trials, seed, "noncooperative", workers)
+    est, nc = estimate_many(seed, trials, [(params, alpha, "proposed"),
+                                           (params, alpha, "noncooperative")],
+                            workers)
     checks = [
         _z_check("relay activation frequency", est.p_d1,
                  prob_relay_active(derived),

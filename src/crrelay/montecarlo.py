@@ -10,14 +10,21 @@ Stream contract
 Channel draws come from a Philox counter-based generator keyed by the master
 seed.  Trial i consumes exactly the eight uniform doubles at stream positions
 [8*i, 8*i + 8), in the fixed link order pp, sp, ps, ss, pr, sr, rp, rs, each
-mapped to an exponential by inversion (-var * log1p(-u)).  Philox counters
+mapped to an exponential by inversion (var * -log1p(-u)).  Philox counters
 move in blocks of four doubles, so trial i starts at counter offset 2*i and
 any partition of a trial range generates identical draws.  Outage tallies are
 integers summed over chunks, which makes every estimate bit-identical for any
 worker count or chunking.
+
+The uniforms depend on the seed and trial index alone, never on the scenario,
+scheme or split: only the per-link variance scales them.  So the unit-mean
+exponentials -log1p(-u) are generated once per (seed, chunk) and shared by
+every request of an estimate_many() call, each kernel scaling the links it
+reads.  Memory stays at one chunk per worker however many trials or requests.
 """
 
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -29,7 +36,10 @@ SCHEMES = ("proposed", "noncooperative", "relay_assisted_secondary")
 
 _DOUBLES_PER_TRIAL = 8
 _BLOCKS_PER_TRIAL = 2       # Philox counter blocks (4 doubles each) per trial
-_CHUNK_TRIALS = 1 << 17     # generation block size; bounds memory, not results
+# Trials per chunk.  Bounds memory, never results: a chunk holds its unit
+# draws (64 B per trial, twice while they are generated) and the few trial
+# vectors one request's kernel needs on top of them.
+_CHUNK_TRIALS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -121,14 +131,17 @@ def _uniform_block(seed: int, start: int, n: int) -> np.ndarray:
     return u.reshape(n, _DOUBLES_PER_TRIAL)
 
 
-def _draw_block(params: SystemParams, seed: int, start: int, n: int) -> dict:
-    """Exponential channel draws per link for trials [start, start+n)."""
-    u = _uniform_block(seed, start, n)
-    link_vars = params.link_vars.as_dict()
-    return {
-        name: -link_vars[name] * np.log1p(-u[:, k])
-        for k, name in enumerate(LINKS)
-    }
+def _unit_block(seed: int, start: int, n: int) -> np.ndarray:
+    """Unit-mean exponentials -log1p(-u) for trials [start, start+n).
+
+    Shape (8, n), C-contiguous, row k holding link LINKS[k]; a link's channel
+    draws are its variance times its row.
+    """
+    e = _uniform_block(seed, start, n)
+    np.negative(e, out=e)
+    np.log1p(e, out=e)
+    np.negative(e, out=e)
+    return np.ascontiguousarray(e.T)
 
 
 def sample_channels(stream: np.random.Generator, params: SystemParams) -> ChannelDraw:
@@ -182,46 +195,65 @@ def simulate_slot(draw: ChannelDraw, derived: DerivedParams,
 
 
 def _count_chunk(derived: DerivedParams, alpha: float, scheme: str,
-                 seed: int, start: int, n: int) -> dict:
-    """Integer event counts over trials [start, start+n)."""
+                 e: np.ndarray) -> dict:
+    """Integer event counts of one scheme over a chunk of unit draws.
+
+    Scales only the links the scheme reads and drops each scaled link and
+    temporary after its last use, so evaluating a request adds a few trial
+    vectors to the chunk's working set.
+    """
     p = derived.params
-    g = _draw_block(p, seed, start, n)
     snr_p, snr_s, snr_r = p.snr_p, derived.snr_s, p.snr_r
     lp, ls = derived.lambda_p, derived.lambda_s
 
-    v = snr_p * g["pp"] / (snr_s * g["sp"] + 1.0)
-    u = snr_s * g["ss"] / (snr_p * g["ps"] + 1.0)
+    def g(name):
+        return getattr(p.link_vars, name) * e[LINKS.index(name)]
 
     if scheme == "noncooperative":
-        return {
-            "pri": int(np.count_nonzero(v < derived.theta_p)),
-            "sec": int(np.count_nonzero(u < derived.theta_s)),
-        }
+        v = snr_p * g("pp") / (snr_s * g("sp") + 1.0)
+        pri = int(np.count_nonzero(v < derived.theta_p))
+        del v
+        u = snr_s * g("ss") / (snr_p * g("ps") + 1.0)
+        return {"pri": pri, "sec": int(np.count_nonzero(u < derived.theta_s))}
 
+    x = snr_p * g("pr")
+    y = snr_s * g("sr")
     if scheme == "proposed":
-        x = snr_p * g["pr"]
-        y = snr_s * g["sr"]
         c_p = x > y
         d1 = np.where(
             c_p,
             (x >= lp * (1.0 + y)) & (y >= ls),
             (y > x) & (y >= ls * (1.0 + x)) & (x >= lp),
         )
-        w_p = alpha * snr_r * g["rp"] / ((1.0 - alpha) * snr_r * g["rp"] + 1.0)
-        w_s = (1.0 - alpha) * snr_r * g["rs"] / (alpha * snr_r * g["rs"] + 1.0)
+        del x, y
+        v = snr_p * g("pp") / (snr_s * g("sp") + 1.0)
+        rp = g("rp")
+        w_p = alpha * snr_r * rp / ((1.0 - alpha) * snr_r * rp + 1.0)
+        del rp
         pri_out = np.where(d1, v + w_p < lp, 2.0 * v < lp)
+        del v, w_p
+        u = snr_s * g("ss") / (snr_p * g("ps") + 1.0)
+        rs = g("rs")
+        w_s = (1.0 - alpha) * snr_r * rs / (alpha * snr_r * rs + 1.0)
+        del rs
         sec_out = np.where(d1, u + w_s < ls, 2.0 * u < ls)
     elif scheme == "relay_assisted_secondary":
         # Surrogate baseline: the relay activates when it decodes the
         # secondary signal through the primary interference; it then forwards
         # it at full power while the primary transmitter repeats, so the
         # primary's second copy sees the relay as interference.
-        x = snr_p * g["pr"]
-        y = snr_s * g["sr"]
         d1 = y >= ls * (1.0 + x)
-        sec_mrc = (snr_s * g["ss"] + snr_r * g["rs"]) / (snr_p * g["ps"] + 1.0)
-        pri_mrc = v + snr_p * g["pp"] / (snr_r * g["rp"] + 1.0)
+        del x, y
+        pp = g("pp")
+        v = snr_p * pp / (snr_s * g("sp") + 1.0)
+        pri_mrc = v + snr_p * pp / (snr_r * g("rp") + 1.0)
+        del pp
         pri_out = np.where(d1, pri_mrc < lp, 2.0 * v < lp)
+        del v, pri_mrc
+        ss, ps = g("ss"), g("ps")
+        u = snr_s * ss / (snr_p * ps + 1.0)
+        sec_mrc = (snr_s * ss + snr_r * g("rs")) / (snr_p * ps + 1.0)
+        del ss, ps
         sec_out = np.where(d1, sec_mrc < ls, 2.0 * u < ls)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -238,30 +270,40 @@ def _count_chunk(derived: DerivedParams, alpha: float, scheme: str,
     return counts
 
 
-def estimate(params: SystemParams, alpha: float, trials: int, seed: int,
-             scheme: str = "proposed", workers: int = 1) -> SchemeEstimates:
-    """Monte Carlo outage estimates over independent per-trial streams.
-
-    Deterministic for fixed (seed, trials, scenario, alpha, scheme) regardless
-    of worker count: chunks draw from disjoint trial-index ranges of the same
-    counter-based stream and only integer counts are reduced.
-    """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+def check_request(alpha: float, scheme: str) -> None:
+    """Raise ValueError for a scheme or split the simulator does not accept."""
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
+
+
+def estimate_many(seed: int, trials: int, requests, workers: int = 1) -> list:
+    """Monte Carlo outage estimates for many (params, alpha, scheme) requests.
+
+    Every request reads trials [0, trials) of the seed's stream, so each
+    chunk's unit draws are generated once and every request's kernel runs on
+    them; only integer counts are kept per request.  Memory stays at one
+    chunk per worker whatever `trials` or the number of requests, and result
+    i is bit-identical to estimate() on requests[i] for any worker count:
+    chunks draw from disjoint trial-index ranges of the counter-based stream.
+    """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    for _, alpha, scheme in requests:
+        check_request(alpha, scheme)
     if workers < 1:
         raise ValueError("workers must be at least 1")
 
-    derived = derive(params)
+    jobs = [(derive(params), alpha, scheme)
+            for params, alpha, scheme in requests]
     chunks = [(start, min(_CHUNK_TRIALS, trials - start))
               for start in range(0, trials, _CHUNK_TRIALS)]
 
     def run(chunk):
-        start, n = chunk
-        return _count_chunk(derived, alpha, scheme, seed, start, n)
+        e = _unit_block(seed, *chunk)
+        return [_count_chunk(derived, alpha, scheme, e)
+                for derived, alpha, scheme in jobs]
 
     if workers == 1 or len(chunks) == 1:
         partials = [run(c) for c in chunks]
@@ -269,10 +311,27 @@ def estimate(params: SystemParams, alpha: float, trials: int, seed: int,
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(run, chunks))
 
-    totals: dict = {}
+    totals = [Counter() for _ in jobs]
     for part in partials:
-        for key, val in part.items():
-            totals[key] = totals.get(key, 0) + val
+        for total, counts in zip(totals, part):
+            total.update(counts)
+    return [_scheme_estimates(scheme, alpha, trials, seed, total)
+            for (_, alpha, scheme), total in zip(jobs, totals)]
+
+
+def estimate(params: SystemParams, alpha: float, trials: int, seed: int,
+             scheme: str = "proposed", workers: int = 1) -> SchemeEstimates:
+    """Monte Carlo outage estimates over independent per-trial streams.
+
+    Deterministic for fixed (seed, trials, scenario, alpha, scheme) regardless
+    of worker count; a one-request estimate_many().
+    """
+    return estimate_many(seed, trials, [(params, alpha, scheme)], workers)[0]
+
+
+def _scheme_estimates(scheme: str, alpha: float, trials: int, seed: int,
+                      totals: Counter) -> SchemeEstimates:
+    """Estimates of one request from its event counts over all trials."""
 
     def co(successes, n):
         if n == 0:

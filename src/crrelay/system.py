@@ -13,6 +13,9 @@ from dataclasses import dataclass, replace
 # Directed links a->b with a,b in {p: primary, s: secondary, r: relay}.
 LINKS = ("pp", "sp", "ps", "ss", "pr", "sr", "rp", "rs")
 
+# From this rate on the two-sub-slot threshold 2^(2R) - 1 overflows a double.
+MAX_RATE = 512.0
+
 
 def db_to_linear(x_db: float) -> float:
     """Convert a dB value to a linear power ratio (inf when it overflows)."""
@@ -92,6 +95,10 @@ class SystemParams:
         for name in ("rate_p", "rate_s", "snr_p", "snr_r"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        for name in ("rate_p", "rate_s"):
+            if not getattr(self, name) < MAX_RATE:
+                raise ValueError(f"{name} must be below {MAX_RATE:g} "
+                                 "bits/s/Hz (2^(2R) overflows)")
         for name, var in self.link_vars.as_dict().items():
             if not var > 0.0 or not math.isfinite(var):
                 raise ValueError(f"link variance {name} must be positive and finite")

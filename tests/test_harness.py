@@ -140,6 +140,18 @@ def test_sweep_error_rows_do_not_abort():
     assert all(r.analytic_sec is None for r in bad)
 
 
+def test_sweep_simulation_errors_stay_per_row():
+    # an invalid worker count fails every simulated row, after its analytic
+    # cells are filled; a split out of range keeps its own message
+    spec = SweepSpec(scenario=default_params(), axis="alpha",
+                     values=(0.5, 1.5), schemes=("proposed",), mode="both",
+                     trials=1000)
+    ok, bad = run_sweep(spec, workers=0).rows
+    assert ok.error == "workers must be at least 1"
+    assert ok.analytic_sec is not None and ok.mc_sec is None
+    assert bad.error == "alpha must lie in [0, 1]"
+
+
 def test_sweep_below_cutoff_reports_certain_outage():
     spec = SweepSpec(scenario=default_params(), axis="snr_p_db",
                      values=(6.0, 8.0), schemes=("proposed", "noncooperative"),
@@ -186,6 +198,36 @@ def test_sweep_csv_byte_stable_across_runs_and_workers():
     ref = run_sweep(spec, workers=1).to_csv_bytes()
     assert run_sweep(spec, workers=1).to_csv_bytes() == ref
     assert run_sweep(spec, workers=4).to_csv_bytes() == ref
+
+
+# Standard output of two CLI sweeps whose simulated rows share one draw
+# source: the first splits 300_001 trials into chunks (the last one partial)
+# over two workers, the second mixes analytic and simulated cells; both keep
+# out-of-range splits as per-row errors.
+_SWEEP_STDOUT_SHA256 = {
+    "alpha-montecarlo-workers2": (
+        ["--trials", "300001", "--workers", "2", "sweep", "--axis", "alpha",
+         "--start", "0.9", "--stop", "1.2", "--step", "0.1",
+         "--mode", "montecarlo", "--schemes", "proposed,noncooperative"],
+        "ce5417abaea5f48386c9ede3d7b4c83f553530e98918bd24c9104edf690b3dce",
+    ),
+    "alpha-both": (
+        ["--trials", "200000", "sweep", "--axis", "alpha",
+         "--start", "-0.2", "--stop", "1.2", "--step", "0.2",
+         "--mode", "both", "--schemes", "proposed,relay_assisted_secondary"],
+        "9e9f9c0c10e7ede76243fb531c28552cf12c6c54cd0b402784a3f65692610930",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SWEEP_STDOUT_SHA256))
+def test_cli_sweep_stdout_bytes_pinned(case, capsys):
+    argv, digest = _SWEEP_STDOUT_SHA256[case]
+    assert cli_main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    errors = [r["error"] for r in rows_from_csv(out) if r["error"]]
+    assert errors and set(errors) == {"alpha must lie in [0, 1]"}
 
 
 # ---- reproduction targets ------------------------------------------------------
@@ -361,6 +403,7 @@ def test_cli_config_errors(tmp_path):
 
 @pytest.mark.parametrize("override", [
     "snr_p_db=inf", "snr_p_db=4000", "rate_p=inf", "rate_s=inf",
+    "rate_p=600", "rate_s=600", "rate_p=2000",
 ])
 def test_cli_rejects_non_finite_scenario(override, capsys):
     assert cli_main(["--set", override, "analytic"]) == 1

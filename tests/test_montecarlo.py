@@ -13,6 +13,7 @@ from crrelay import (
     cond_sec_outage_d0,
     derive,
     estimate,
+    estimate_many,
     noncoop_secondary_outage,
     prob_decode_order,
     prob_relay_active,
@@ -21,7 +22,12 @@ from crrelay import (
     simulate_slot,
     trial_stream,
 )
-from crrelay.montecarlo import OutageEstimate, _draw_block, _uniform_block
+from crrelay.montecarlo import (
+    SCHEMES,
+    OutageEstimate,
+    _uniform_block,
+    _unit_block,
+)
 from crrelay.system import LINKS, one_slot_threshold
 
 
@@ -58,27 +64,45 @@ def test_outage_estimate_degenerate_wilson():
 
 # ---- channel sampling --------------------------------------------------------
 
+def link_draws(params, seed, start, n):
+    """Channel draws per link: each link's variance times its unit row."""
+    e = _unit_block(seed, start, n)
+    return {name: getattr(params.link_vars, name) * e[k]
+            for k, name in enumerate(LINKS)}
+
+
+def test_unit_block_scales_to_inversion_draws(table1):
+    # var * (-log1p(-u)) is bit-identical to -var * log1p(-u) on every link,
+    # also from an offset start and over a partial last chunk
+    u = _uniform_block(9, 1000, 300_001)
+    e = _unit_block(9, 1000, 300_001)
+    assert e.shape == (8, 300_001) and e.flags["C_CONTIGUOUS"]
+    for k, name in enumerate(LINKS):
+        var = getattr(table1.link_vars, name)
+        assert np.array_equal(var * e[k], -var * np.log1p(-u[:, k]))
+
+
 def test_channel_block_means(table1):
-    g = _draw_block(table1, seed=21, start=0, n=1_000_000)
+    g = link_draws(table1, seed=21, start=0, n=1_000_000)
     assert g["pp"].mean() == pytest.approx(1.0, abs=0.003)
     assert g["sp"].mean() == pytest.approx(0.1, abs=0.001)
 
 
 def test_channel_tail_probability(table1):
     # exponential tail at one sigma-squared of 0.1: P(g > 0.2) = exp(-2)
-    g = _draw_block(table1, seed=22, start=0, n=1_000_000)
+    g = link_draws(table1, seed=22, start=0, n=1_000_000)
     tail = float(np.mean(g["sp"] > 0.2))
     assert tail == pytest.approx(math.exp(-2.0), abs=0.0011)
 
 
 def test_channel_independence(table1):
-    g = _draw_block(table1, seed=23, start=0, n=1_000_000)
+    g = link_draws(table1, seed=23, start=0, n=1_000_000)
     r = np.corrcoef(g["pp"], g["ss"])[0, 1]
     assert abs(r) < 0.005
 
 
 def test_scalar_sampling_matches_block(table1):
-    block = _draw_block(table1, seed=9, start=0, n=40)
+    block = link_draws(table1, seed=9, start=0, n=40)
     for i in (0, 1, 17, 39):
         draw = sample_channels(trial_stream(9, i), table1)
         for k, name in enumerate(LINKS):
@@ -254,6 +278,20 @@ def test_bit_identical_across_chunk_sizes(table1, monkeypatch):
     assert base == rechunked
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("trials", [1, 131_072, 300_001])
+def test_estimate_many_matches_per_request_estimate(table1, trials, workers):
+    # one shared draw per chunk serves every request exactly as its own
+    # estimate() would; 300_001 trials end in a partial chunk
+    requests = [(params, alpha, scheme)
+                for params in (table1, symmetric_relay_params())
+                for scheme in SCHEMES for alpha in (0.0, 0.37, 1.0)]
+    batch = estimate_many(61, trials, requests, workers=workers)
+    assert len(batch) == len(requests)
+    for est, (params, alpha, scheme) in zip(batch, requests):
+        assert est == estimate(params, alpha, trials, 61, scheme, workers)
+
+
 def test_different_seeds_differ(table1):
     a = estimate(table1, 0.5, 50_000, seed=1)
     b = estimate(table1, 0.5, 50_000, seed=2)
@@ -269,3 +307,7 @@ def test_estimate_validations(table1):
         estimate(table1, 1.5, 100, seed=1)
     with pytest.raises(ValueError):
         estimate(table1, 0.5, 100, seed=1, workers=0)
+    # one bad request rejects the whole batch before any draw is made
+    with pytest.raises(ValueError, match="alpha"):
+        estimate_many(1, 100, [(table1, 0.5, "proposed"),
+                               (table1, -0.1, "noncooperative")])

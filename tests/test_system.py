@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -105,7 +106,8 @@ def test_cutoff_validation():
     ("rate_p", 0.0), ("rate_s", -1.0), ("snr_p", 0.0), ("snr_r", -0.1),
     ("epsilon", 0.0), ("epsilon", 1.0),
     ("rate_p", math.inf), ("rate_s", math.inf), ("snr_p", math.inf),
-    ("snr_r", math.inf),
+    ("snr_r", math.inf), ("rate_p", 512.0), ("rate_s", 600.0),
+    ("rate_p", 2000.0),
 ])
 def test_invalid_params_rejected(field, value):
     good = dict(rate_p=0.4, rate_s=0.2, snr_p=100.0, snr_r=10.0, epsilon=0.04,
@@ -124,6 +126,18 @@ def test_db_scenario_edges():
     with pytest.raises(ValueError, match="finite"):
         SystemParams.from_db(0.4, 0.2, 4000.0, 10.0, 0.04,
                              LinkTable.uniform(1.0))
+
+
+def test_largest_rates_keep_finite_thresholds():
+    # 2^(2R) overflows a double from R = 512 on; just below, every threshold
+    # is finite, so derive() never raises OverflowError on a valid scenario
+    params = SystemParams(rate_p=511.9, rate_s=511.9, snr_p=100.0, snr_r=10.0,
+                          epsilon=0.04, link_vars=LinkTable.uniform(1.0))
+    d = derive(params)
+    assert all(math.isfinite(x) for x in
+               (d.theta_p, d.theta_s, d.lambda_p, d.lambda_s))
+    with pytest.raises(ValueError, match="rate_s"):
+        replace(params, rate_s=512.0)
 
 
 def test_link_table_requires_all_links():
