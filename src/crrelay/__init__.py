@@ -3,11 +3,9 @@ relay-aided underlay cognitive-radio link."""
 
 from .allocation import (
     AllocationResult,
-    RegionMap,
     allocate,
     alpha_for_primary_bound,
     common_alpha_band,
-    feasibility_region,
     min_snr_r_for_epsilon,
     with_relay_snr,
 )
@@ -39,21 +37,14 @@ from .harness import (
     table1_params,
 )
 from .montecarlo import (
-    ChannelDraw,
     OutageEstimate,
     SchemeEstimates,
-    SlotOutcome,
     estimate,
     estimate_many,
-    relay_decision,
-    sample_channels,
-    simulate_slot,
-    trial_stream,
 )
 from .quadrature import (
     QuadratureError,
     QuadratureSpec,
-    gamma_integral,
     integrate_exp_over_x,
 )
 from .system import (

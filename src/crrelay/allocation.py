@@ -10,8 +10,6 @@ edges and keeps the runtime trivial.
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .analytic import (
     cond_sec_outage_d0,
     primary_split_floor,
@@ -33,25 +31,6 @@ class AllocationResult:
     u_p: float
     u_s_total: float
     feasible: bool
-
-
-@dataclass(frozen=True)
-class RegionMap:
-    """Feasibility structure of the two outage bounds over rates and splits.
-
-    region1[i, k]: split alpha_grid[k] can still improve the primary bound at
-    rate_p_grid[i] (split at or above its floor).  region2[j, k]: the split
-    can still improve the secondary bound at rate_s_grid[j] (at or below its
-    ceiling).  common[i, j]: the two branches overlap for the rate pair, i.e.
-    a split exists that leaves both bounds improvable.
-    """
-
-    rate_p_grid: tuple
-    rate_s_grid: tuple
-    alpha_grid: tuple
-    region1: np.ndarray
-    region2: np.ndarray
-    common: np.ndarray
 
 
 def rate_p_at_split_floor(alpha: float) -> float:
@@ -223,27 +202,3 @@ def allocate(params: SystemParams, epsilon: float | None = None,
     u_s, snr_r, alpha, u_p = best
     return AllocationResult(alpha=alpha, snr_r=snr_r, u_p=u_p,
                             u_s_total=u_s, feasible=u_p <= epsilon)
-
-
-def feasibility_region(rate_p_grid, rate_s_grid, alpha_grid=None) -> RegionMap:
-    """Region map over rate grids and splits.
-
-    The structure depends only on the rates (the bounds' branch points).
-    """
-    if len(rate_p_grid) == 0 or len(rate_s_grid) == 0:
-        raise ValueError("rate grids must be nonempty")
-    if alpha_grid is None:
-        alpha_grid = tuple(np.linspace(0.0, 1.0, 201))
-    floors = np.array([primary_split_floor(two_slot_threshold(r))
-                       for r in rate_p_grid])
-    ceilings = np.array([secondary_split_ceiling(two_slot_threshold(r))
-                         for r in rate_s_grid])
-    alphas = np.asarray(alpha_grid, dtype=float)
-    return RegionMap(
-        rate_p_grid=tuple(rate_p_grid),
-        rate_s_grid=tuple(rate_s_grid),
-        alpha_grid=tuple(alphas),
-        region1=alphas[None, :] >= floors[:, None],
-        region2=alphas[None, :] <= ceilings[:, None],
-        common=floors[:, None] <= ceilings[None, :],
-    )

@@ -43,27 +43,6 @@ _CHUNK_TRIALS = 1 << 16
 
 
 @dataclass(frozen=True)
-class ChannelDraw:
-    """One realization of the eight squared channel magnitudes."""
-
-    pp: float
-    sp: float
-    ps: float
-    ss: float
-    pr: float
-    sr: float
-    rp: float
-    rs: float
-
-
-@dataclass(frozen=True)
-class SlotOutcome:
-    relay_active: bool
-    pri_outage: bool
-    sec_outage: bool
-
-
-@dataclass(frozen=True)
 class OutageEstimate:
     """Binomial probability estimate with its normal-approximation error."""
 
@@ -112,15 +91,6 @@ class SchemeEstimates:
     sec_d1: OutageEstimate | None = None
 
 
-def trial_stream(seed: int, index: int) -> np.random.Generator:
-    """Generator positioned at trial `index` of the master-seed stream."""
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
-    bit = np.random.Philox(key=seed)
-    bit.advance(_BLOCKS_PER_TRIAL * index)
-    return np.random.Generator(bit)
-
-
 def _uniform_block(seed: int, start: int, n: int) -> np.ndarray:
     """Uniform doubles for trials [start, start+n), shape (n, 8)."""
     if seed < 0:
@@ -142,56 +112,6 @@ def _unit_block(seed: int, start: int, n: int) -> np.ndarray:
     np.log1p(e, out=e)
     np.negative(e, out=e)
     return np.ascontiguousarray(e.T)
-
-
-def sample_channels(stream: np.random.Generator, params: SystemParams) -> ChannelDraw:
-    """Draw the eight squared magnitudes for one slot from a trial stream."""
-    u = stream.random(_DOUBLES_PER_TRIAL)
-    link_vars = params.link_vars.as_dict()
-    vals = {name: -link_vars[name] * math.log1p(-u[k])
-            for k, name in enumerate(LINKS)}
-    return ChannelDraw(**vals)
-
-
-def relay_decision(draw: ChannelDraw, derived: DerivedParams):
-    """Apply the SIC decision rule to one draw.
-
-    The relay decodes the stronger received signal first, treating the other
-    as noise, then the weaker one cleanly; it activates only if both stages
-    clear their two-sub-slot thresholds in the chosen order.  Returns
-    (active, first_decoded) with first_decoded in {"p", "s", None}.
-    """
-    x = derived.params.snr_p * draw.pr
-    y = derived.snr_s * draw.sr
-    lp, ls = derived.lambda_p, derived.lambda_s
-    if x > y:
-        if x >= lp * (1.0 + y) and y >= ls:
-            return True, "p"
-    elif y > x:
-        if y >= ls * (1.0 + x) and x >= lp:
-            return True, "s"
-    return False, None
-
-
-def simulate_slot(draw: ChannelDraw, derived: DerivedParams,
-                  alpha: float) -> SlotOutcome:
-    """Outage events of one slot of the proposed scheme at a given split."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    p = derived.params
-    active, _ = relay_decision(draw, derived)
-    v = p.snr_p * draw.pp / (derived.snr_s * draw.sp + 1.0)
-    u = derived.snr_s * draw.ss / (p.snr_p * draw.ps + 1.0)
-    if active:
-        w_p = alpha * p.snr_r * draw.rp / ((1.0 - alpha) * p.snr_r * draw.rp + 1.0)
-        w_s = (1.0 - alpha) * p.snr_r * draw.rs / (alpha * p.snr_r * draw.rs + 1.0)
-        pri = v + w_p < derived.lambda_p
-        sec = u + w_s < derived.lambda_s
-    else:
-        pri = 2.0 * v < derived.lambda_p
-        sec = 2.0 * u < derived.lambda_s
-    return SlotOutcome(relay_active=active, pri_outage=bool(pri),
-                       sec_outage=bool(sec))
 
 
 def _count_chunk(derived: DerivedParams, alpha: float, scheme: str,

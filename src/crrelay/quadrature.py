@@ -8,9 +8,8 @@ with a log fast path at c = 0.
 """
 
 import math
+import sys
 from dataclasses import dataclass
-
-from .system import DerivedParams
 
 
 @dataclass(frozen=True)
@@ -60,30 +59,11 @@ def integrate_exp_over_x(c: float, a: float, b: float,
     return _adaptive_simpson(f, a, b, spec)
 
 
-def gamma_integral(kind: str, derived: DerivedParams,
-                   spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
-    """The interference-averaging integral of the full-relay-power outage form.
-
-    kind="primary" integrates over [gain_pp, gain_pp + lambda_p*gain_sp] with
-    exponent coefficient (1/gain_rp - 1/gain_pp)/gain_sp; kind="secondary" is
-    the role-swapped twin.
-    """
-    g = derived.gain
-    if kind == "primary":
-        sig, cross, relay, thr = g.pp, g.sp, g.rp, derived.lambda_p
-    elif kind == "secondary":
-        sig, cross, relay, thr = g.ss, g.ps, g.rs, derived.lambda_s
-    else:
-        raise ValueError("kind must be 'primary' or 'secondary'")
-    if not (sig > 0.0 and cross > 0.0 and relay > 0.0):
-        raise ValueError("referenced mean gains must be positive")
-    c = (1.0 / relay - 1.0 / sig) / cross
-    a = sig
-    b = sig + thr * cross
-    return integrate_exp_over_x(c, a, b, spec)
-
-
 _MIN_DEPTH = 6   # splits forced before acceptance; guards peaked integrands
+# A panel whose two rules differ only by rounding cannot improve by splitting;
+# without this floor a 1/x peak far narrower than the interval halves the
+# budget below rounding noise and exhausts the depth cap.
+_ROUNDOFF = 64.0 * sys.float_info.epsilon
 
 
 def _refine(f, a, b, fa, fm, fb, whole, tol0, spec: QuadratureSpec) -> float:
@@ -103,7 +83,9 @@ def _refine(f, a, b, fa, fm, fb, whole, tol0, spec: QuadratureSpec) -> float:
         left = (m0 - a0) / 6.0 * (f0 + 4.0 * flm + f1)
         right = (b0 - m0) / 6.0 * (f1 + 4.0 * frm + f2)
         err = left + right - s
-        if depth >= min_depth and abs(err) <= 15.0 * tol:
+        converged = (abs(err) <= 15.0 * tol
+                     or abs(err) <= _ROUNDOFF * (abs(left) + abs(right)))
+        if depth >= min_depth and converged:
             total += left + right + err / 15.0
         elif depth >= spec.max_depth:
             raise QuadratureError(

@@ -99,6 +99,8 @@ class SystemParams:
             if not getattr(self, name) < MAX_RATE:
                 raise ValueError(f"{name} must be below {MAX_RATE:g} "
                                  "bits/s/Hz (2^(2R) overflows)")
+            if one_slot_threshold(getattr(self, name)) == 0.0:
+                raise ValueError(f"{name} is too small (2^R - 1 rounds to 0)")
         for name, var in self.link_vars.as_dict().items():
             if not var > 0.0 or not math.isfinite(var):
                 raise ValueError(f"link variance {name} must be positive and finite")

@@ -3,7 +3,13 @@ import math
 import pytest
 
 from crrelay import LinkTable, SystemParams, derive, table1_params
-from crrelay.system import DerivedParams, one_slot_threshold, two_slot_threshold
+from crrelay.montecarlo import _unit_block
+from crrelay.system import (
+    LINKS,
+    DerivedParams,
+    one_slot_threshold,
+    two_slot_threshold,
+)
 
 
 def synth_derived(rate_p=0.4, rate_s=0.2, snr_p=100.0, snr_s=100.0,
@@ -40,6 +46,51 @@ def symmetric_relay_params():
                           link_vars=LinkTable.uniform(1.0, sp=var_sp))
     assert derive(params).snr_s == pytest.approx(10.0, rel=1e-12)
     return params
+
+
+def link_draws(params, seed, start, n):
+    """Channel draws per link: each link's variance times its unit row."""
+    e = _unit_block(seed, start, n)
+    return {name: getattr(params.link_vars, name) * e[k]
+            for k, name in enumerate(LINKS)}
+
+
+def replay_slot(draw, derived, alpha):
+    """One slot of the proposed scheme replayed in plain Python from the
+    printed events: (relay_active, pri_outage, sec_outage).
+
+    draw maps each link to its squared magnitude.  The relay decodes the
+    stronger signal first, treating the other as noise, then the weaker one
+    cleanly, and activates only if both stages clear their thresholds.
+    """
+    p = derived.params
+    lp, ls = derived.lambda_p, derived.lambda_s
+    x = p.snr_p * draw["pr"]
+    y = derived.snr_s * draw["sr"]
+    active = ((x > y and x >= lp * (1.0 + y) and y >= ls)
+              or (y > x and y >= ls * (1.0 + x) and x >= lp))
+    v = p.snr_p * draw["pp"] / (derived.snr_s * draw["sp"] + 1.0)
+    u = derived.snr_s * draw["ss"] / (p.snr_p * draw["ps"] + 1.0)
+    if not active:
+        return False, 2.0 * v < lp, 2.0 * u < ls
+    rp, rs = draw["rp"], draw["rs"]
+    w_p = alpha * p.snr_r * rp / ((1.0 - alpha) * p.snr_r * rp + 1.0)
+    w_s = (1.0 - alpha) * p.snr_r * rs / (alpha * p.snr_r * rs + 1.0)
+    return True, v + w_p < lp, u + w_s < ls
+
+
+def replay_counts(params, alpha, seed, n):
+    """(d1, pri, sec) event counts of replay_slot over trials [0, n)."""
+    derived = derive(params)
+    g = link_draws(params, seed, 0, n)
+    d1 = pri = sec = 0
+    for i in range(n):
+        draw = {name: float(g[name][i]) for name in LINKS}
+        active, pri_out, sec_out = replay_slot(draw, derived, alpha)
+        d1 += active
+        pri += pri_out
+        sec += sec_out
+    return d1, pri, sec
 
 
 @pytest.fixture

@@ -33,7 +33,7 @@ from crrelay import (
     cond_sec_outage_d0,
     derive,
     estimate,
-    gamma_integral,
+    estimate_many,
     integrate_exp_over_x,
     linear_to_db,
     min_snr_r_for_epsilon,
@@ -176,14 +176,16 @@ def oracle_runs():
     start = time.perf_counter()
     runs = []
     for k, params in enumerate(scenarios):
-        seed = 1000 + k
+        alpha0, alpha1, noncoop = estimate_many(
+            1000 + k, 1_000_000,
+            [(params, 0.0, "proposed"), (params, 1.0, "proposed"),
+             (params, 0.5, "noncooperative")])
         runs.append({
             "params": params,
             "derived": derive(params),
-            "alpha0": estimate(params, 0.0, 1_000_000, seed),
-            "alpha1": estimate(params, 1.0, 1_000_000, seed),
-            "noncoop": estimate(params, 0.5, 1_000_000, seed,
-                                scheme="noncooperative"),
+            "alpha0": alpha0,
+            "alpha1": alpha1,
+            "noncoop": noncoop,
         })
     elapsed = time.perf_counter() - start
     return runs, elapsed
@@ -265,9 +267,10 @@ def test_c5_primary_protection():
     ok = est.pri.p_hat <= guard
     detail = (f"total primary at allocator point: {est.pri.p_hat:.5f} <= "
               f"{guard:.5f}")
-    for scenario in (params, default_params()):
-        nc = estimate(scenario, 0.5, 1_000_000, seed=52,
-                      scheme="noncooperative")
+    scenarios = (params, default_params())
+    noncoop = estimate_many(52, 1_000_000, [(scenario, 0.5, "noncooperative")
+                                            for scenario in scenarios])
+    for scenario, nc in zip(scenarios, noncoop):
         z = _z(nc.pri, scenario.epsilon)
         ok = ok and abs(z) <= 3.0
         detail += f"; noncoop primary z={z:+.2f} (eps={scenario.epsilon})"
@@ -283,9 +286,9 @@ def test_c6_scheme_ordering():
     d = derive(params)
     snr_r = min_snr_r_for_epsilon(d, 0.5, params.epsilon)
     params = params.with_snr_r(snr_r)
-    ests = {scheme: estimate(params, 0.5, 1_000_000, seed=66, scheme=scheme)
-            for scheme in ("proposed", "relay_assisted_secondary",
-                           "noncooperative")}
+    schemes = ("proposed", "relay_assisted_secondary", "noncooperative")
+    ests = dict(zip(schemes, estimate_many(
+        66, 1_000_000, [(params, 0.5, scheme) for scheme in schemes])))
     p = ests["proposed"].sec
     r = ests["relay_assisted_secondary"].sec
     n = ests["noncoop" "erative"].sec
@@ -365,9 +368,12 @@ def test_c8_trends():
 
 
 def test_c9_numerics():
+    # equal relay and direct gains: the full-power outage integral is a log
     d = synth_derived(rp=100.0, pp=100.0, sp=12.0)
-    log_form = math.log1p(d.lambda_p * d.gain.sp / d.gain.pp)
-    ok = abs(gamma_integral("primary", d) - log_form) <= 1e-10
+    log_term = math.log1p(d.lambda_p * d.gain.sp / d.gain.pp)
+    log_form = 1.0 - math.exp(-d.lambda_p / d.gain.rp) * (
+        1.0 + d.gain.pp / (d.gain.sp * d.gain.rp) * log_term)
+    ok = abs(cond_outage_d1_exact(d, "primary", 1.0) - log_form) <= 1e-10
 
     spec = QuadratureSpec()
     coarse = QuadratureSpec(abs_tol=1e-8, rel_tol=1e-8)

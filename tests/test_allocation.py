@@ -8,7 +8,6 @@ from crrelay import (
     alpha_for_primary_bound,
     common_alpha_band,
     derive,
-    feasibility_region,
     min_snr_r_for_epsilon,
     table1_params,
     upper_bound_d1,
@@ -206,28 +205,6 @@ def test_band_empty_iff_threshold_product_exceeds_one():
             product = (two_slot_threshold(rate_p) * two_slot_threshold(rate_s))
             assert (common_alpha_band(rate_p, rate_s) is not None) == \
                 (product <= 1.0)
-
-
-def test_region_map_flags():
-    rmap = feasibility_region((0.3, 0.5, 1.0), (0.2, 1.0),
-                              alpha_grid=(0.1, 0.45, 0.75, 0.9))
-    for i, rate_p in enumerate(rmap.rate_p_grid):
-        floor = primary_split_floor(two_slot_threshold(rate_p))
-        for k, alpha in enumerate(rmap.alpha_grid):
-            assert rmap.region1[i, k] == (alpha >= floor)
-    for j, rate_s in enumerate(rmap.rate_s_grid):
-        ceil = secondary_split_ceiling(two_slot_threshold(rate_s))
-        for k, alpha in enumerate(rmap.alpha_grid):
-            assert rmap.region2[j, k] == (alpha <= ceil)
-    for i, rate_p in enumerate(rmap.rate_p_grid):
-        for j, rate_s in enumerate(rmap.rate_s_grid):
-            assert rmap.common[i, j] == \
-                (common_alpha_band(rate_p, rate_s) is not None)
-
-
-def test_region_map_rejects_empty_grids():
-    with pytest.raises(ValueError):
-        feasibility_region((), (0.2,))
 
 
 # ---- derived-table relay repoint -------------------------------------------------

@@ -403,11 +403,21 @@ def test_cli_config_errors(tmp_path):
 
 @pytest.mark.parametrize("override", [
     "snr_p_db=inf", "snr_p_db=4000", "rate_p=inf", "rate_s=inf",
-    "rate_p=600", "rate_s=600", "rate_p=2000",
+    "rate_p=600", "rate_s=600", "rate_p=2000", "rate_p=1e-20", "rate_s=1e-20",
 ])
 def test_cli_rejects_non_finite_scenario(override, capsys):
     assert cli_main(["--set", override, "analytic"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_analytic_converges_on_wide_quadrature_interval(capsys):
+    # the full-power secondary form integrates over [5e-5, 3e4] here
+    argv = ["--set", "rate_p=1", "--set", "rate_s=1", "--set", "snr_p_db=40",
+            "--set", "snr_r_db=0", "--set", "epsilon=1e-4",
+            "--set", "link_vars.ps=1", "--set", "link_vars.sp=1",
+            "analytic", "--alpha", "0"]
+    assert cli_main(argv) == 0
+    assert "nan" not in capsys.readouterr().out
 
 
 def test_cli_accepts_silent_relay(capsys):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from crrelay import (
-    ChannelDraw,
     cond_outage_d1_exact,
     cond_pri_outage_d0,
     cond_sec_outage_d0,
@@ -15,19 +14,16 @@ from crrelay import (
     noncoop_secondary_outage,
     prob_decode_order,
     prob_relay_active,
-    relay_decision,
-    sample_channels,
-    simulate_slot,
-    trial_stream,
 )
 from crrelay.montecarlo import (
     SCHEMES,
     OutageEstimate,
+    _count_chunk,
     _uniform_block,
     _unit_block,
 )
 from crrelay.system import LINKS
-from conftest import symmetric_relay_params
+from conftest import link_draws, replay_counts, symmetric_relay_params
 
 
 # ---- estimates --------------------------------------------------------------
@@ -47,13 +43,6 @@ def test_outage_estimate_degenerate_wilson():
 
 
 # ---- channel sampling --------------------------------------------------------
-
-def link_draws(params, seed, start, n):
-    """Channel draws per link: each link's variance times its unit row."""
-    e = _unit_block(seed, start, n)
-    return {name: getattr(params.link_vars, name) * e[k]
-            for k, name in enumerate(LINKS)}
-
 
 def test_unit_block_scales_to_inversion_draws(table1):
     # var * (-log1p(-u)) is bit-identical to -var * log1p(-u) on every link,
@@ -85,70 +74,66 @@ def test_channel_independence(table1):
     assert abs(r) < 0.005
 
 
-def test_scalar_sampling_matches_block(table1):
-    block = link_draws(table1, seed=9, start=0, n=40)
-    for i in (0, 1, 17, 39):
-        draw = sample_channels(trial_stream(9, i), table1)
-        for k, name in enumerate(LINKS):
-            assert getattr(draw, name) == block[name][i]
-
-
 def test_stream_is_partition_invariant():
     whole = _uniform_block(5, 0, 1000)
     parts = np.vstack([_uniform_block(5, 0, 137), _uniform_block(5, 137, 463),
                        _uniform_block(5, 600, 400)])
     assert np.array_equal(whole, parts)
+    # a one-trial block starts at its own trial's stream position
+    block = _uniform_block(9, 0, 40)
+    for i in (0, 1, 17, 39):
+        assert np.array_equal(_uniform_block(9, i, 1)[0], block[i])
 
 
 def test_stream_rejects_negative_seed():
-    with pytest.raises(ValueError):
-        trial_stream(-1, 0)
     with pytest.raises(ValueError):
         _uniform_block(-1, 0, 10)
 
 
 # ---- slot-level behavior ------------------------------------------------------
 
-def test_relay_decision_no_signal(table1_derived):
-    draw = ChannelDraw(pp=1, sp=1, ps=1, ss=1, pr=0.0, sr=0.0, rp=1, rs=1)
-    active, order = relay_decision(draw, table1_derived)
-    assert not active and order is None
+def unit_column(params, **draw):
+    """(8, 1) unit draws of one trial whose channel draws are the given
+    squared magnitudes: each entry is the magnitude over its link variance."""
+    return np.array([[draw[name] / getattr(params.link_vars, name)]
+                     for name in LINKS])
 
 
-def test_relay_decision_strong_signals(table1_derived):
-    draw = ChannelDraw(pp=1, sp=1, ps=1, ss=1, pr=100.0, sr=50.0, rp=1, rs=1)
-    active, order = relay_decision(draw, table1_derived)
-    assert active and order == "p"
+def test_relay_decision_no_signal(table1, table1_derived):
+    e = unit_column(table1, pp=1, sp=1, ps=1, ss=1, pr=0.0, sr=0.0, rp=1, rs=1)
+    counts = _count_chunk(table1_derived, 0.5, "proposed", e)
+    assert counts["d1"] == 0 and counts["order_p"] == 0
+
+
+def test_relay_decision_strong_signals(table1, table1_derived):
+    e = unit_column(table1, pp=1, sp=1, ps=1, ss=1, pr=100.0, sr=50.0,
+                    rp=1, rs=1)
+    counts = _count_chunk(table1_derived, 0.5, "proposed", e)
+    assert counts["d1"] == 1 and counts["order_p"] == 1
 
 
 def test_relay_decision_orders_are_exclusive(table1, table1_derived):
     # replay the decision from the printed events; the two branches can never
     # fire on the same draw
     d = table1_derived
+    g = link_draws(table1, seed=31, start=0, n=4000)
+    e = _unit_block(31, 0, 4000)
     for i in range(4000):
-        draw = sample_channels(trial_stream(31, i), table1)
-        active, order = relay_decision(draw, d)
-        x = table1.snr_p * draw.pr
-        y = d.snr_s * draw.sr
+        x = table1.snr_p * float(g["pr"][i])
+        y = d.snr_s * float(g["sr"][i])
         p_branch = x > y and x >= d.lambda_p * (1 + y) and y >= d.lambda_s
         s_branch = y > x and y >= d.lambda_s * (1 + x) and x >= d.lambda_p
         assert not (p_branch and s_branch)
-        assert active == (p_branch or s_branch)
-        assert order == ("p" if p_branch else "s" if s_branch else None)
+        counts = _count_chunk(d, 0.5, "proposed", e[:, i:i + 1])
+        assert counts["d1"] == (p_branch or s_branch)
+        assert counts["order_p"] == (x > y)
 
 
 def test_simulate_slot_matches_estimate_counts(table1):
-    # the scalar slot path and the vectorized counting path must agree trial
-    # by trial
-    derived = derive(table1)
+    # a plain-Python replay of the printed events and the vectorized counting
+    # path must agree trial by trial
     n, seed, alpha = 3000, 13, 0.7
-    pri = sec = d1 = 0
-    for i in range(n):
-        out = simulate_slot(sample_channels(trial_stream(seed, i), table1),
-                            derived, alpha)
-        pri += out.pri_outage
-        sec += out.sec_outage
-        d1 += out.relay_active
+    d1, pri, sec = replay_counts(table1, alpha, seed, n)
     est = estimate(table1, alpha, n, seed)
     assert est.pri.p_hat == pri / n
     assert est.sec.p_hat == sec / n
@@ -158,24 +143,25 @@ def test_simulate_slot_matches_estimate_counts(table1):
 def test_simulate_slot_alpha_one_relay_term(table1, table1_derived):
     # with all relay power on the primary, a huge relay-to-primary channel
     # makes a primary outage impossible
-    draw = ChannelDraw(pp=1e-9, sp=1, ps=1, ss=1, pr=100.0, sr=50.0,
-                       rp=1e9, rs=1e9)
-    out = simulate_slot(draw, table1_derived, 1.0)
-    assert out.relay_active and not out.pri_outage
+    draw = dict(pp=1e-9, sp=1, ps=1, ss=1, pr=100.0, sr=50.0, rp=1e9, rs=1e9)
+    counts = _count_chunk(table1_derived, 1.0, "proposed",
+                          unit_column(table1, **draw))
+    assert counts["d1"] == 1 and counts["pri_d1"] == 0
     # and the secondary gets nothing from the relay
-    out2 = simulate_slot(replace(draw, ss=1e-9), table1_derived, 1.0)
-    assert out2.sec_outage
+    counts2 = _count_chunk(table1_derived, 1.0, "proposed",
+                           unit_column(table1, **{**draw, "ss": 1e-9}))
+    assert counts2["d1"] == 1 and counts2["sec_d1"] == 1
 
 
-def test_simulate_slot_interior_alpha_saturates(table1_derived):
+def test_simulate_slot_interior_alpha_saturates(table1, table1_derived):
     # the relayed SINR share saturates at alpha/(1-alpha) however strong the
     # relay channel is
     alpha = 0.3
-    draw = ChannelDraw(pp=1e-12, sp=1, ps=1, ss=1, pr=100.0, sr=50.0,
-                       rp=1e12, rs=1e12)
-    out = simulate_slot(draw, table1_derived, alpha)
+    e = unit_column(table1, pp=1e-12, sp=1, ps=1, ss=1, pr=100.0, sr=50.0,
+                    rp=1e12, rs=1e12)
+    counts = _count_chunk(table1_derived, alpha, "proposed", e)
     # alpha/(1-alpha) = 0.4286 < lambda_p = 0.7411: outage despite the relay
-    assert out.relay_active and out.pri_outage
+    assert counts["d1"] == 1 and counts["pri_d1"] == 1
 
 
 # ---- activation frequency ----------------------------------------------------

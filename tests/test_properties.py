@@ -1,0 +1,64 @@
+"""Property tests over random valid scenarios (skipped without hypothesis)."""
+import math
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings, strategies as st
+
+from crrelay import (
+    LinkTable,
+    SystemParams,
+    db_to_linear,
+    derive,
+    estimate,
+    prob_relay_active_exact,
+    total_secondary_outage,
+    upper_bound_d1,
+)
+from crrelay.system import LINKS
+from conftest import replay_counts
+
+# derandomized, so a tier-1 run checks the same examples every time
+PROPERTY_SETTINGS = dict(deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def scenarios(draw):
+    """Valid scenarios over wide rate, SNR, threshold and variance ranges."""
+    return SystemParams(
+        rate_p=draw(st.floats(1e-3, 4.0)),
+        rate_s=draw(st.floats(1e-3, 4.0)),
+        snr_p=db_to_linear(draw(st.floats(-10.0, 50.0))),
+        snr_r=draw(st.one_of(st.just(0.0),
+                             st.floats(-20.0, 50.0).map(db_to_linear))),
+        epsilon=draw(st.floats(1e-4, 0.5)),
+        link_vars=LinkTable.from_dict(
+            {name: draw(st.floats(0.01, 10.0)) for name in LINKS}),
+    )
+
+
+splits = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, **PROPERTY_SETTINGS)
+@given(params=scenarios(), alpha=splits)
+def test_closed_forms_are_probabilities(params, alpha):
+    d = derive(params)
+    assume(d.snr_s > 0.0)
+    summary = total_secondary_outage(d, alpha)
+    values = [summary.p_d1, summary.total_sec, summary.total_pri,
+              prob_relay_active_exact(d),
+              upper_bound_d1(d, "primary", alpha),
+              upper_bound_d1(d, "secondary", alpha)]
+    assert all(math.isfinite(v) and 0.0 <= v <= 1.0 for v in values), values
+
+
+@settings(max_examples=60, **PROPERTY_SETTINGS)
+@given(params=scenarios(), alpha=splits, seed=st.integers(0, 2**32 - 1))
+def test_estimate_counts_match_scalar_replay(params, alpha, seed):
+    n = 200
+    d1, pri, sec = replay_counts(params, alpha, seed, n)
+    est = estimate(params, alpha, n, seed)
+    assert (est.p_d1.p_hat, est.pri.p_hat, est.sec.p_hat) == \
+        (d1 / n, pri / n, sec / n)

@@ -7,8 +7,8 @@ from conftest import synth_derived
 from crrelay import (
     QuadratureError,
     QuadratureSpec,
+    cond_outage_d1_exact,
     derive,
-    gamma_integral,
     integrate_exp_over_x,
     table1_params,
 )
@@ -44,26 +44,39 @@ def test_unit_exponent_reference():
     assert val == pytest.approx(midpoint_rule(1.0, 1.0, 2.0), abs=1e-8)
 
 
+def equal_gain_full_power_outage(d):
+    """Full-relay-power primary outage when the relay-to-primary gain equals
+    the direct gain: the exponent coefficient of its integral vanishes, so the
+    integral is the pure logarithm log1p(lambda_p * g_sp / g_pp)."""
+    g, lam = d.gain, d.lambda_p
+    log_term = math.log1p(lam * g.sp / g.pp)
+    return 1.0 - math.exp(-lam / g.rp) * (1.0 + g.pp / (g.sp * g.rp) * log_term)
+
+
 def test_equal_gain_case_reduces_to_log(table1_derived=None):
     # when the relay-to-destination gain equals the direct gain the exponent
     # coefficient vanishes and the integral is a pure logarithm
     d = synth_derived(rp=100.0, pp=100.0, sp=12.0)
-    expected = math.log1p(d.lambda_p * d.gain.sp / d.gain.pp)
-    assert gamma_integral("primary", d) == pytest.approx(expected, abs=1e-10)
+    expected = equal_gain_full_power_outage(d)
+    assert cond_outage_d1_exact(d, "primary", 1.0) == pytest.approx(
+        expected, abs=1e-10)
 
 
 def test_empty_interval_is_zero():
+    # a vanishing threshold shrinks the integration interval to a point
     d = synth_derived(rate_p=1e-15)
-    assert gamma_integral("primary", d) == pytest.approx(0.0, abs=1e-12)
+    assert cond_outage_d1_exact(d, "primary", 1.0) == pytest.approx(
+        0.0, abs=1e-12)
 
 
 def test_table1_gamma_matches_midpoint_oracle():
+    # the interference-averaging integral of the full-relay-power outage
     d = derive(table1_params(0.04))
     c = (1.0 / d.gain.rp - 1.0 / d.gain.pp) / d.gain.sp
     a = d.gain.pp
     b = d.gain.pp + d.lambda_p * d.gain.sp
     oracle = midpoint_rule(c, a, b)
-    assert gamma_integral("primary", d) == pytest.approx(oracle, abs=1e-8)
+    assert integrate_exp_over_x(c, a, b) == pytest.approx(oracle, abs=1e-8)
     assert oracle == pytest.approx(0.18642874705855908, abs=1e-8)
 
 
@@ -76,10 +89,6 @@ def test_input_validation():
         integrate_exp_over_x(1.0, 3.0, 2.0)
     with pytest.raises(ValueError):
         integrate_exp_over_x(math.nan, 1.0, 2.0)
-    with pytest.raises(ValueError):
-        gamma_integral("tertiary", synth_derived())
-    with pytest.raises(ValueError):
-        gamma_integral("primary", synth_derived(rp=0.0))
     with pytest.raises(ValueError):
         QuadratureSpec(abs_tol=0.0)
     with pytest.raises(ValueError):
@@ -121,6 +130,19 @@ def test_depth_cap_signals_failure():
     tight = QuadratureSpec(abs_tol=1e-16, rel_tol=1e-16, max_depth=3)
     with pytest.raises(QuadratureError):
         integrate_exp_over_x(2.0, 0.01, 30.0, tight)
+
+
+def test_wide_interval_near_singularity_converges():
+    # interval [5e-5, 3e4] of the full-power secondary outage at 40 dB primary
+    # SNR and epsilon 1e-4: the 1/x peak at the left end is nine orders of
+    # magnitude narrower than the interval, so halving the budget per split
+    # reaches rounding noise long before the depth cap
+    c, a, b = -1.9997667054584545, 5.0003332585646376e-05, 30000.00005000333
+    shift = -2.9999000050003333
+    # exp(shift) * (Ei(c*b) - Ei(c*a)), evaluated with mpmath at 40 digits
+    reference = 0.42986842047794253351
+    assert integrate_exp_over_x(c, a, b, exp_shift=shift) == pytest.approx(
+        reference, rel=1e-12)
 
 
 def test_exp_shift_scales_integral():

@@ -107,7 +107,8 @@ def test_cutoff_validation():
     ("epsilon", 0.0), ("epsilon", 1.0),
     ("rate_p", math.inf), ("rate_s", math.inf), ("snr_p", math.inf),
     ("snr_r", math.inf), ("rate_p", 512.0), ("rate_s", 600.0),
-    ("rate_p", 2000.0),
+    ("rate_p", 2000.0), ("rate_p", 1e-20), ("rate_s", 1e-20),
+    ("rate_p", 1e-16), ("rate_s", 1e-16),
 ])
 def test_invalid_params_rejected(field, value):
     good = dict(rate_p=0.4, rate_s=0.2, snr_p=100.0, snr_r=10.0, epsilon=0.04,
