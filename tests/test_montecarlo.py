@@ -74,15 +74,20 @@ def test_channel_independence(table1):
     assert abs(r) < 0.005
 
 
+def test_scalar_sampling_matches_block(table1):
+    # one trial drawn on its own gets the channel gains of its row in a block
+    block = link_draws(table1, seed=9, start=0, n=40)
+    for i in (0, 1, 17, 39):
+        draw = link_draws(table1, seed=9, start=i, n=1)
+        for name in LINKS:
+            assert draw[name][0] == block[name][i]
+
+
 def test_stream_is_partition_invariant():
     whole = _uniform_block(5, 0, 1000)
     parts = np.vstack([_uniform_block(5, 0, 137), _uniform_block(5, 137, 463),
                        _uniform_block(5, 600, 400)])
     assert np.array_equal(whole, parts)
-    # a one-trial block starts at its own trial's stream position
-    block = _uniform_block(9, 0, 40)
-    for i in (0, 1, 17, 39):
-        assert np.array_equal(_uniform_block(9, i, 1)[0], block[i])
 
 
 def test_stream_rejects_negative_seed():
