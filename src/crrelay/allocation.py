@@ -2,11 +2,15 @@
 the secondary outage bound subject to the primary outage staying within the
 admission threshold.
 
-The primary bound is invertible in closed form on its split-dependent branch,
-which seeds a small grid search; the grid only refines around feasibility
-edges and keeps the runtime trivial.
+The primary bound never increases with the split and the secondary bound
+never decreases with it, exactly in floating point: each is a chain of
+monotone operations.  So at each relay SNR the feasible splits form a suffix
+of the sorted grid, the smallest feasible split is that SNR's best point, and
+a bisection finds it.  The primary bound is invertible in closed form on its
+split-dependent branch, and that exact split joins the grid's candidates.
 """
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 
@@ -94,9 +98,9 @@ def alpha_for_primary_bound(derived: DerivedParams, epsilon: float,
     floor = primary_split_floor(lam)
     if epsilon >= x:
         return floor
-    if g_rp == 0.0:
-        return None
     log_gap = -math.log1p(-epsilon / x)
+    if g_rp * log_gap == 0.0:      # no relay gain, or one that underflows
+        return None
     alpha = (lam + lam / (g_rp * log_gap)) / (1.0 + lam)
     if alpha > 1.0:
         return None
@@ -150,10 +154,14 @@ def allocate(params: SystemParams, epsilon: float | None = None,
              snr_r_grid=None, alpha_grid=None) -> AllocationResult:
     """Minimize the total secondary outage bound subject to the primary bound.
 
-    Evaluates the activation-weighted secondary bound over the feasible grid
-    points, seeding each relay SNR with the exact closed-form split; ties go
-    to the smaller relay SNR, then the smaller split.  Feasibility of the
-    winner is re-checked against the primary bound, never assumed.
+    At each relay SNR, bisects the sorted split grid for its first point
+    meeting the primary bound, and also tries the exact closed-form split and
+    a nudged twin inside the grid's hull; the smallest feasible of these
+    minimizes the activation-weighted secondary bound there, because the
+    primary bound does not increase and the secondary bound does not decrease
+    with the split.  Ties go to the smaller relay SNR, then the smaller split.
+    Feasibility of the winner is re-checked against the primary bound, never
+    assumed.
     """
     if epsilon is None:
         epsilon = params.epsilon
@@ -178,27 +186,33 @@ def allocate(params: SystemParams, epsilon: float | None = None,
         raise ValueError("alpha grid has no points in [0, 1]")
     lo, hi = grid[0], grid[-1]
 
-    best = None   # (u_s_total, snr_r, alpha, u_p)
+    best = None   # (u_s_total, snr_r, alpha, d_r)
     for snr_r in sorted(snr_r_grid):
         d_r = with_relay_snr(derived, snr_r)
+
+        def meets(alpha):
+            return upper_bound_d1(d_r, "primary", alpha) <= epsilon
+
+        i = bisect.bisect_left(grid, True, key=meets)
+        alpha = grid[i] if i < len(grid) else None
         seed_alpha = alpha_for_primary_bound(d_r, epsilon)
-        candidates = list(grid)
         if seed_alpha is not None:
-            # refine within the caller's grid hull; the exact inverse can
-            # overshoot epsilon by an ulp, so keep a nudged twin too
-            extra = {seed_alpha, min(1.0, seed_alpha + 1e-9)}
-            candidates = sorted(set(grid) | {a for a in extra if lo <= a <= hi})
-        for alpha in candidates:
-            u_p = upper_bound_d1(d_r, "primary", alpha)
-            if u_p > epsilon:
-                continue
-            u_s = (1.0 - w) * sec_d0 + w * upper_bound_d1(d_r, "secondary", alpha)
-            if best is None or u_s < best[0]:
-                best = (u_s, snr_r, alpha, u_p)
+            # the exact inverse can overshoot epsilon by an ulp, so its
+            # nudged twin stays a candidate; both only inside the grid hull
+            for a in (seed_alpha, min(1.0, seed_alpha + 1e-9)):
+                if lo <= a <= hi and (alpha is None or a < alpha) and meets(a):
+                    alpha = a
+                    break
+        if alpha is None:
+            continue
+        u_s = (1.0 - w) * sec_d0 + w * upper_bound_d1(d_r, "secondary", alpha)
+        if best is None or u_s < best[0]:
+            best = (u_s, snr_r, alpha, d_r)
 
     if best is None:
         return AllocationResult(alpha=math.nan, snr_r=math.nan, u_p=math.nan,
                                 u_s_total=1.0, feasible=False)
-    u_s, snr_r, alpha, u_p = best
+    u_s, snr_r, alpha, d_r = best
+    u_p = upper_bound_d1(d_r, "primary", alpha)
     return AllocationResult(alpha=alpha, snr_r=snr_r, u_p=u_p,
                             u_s_total=u_s, feasible=u_p <= epsilon)

@@ -274,7 +274,9 @@ def upper_bound_d1(derived: DerivedParams, user: str, alpha: float) -> float:
         if alpha <= primary_split_floor(derived.lambda_p) or g.rp == 0.0:
             return x
         t = alpha * (1.0 + derived.lambda_p) - derived.lambda_p
-        if t <= 0.0:       # rounding right at the branch switch
+        # rounding right at the branch switch, or a relay gain so weak that
+        # the product underflows: no relay help, the bound's limit
+        if t <= 0.0 or g.rp * t == 0.0:
             return x
         return _clamp01(x * (1.0 - math.exp(-derived.lambda_p / (g.rp * t))))
     if user == "secondary":
@@ -284,7 +286,7 @@ def upper_bound_d1(derived: DerivedParams, user: str, alpha: float) -> float:
         if alpha >= secondary_split_ceiling(derived.lambda_s) or g.rs == 0.0:
             return y
         t = 1.0 - alpha * (1.0 + derived.lambda_s)
-        if t <= 0.0:
+        if t <= 0.0 or g.rs * t == 0.0:
             return y
         return _clamp01(y * (1.0 - math.exp(-derived.lambda_s / (g.rs * t))))
     raise ValueError("user must be 'primary' or 'secondary'")

@@ -4,17 +4,21 @@ import numpy as np
 import pytest
 
 from crrelay import (
+    AllocationResult,
     allocate,
     alpha_for_primary_bound,
     common_alpha_band,
+    cond_sec_outage_d0,
     derive,
     min_snr_r_for_epsilon,
+    prob_relay_active,
     table1_params,
     upper_bound_d1,
     with_relay_snr,
 )
 from crrelay.allocation import (
     default_alpha_grid,
+    default_snr_r_grid,
     rate_p_at_split_floor,
     rate_s_at_split_ceiling,
 )
@@ -63,6 +67,9 @@ def test_alpha_extraction_infeasible(table1_derived):
     assert alpha_for_primary_bound(d_r, 0.001) is None
     assert alpha_for_primary_bound(with_relay_snr(table1_derived, 0.0),
                                    0.04) is None
+    # a relay gain that underflows in the inversion acts as none
+    assert alpha_for_primary_bound(with_relay_snr(table1_derived, 5e-324),
+                                   0.001) is None
 
 
 # ---- minimum relay SNR ----------------------------------------------------------
@@ -163,6 +170,158 @@ def test_allocate_tie_breaks_toward_smaller_snr_r(table1):
                    alpha_grid=(0.9,))
     assert res.feasible
     assert res.snr_r == 2.0
+
+
+def test_allocate_returns_nudged_twin_when_inverse_overshoots(table1):
+    # at the Table 1 column the exact inverse lands a rounding step above
+    # epsilon, and no default grid point is closer to it than its nudged
+    # twin: the twin is the allocated split, which is why it stays
+    d_r = with_relay_snr(derive(table1), 10.0)
+    seed = alpha_for_primary_bound(d_r, table1.epsilon)
+    twin = seed + 1e-9
+    assert upper_bound_d1(d_r, "primary", seed) > table1.epsilon
+    assert upper_bound_d1(d_r, "primary", twin) <= table1.epsilon
+    res = allocate(table1, snr_r_grid=(10.0,))
+    assert res.alpha == twin
+    assert res.u_p == upper_bound_d1(d_r, "primary", twin)
+    # a grid point between the inverse and its twin is feasible and smaller
+    between = math.nextafter(twin, 0.0)
+    res = allocate(table1, snr_r_grid=(10.0,), alpha_grid=(between, 1.0))
+    assert res.alpha == between
+
+
+# ---- bisection against the full grid scan -----------------------------------------
+
+def _grid_scan_allocate(params, epsilon=None, snr_r_grid=None, alpha_grid=None):
+    """Reference allocator: evaluates both bounds at every candidate split of
+    every relay SNR, keeping the first strict improvement."""
+    if epsilon is None:
+        epsilon = params.epsilon
+    else:
+        params = params.with_epsilon(epsilon)
+    derived = derive(params)
+    infeasible = AllocationResult(alpha=math.nan, snr_r=math.nan, u_p=math.nan,
+                                  u_s_total=1.0, feasible=False)
+    if derived.snr_s == 0.0:
+        return infeasible
+    if snr_r_grid is None:
+        snr_r_grid = default_snr_r_grid()
+    if alpha_grid is None:
+        alpha_grid = default_alpha_grid(derived.lambda_p)
+    if len(snr_r_grid) == 0 or len(alpha_grid) == 0:
+        raise ValueError("grids must be nonempty")
+    w = prob_relay_active(derived)
+    sec_d0 = cond_sec_outage_d0(derived)
+    grid = sorted(a for a in alpha_grid if 0.0 <= a <= 1.0)
+    if not grid:
+        raise ValueError("alpha grid has no points in [0, 1]")
+    lo, hi = grid[0], grid[-1]
+    best = None
+    for snr_r in sorted(snr_r_grid):
+        d_r = with_relay_snr(derived, snr_r)
+        seed_alpha = alpha_for_primary_bound(d_r, epsilon)
+        candidates = list(grid)
+        if seed_alpha is not None:
+            extra = {seed_alpha, min(1.0, seed_alpha + 1e-9)}
+            candidates = sorted(set(grid) | {a for a in extra if lo <= a <= hi})
+        for alpha in candidates:
+            u_p = upper_bound_d1(d_r, "primary", alpha)
+            if u_p > epsilon:
+                continue
+            u_s = (1.0 - w) * sec_d0 + w * upper_bound_d1(d_r, "secondary", alpha)
+            if best is None or u_s < best[0]:
+                best = (u_s, snr_r, alpha, u_p)
+    if best is None:
+        return infeasible
+    u_s, snr_r, alpha, u_p = best
+    return AllocationResult(alpha=alpha, snr_r=snr_r, u_p=u_p,
+                            u_s_total=u_s, feasible=u_p <= epsilon)
+
+
+def _assert_matches_grid_scan(params, epsilon, **grids):
+    # repr compares every float bit for bit (signed zeros included) and
+    # treats the NaNs of an infeasible result as equal
+    def outcome(allocator):
+        try:
+            return repr(allocator(params, epsilon, **grids))
+        except ValueError as exc:
+            return f"ValueError: {exc}"
+    assert outcome(allocate) == outcome(_grid_scan_allocate)
+
+
+def test_allocate_matches_grid_scan_on_random_scenarios():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+    from test_properties import PROPERTY_SETTINGS, scenarios
+
+    @settings(max_examples=40, **PROPERTY_SETTINGS)
+    @given(params=scenarios(), epsilon=st.floats(1e-4, 0.5))
+    def check(params, epsilon):
+        _assert_matches_grid_scan(params, epsilon)
+
+    check()
+
+
+def test_allocate_matches_grid_scan_on_restricted_grids():
+    pytest.importorskip("hypothesis")
+    from hypothesis import assume, given, settings, strategies as st
+    from test_properties import PROPERTY_SETTINGS, relay_snrs, scenarios
+
+    anywhere = st.one_of(st.floats(-0.5, 1.5),
+                         st.sampled_from((math.nan, -0.0, 0.0, 1.0)))
+
+    def split_grids(derived, epsilon, snr_r):
+        """Single points, points outside [0, 1], grids below the split
+        floor, grids whose hull excludes the exact inverse, and grids of the
+        floats around the inverse and its nudged twin."""
+        floor = primary_split_floor(derived.lambda_p)
+        families = [st.lists(anywhere, min_size=1, max_size=8),
+                    st.lists(st.floats(0.0, floor, exclude_max=True),
+                             min_size=1, max_size=5)]
+        seed = alpha_for_primary_bound(with_relay_snr(derived, snr_r), epsilon)
+        if seed is not None:
+            twin = min(1.0, seed + 1e-9)
+            near = st.sampled_from((
+                seed, twin, math.nextafter(seed, 0.0),
+                math.nextafter(seed, 1.0), math.nextafter(twin, 0.0),
+                min(1.0, math.nextafter(twin, 1.0))))
+            families += [
+                st.lists(st.floats(0.0, seed, exclude_max=True),
+                         min_size=1, max_size=5),
+                st.lists(near, min_size=1, max_size=4)
+                .map(lambda grid: grid + [1.0]),
+            ]
+            if twin < 1.0:
+                families.append(st.lists(
+                    st.floats(twin, 1.0, exclude_min=True),
+                    min_size=1, max_size=5))
+        return st.one_of(families)
+
+    @settings(max_examples=200, **PROPERTY_SETTINGS)
+    @given(params=scenarios(), epsilon=st.floats(1e-4, 0.5), data=st.data())
+    def check(params, epsilon, data):
+        derived = derive(params.with_epsilon(epsilon))
+        # without secondary access allocate returns before reading a grid
+        assume(derived.snr_s > 0.0)
+        snr_r_grid = data.draw(st.lists(relay_snrs, min_size=1, max_size=3))
+        anchor = data.draw(st.sampled_from(snr_r_grid))
+        alpha_grid = data.draw(split_grids(derived, epsilon, anchor))
+        alpha_grid += data.draw(st.lists(st.sampled_from(alpha_grid),
+                                         max_size=3))
+        _assert_matches_grid_scan(params, epsilon, snr_r_grid=snr_r_grid,
+                                  alpha_grid=alpha_grid)
+
+    check()
+
+
+@pytest.mark.parametrize("grids", [
+    dict(snr_r_grid=()),
+    dict(alpha_grid=()),
+    dict(alpha_grid=(-0.5, math.nan, 1.5)),
+    dict(snr_r_grid=(10.0, -1.0)),
+])
+def test_allocate_rejects_grids_like_grid_scan(table1, grids):
+    _assert_matches_grid_scan(table1, None, **grids)
 
 
 def test_default_alpha_grid_covers_floor_to_one(table1_derived):

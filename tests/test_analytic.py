@@ -21,6 +21,7 @@ from crrelay import (
     prob_relay_active_exact,
     total_secondary_outage,
     upper_bound_d1,
+    with_relay_snr,
 )
 from crrelay.analytic import primary_split_floor, secondary_split_ceiling
 
@@ -307,6 +308,16 @@ def test_bound_continuous_at_branch_points(table1_derived):
     ceil = secondary_split_ceiling(d.lambda_s)
     assert upper_bound_d1(d, "secondary", ceil - 1e-12) == pytest.approx(
         upper_bound_d1(d, "secondary", ceil), abs=1e-9)
+
+
+def test_bound_underflowing_relay_gain_is_no_relay(table1_derived):
+    # at the smallest positive relay SNR the relay gain times the split term
+    # underflows to 0: the bound takes its no-relay limit, not 1/0
+    d = with_relay_snr(table1_derived, 5e-324)
+    assert upper_bound_d1(d, "primary", 0.5) == \
+        upper_bound_d1(d, "primary", 0.0)
+    assert upper_bound_d1(d, "secondary", 0.5) == \
+        upper_bound_d1(d, "secondary", 1.0)
 
 
 def test_bound_rejects_out_of_range(table1_derived):

@@ -15,7 +15,9 @@ from crrelay import (
     prob_relay_active_exact,
     total_secondary_outage,
     upper_bound_d1,
+    with_relay_snr,
 )
+from crrelay.analytic import primary_split_floor, secondary_split_ceiling
 from crrelay.system import LINKS
 from conftest import replay_counts
 
@@ -39,6 +41,7 @@ def scenarios(draw):
 
 
 splits = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))
+relay_snrs = st.one_of(st.just(0.0), st.floats(-20.0, 50.0).map(db_to_linear))
 
 
 @settings(max_examples=300, **PROPERTY_SETTINGS)
@@ -62,3 +65,41 @@ def test_estimate_counts_match_scalar_replay(params, alpha, seed):
     est = estimate(params, alpha, n, seed)
     assert (est.p_d1.p_hat, est.pri.p_hat, est.sec.p_hat) == \
         (d1 / n, pri / n, sec / n)
+
+
+def _split_pairs(d, a, b):
+    """Ordered split pairs: the random pair, plus adjacent floats on both
+    sides of the split floor, the split ceiling and a."""
+    pairs = [tuple(sorted((a, b)))]
+    for edge in (primary_split_floor(d.lambda_p),
+                 secondary_split_ceiling(d.lambda_s), a):
+        for x in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1.0)):
+            if 0.0 <= x < 1.0:
+                pairs.append((x, math.nextafter(x, 1.0)))
+    return pairs
+
+
+@settings(max_examples=200, **PROPERTY_SETTINGS)
+@given(params=scenarios(), a=splits, b=splits)
+def test_bounds_monotone_in_split(params, a, b):
+    # exact, not within a tolerance: allocate bisects on these orders
+    d = derive(params)
+    assume(d.snr_s > 0.0)
+    for lo, hi in _split_pairs(d, a, b):
+        assert (upper_bound_d1(d, "primary", lo)
+                >= upper_bound_d1(d, "primary", hi)), (lo, hi)
+        assert (upper_bound_d1(d, "secondary", lo)
+                <= upper_bound_d1(d, "secondary", hi)), (lo, hi)
+
+
+@settings(max_examples=200, **PROPERTY_SETTINGS)
+@given(params=scenarios(), alpha=splits, r1=relay_snrs, r2=relay_snrs)
+def test_bounds_do_not_increase_with_relay_snr(params, alpha, r1, r2):
+    d = derive(params)
+    assume(d.snr_s > 0.0)
+    lo, hi = sorted((r1, r2))
+    for x, y in ((lo, hi), (lo, math.nextafter(lo, math.inf))):
+        d_x, d_y = with_relay_snr(d, x), with_relay_snr(d, y)
+        for user in ("primary", "secondary"):
+            assert (upper_bound_d1(d_x, user, alpha)
+                    >= upper_bound_d1(d_y, user, alpha)), (user, x, y)
