@@ -44,7 +44,6 @@ from .montecarlo import (
 )
 from .quadrature import (
     QuadratureError,
-    QuadratureSpec,
     integrate_exp_over_x,
 )
 from .system import (

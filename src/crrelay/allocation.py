@@ -150,8 +150,8 @@ def default_alpha_grid(lambda_p: float, step: float = 0.005) -> tuple:
     return tuple(pts)
 
 
-def allocate(params: SystemParams, epsilon: float | None = None,
-             snr_r_grid=None, alpha_grid=None) -> AllocationResult:
+def allocate(params: SystemParams, snr_r_grid=None,
+             alpha_grid=None) -> AllocationResult:
     """Minimize the total secondary outage bound subject to the primary bound.
 
     At each relay SNR, bisects the sorted split grid for its first point
@@ -163,10 +163,7 @@ def allocate(params: SystemParams, epsilon: float | None = None,
     Feasibility of the winner is re-checked against the primary bound, never
     assumed.
     """
-    if epsilon is None:
-        epsilon = params.epsilon
-    else:
-        params = params.with_epsilon(epsilon)
+    epsilon = params.epsilon
     derived = derive(params)
     if derived.snr_s == 0.0:
         return AllocationResult(alpha=math.nan, snr_r=math.nan, u_p=math.nan,

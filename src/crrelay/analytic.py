@@ -20,7 +20,7 @@ approximate weight and are not exact even where the conditionals are.
 import math
 from dataclasses import dataclass
 
-from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, integrate_exp_over_x
+from .quadrature import integrate_exp_over_x
 from .system import DerivedParams
 
 
@@ -190,22 +190,30 @@ def cond_pri_outage_d0(derived: DerivedParams) -> float:
     return _ratio_outage(2.0 * g.pp, g.sp, derived.lambda_p)
 
 
-def _full_power_outage(g_sig, g_cross, g_relay, threshold,
-                       spec: QuadratureSpec) -> float:
+def _full_power_outage(g_sig, g_cross, g_relay, threshold) -> float:
     """Outage of direct copy plus a full-power relay copy.
 
     P(g_sig*E1/(g_cross*E2+1) + g_relay*E3 < threshold).  Conditioning on the
     relay term and integrating the ratio tail yields a single integral of
     exp(c*x)/x over [g_sig, g_sig + threshold*g_cross]; the exponent is kept
     shifted so nothing overflows when g_relay is small.
+
+    With x the no-relay outage and f the density of the direct SINR, a relay
+    gain at most 1e-8 of both g_sig and the threshold gives
+    x - g_relay*f(threshold): the first-order term is at most about 1e-8 of x
+    and the next one is g_relay*|f'/f| <= g_relay*(1/g_sig + 2/threshold)
+    times smaller again, below double precision, while the integral's
+    coefficients can be past double range.
     """
-    if g_relay == 0.0:
-        return _ratio_outage(g_sig, g_cross, threshold)
+    d = g_sig + threshold * g_cross
+    if g_relay <= 1e-8 * min(g_sig, threshold):
+        return (_ratio_outage(g_sig, g_cross, threshold)
+                - g_relay * math.exp(-threshold / g_sig)
+                * (1.0 / d + g_sig * g_cross / (d * d)))
     c = (1.0 / g_relay - 1.0 / g_sig) / g_cross
     a = g_sig
-    b = g_sig + threshold * g_cross
     shifted = integrate_exp_over_x(
-        c, a, b, spec, exp_shift=-c * a - threshold / g_relay
+        c, a, d, exp_shift=-c * a - threshold / g_relay
     )
     return _clamp01(
         1.0
@@ -214,8 +222,8 @@ def _full_power_outage(g_sig, g_cross, g_relay, threshold,
     )
 
 
-def cond_outage_d1_exact(derived: DerivedParams, user: str, alpha: float,
-                         quad: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+def cond_outage_d1_exact(derived: DerivedParams, user: str,
+                         alpha: float) -> float:
     """Exact conditional outage given an active relay, at an extreme split.
 
     alpha is the relay power fraction given to the primary signal and must be
@@ -232,7 +240,7 @@ def cond_outage_d1_exact(derived: DerivedParams, user: str, alpha: float,
             return _ratio_outage(g.pp, g.sp, derived.lambda_p)
         if g.sp == 0.0:
             raise ValueError("full-power form needs a positive cross gain")
-        return _full_power_outage(g.pp, g.sp, g.rp, derived.lambda_p, quad)
+        return _full_power_outage(g.pp, g.sp, g.rp, derived.lambda_p)
     if user == "secondary":
         if g.ss <= 0.0:
             raise ValueError("secondary gains must be positive")
@@ -240,7 +248,7 @@ def cond_outage_d1_exact(derived: DerivedParams, user: str, alpha: float,
             return _ratio_outage(g.ss, g.ps, derived.lambda_s)
         if g.ps == 0.0:
             raise ValueError("full-power form needs a positive cross gain")
-        return _full_power_outage(g.ss, g.ps, g.rs, derived.lambda_s, quad)
+        return _full_power_outage(g.ss, g.ps, g.rs, derived.lambda_s)
     raise ValueError("user must be 'primary' or 'secondary'")
 
 
@@ -292,14 +300,13 @@ def upper_bound_d1(derived: DerivedParams, user: str, alpha: float) -> float:
     raise ValueError("user must be 'primary' or 'secondary'")
 
 
-def conditional_outages(derived: DerivedParams, alpha: float,
-                        quad: QuadratureSpec = DEFAULT_QUADRATURE,
-                        ) -> ConditionalOutage:
+def conditional_outages(derived: DerivedParams,
+                        alpha: float) -> ConditionalOutage:
     """All four conditional outages at one split; exact where possible."""
     exact = alpha in (0.0, 1.0)
     if exact:
-        pri_d1 = cond_outage_d1_exact(derived, "primary", alpha, quad)
-        sec_d1 = cond_outage_d1_exact(derived, "secondary", alpha, quad)
+        pri_d1 = cond_outage_d1_exact(derived, "primary", alpha)
+        sec_d1 = cond_outage_d1_exact(derived, "secondary", alpha)
     else:
         pri_d1 = upper_bound_d1(derived, "primary", alpha)
         sec_d1 = upper_bound_d1(derived, "secondary", alpha)
@@ -312,9 +319,8 @@ def conditional_outages(derived: DerivedParams, alpha: float,
     )
 
 
-def total_secondary_outage(derived: DerivedParams, alpha: float,
-                           quad: QuadratureSpec = DEFAULT_QUADRATURE,
-                           ) -> OutageSummary:
+def total_secondary_outage(derived: DerivedParams,
+                           alpha: float) -> OutageSummary:
     """Activation-weighted totals for both users at the given split.
 
     With no admitted secondary (snr_s = 0) the secondary outage is 1 by
@@ -331,7 +337,7 @@ def total_secondary_outage(derived: DerivedParams, alpha: float,
         pri = 1.0 - math.exp(-derived.lambda_p / (2.0 * g.pp))
         return OutageSummary(p_d1=0.0, total_sec=1.0, total_pri=pri, bound=False)
     w = prob_relay_active(derived)
-    cond = conditional_outages(derived, alpha, quad)
+    cond = conditional_outages(derived, alpha)
     return OutageSummary(
         p_d1=w,
         total_sec=_clamp01((1.0 - w) * cond.sec_d0 + w * cond.sec_d1),

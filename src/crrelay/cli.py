@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 on a validation error, 2 when a verification or
-reproduction check fails.
+Exit codes: 0 on success, 1 on a usage, validation or arithmetic error, 2 when
+a verification or reproduction check fails.
 """
 
 import argparse
@@ -21,12 +21,20 @@ from .harness import (
     run_sweep,
 )
 from .montecarlo import SCHEMES, estimate
-from .quadrature import QuadratureSpec
 from .system import db_to_linear, derive, linear_to_db, secondary_cutoff_snr
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 like any other invalid input; 2 is kept for failed
+    checks.  Subcommand parsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="crrelay",
         description="Outage analysis, simulation and power allocation for a "
                     "relay-aided underlay cognitive-radio link.")
@@ -42,10 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--workers", type=int, default=1)
     top.add_argument("--out-dir", default=None,
                      help="output directory (default $CRRELAY_OUT_DIR or ./out)")
-    top.add_argument("--quad-tol", type=float, default=1e-10,
-                     help="absolute and relative quadrature tolerance "
-                          "(reproduction targets run at the default "
-                          "tolerance)")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analytic", help="closed-form outage summary")
@@ -56,13 +60,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=SCHEMES, default="proposed")
 
     p = sub.add_parser("allocate", help="pick relay power split and SNR")
-    p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--snr-r-db", type=float, default=None,
                    help="fix the relay SNR instead of searching the grid")
 
-    p = sub.add_parser("region", help="split feasibility band for a rate pair")
-    p.add_argument("--rate-p", type=float, default=None)
-    p.add_argument("--rate-s", type=float, default=None)
+    sub.add_parser("region", help="split feasibility band for the scenario's "
+                                  "rate pair")
 
     p = sub.add_parser("sweep", help="sweep one scenario axis")
     p.add_argument("--axis", required=True, choices=SWEEP_AXES)
@@ -87,19 +89,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _cmd_analytic(params, args, quad):
+def _cmd_analytic(params, args):
     derived = derive(params)
     cutoff = secondary_cutoff_snr(params.rate_p, params.epsilon,
                                   params.link_vars.pp)
     print(f"secondary snr: {derived.snr_s:.6g} "
           f"(admission cutoff {linear_to_db(cutoff):.4g} dB)")
-    summary = total_secondary_outage(derived, args.alpha, quad)
+    summary = total_secondary_outage(derived, args.alpha)
     kind = "bound" if summary.bound else "exact"
     print(f"relay activation: {summary.p_d1:.6g}")
     print(f"total secondary outage ({kind}): {summary.total_sec:.6g}")
     print(f"total primary outage ({kind}):   {summary.total_pri:.6g}")
     if derived.snr_s > 0.0:
-        cond = conditional_outages(derived, args.alpha, quad)
+        cond = conditional_outages(derived, args.alpha)
         print(f"conditionals: pri_d0={cond.pri_d0:.6g} sec_d0={cond.sec_d0:.6g} "
               f"pri_d1={cond.pri_d1:.6g} sec_d1={cond.sec_d1:.6g} "
               f"(d1 {'exact' if cond.d1_exact else 'bounds'})")
@@ -121,7 +123,7 @@ def _cmd_simulate(params, args):
 
 def _cmd_allocate(params, args):
     grid = None if args.snr_r_db is None else (db_to_linear(args.snr_r_db),)
-    res = allocate(params, epsilon=args.epsilon, snr_r_grid=grid)
+    res = allocate(params, snr_r_grid=grid)
     if not res.feasible:
         print("infeasible: no grid point meets the primary bound "
               "(secondary outage 1)")
@@ -134,8 +136,7 @@ def _cmd_allocate(params, args):
 
 
 def _cmd_region(params, args):
-    rate_p = params.rate_p if args.rate_p is None else args.rate_p
-    rate_s = params.rate_s if args.rate_s is None else args.rate_s
+    rate_p, rate_s = params.rate_p, params.rate_s
     band = common_alpha_band(rate_p, rate_s)
     if band is None:
         print(f"rates ({rate_p}, {rate_s}): no common split band")
@@ -146,14 +147,14 @@ def _cmd_region(params, args):
     return 0
 
 
-def _cmd_sweep(params, args, quad):
+def _cmd_sweep(params, args):
     schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
     spec = SweepSpec.from_range(
         params, args.axis, args.start, args.stop, args.step,
         schemes=schemes, mode=args.mode,
         trials=100_000 if args.trials is None else args.trials,
         seed=args.seed, alpha=args.alpha, snr_r_policy=args.snr_r_policy)
-    table = run_sweep(spec, workers=args.workers, quad=quad)
+    table = run_sweep(spec, workers=args.workers)
     if args.out is None:
         sys.stdout.write(table.to_csv_text())
     else:
@@ -163,6 +164,10 @@ def _cmd_sweep(params, args, quad):
 
 
 def _cmd_reproduce(args):
+    if args.config is not None or args.set:
+        option = "--config" if args.config is not None else "--set"
+        raise ValueError(f"reproduce takes no {option}: its targets fix "
+                         "their own scenarios")
     targets = REPRODUCE_TARGETS if args.target == "all" else (args.target,)
     ok = True
     for target in targets:
@@ -173,37 +178,34 @@ def _cmd_reproduce(args):
     return 0 if ok else 2
 
 
-def _cmd_verify(params, args, quad):
+def _cmd_verify(params, args):
     trials = 1_000_000 if args.trials is None else args.trials
     report = compare_analytic_mc(params, args.alpha, trials, args.seed,
-                                 args.workers, quad)
+                                 args.workers)
     print(report.render())
     out = resolve_out_dir(args.out_dir)
     (out / "verify_report.txt").write_text(report.render())
     return 0 if report.ok else 2
 
 
+_COMMANDS = {
+    "analytic": _cmd_analytic,
+    "simulate": _cmd_simulate,
+    "allocate": _cmd_allocate,
+    "region": _cmd_region,
+    "sweep": _cmd_sweep,
+    "verify": _cmd_verify,
+}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        quad = QuadratureSpec(abs_tol=args.quad_tol, rel_tol=args.quad_tol)
-        params = load_config(args.config, args.set)
-        if args.command == "analytic":
-            return _cmd_analytic(params, args, quad)
-        if args.command == "simulate":
-            return _cmd_simulate(params, args)
-        if args.command == "allocate":
-            return _cmd_allocate(params, args)
-        if args.command == "region":
-            return _cmd_region(params, args)
-        if args.command == "sweep":
-            return _cmd_sweep(params, args, quad)
         if args.command == "reproduce":
             return _cmd_reproduce(args)
-        if args.command == "verify":
-            return _cmd_verify(params, args, quad)
-        raise ValueError(f"unknown command {args.command!r}")
-    except (ValueError, OSError) as exc:
+        params = load_config(args.config, args.set)
+        return _COMMANDS[args.command](params, args)
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -45,7 +45,6 @@ from .analytic import (
 )
 from .montecarlo import (SCHEMES, OutageEstimate, check_request, estimate,
                          estimate_many)
-from .quadrature import DEFAULT_QUADRATURE, QuadratureError, QuadratureSpec
 from .system import (
     LINKS,
     LinkTable,
@@ -312,8 +311,7 @@ def _row_snr_r(params, derived, alpha, policy):
     return None
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1,
-              quad: QuadratureSpec = DEFAULT_QUADRATURE) -> ResultTable:
+def run_sweep(spec: SweepSpec, workers: int = 1) -> ResultTable:
     """Evaluate the requested schemes along the axis.
 
     Row errors are captured in the error column instead of aborting the
@@ -354,7 +352,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1,
             try:
                 if spec.mode in ("analytic", "both"):
                     if scheme == "proposed":
-                        summary = total_secondary_outage(derived, alpha, quad)
+                        summary = total_secondary_outage(derived, alpha)
                         row.analytic_sec = summary.total_sec
                         row.analytic_is_bound = summary.bound
                         row.p_d1 = summary.p_d1
@@ -373,7 +371,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1,
                     check_request(alpha, scheme)
                     mc_rows.append(row)
                     requests.append((params, alpha, scheme))
-            except (ValueError, ArithmeticError, QuadratureError) as exc:
+            except (ValueError, ArithmeticError) as exc:
                 row.error = str(exc)
             rows.append(row)
     if requests:
@@ -739,8 +737,7 @@ def reproduce(target: str, out_dir=None, trials=None, seed: int = 0,
 
 def compare_analytic_mc(params: SystemParams, alpha: float,
                         trials: int = 1_000_000, seed: int = 0,
-                        workers: int = 1,
-                        quad: QuadratureSpec = DEFAULT_QUADRATURE) -> Report:
+                        workers: int = 1) -> Report:
     """Cross-check every closed form against the event-level simulator.
 
     Match rows compare at |z| <= 3; at interior splits the relay-active
@@ -779,10 +776,10 @@ def compare_analytic_mc(params: SystemParams, alpha: float,
         if alpha in (0.0, 1.0):
             checks.append(_z_check(
                 "primary outage | relay active (exact)", est.pri_d1,
-                cond_outage_d1_exact(derived, "primary", alpha, quad)))
+                cond_outage_d1_exact(derived, "primary", alpha)))
             checks.append(_z_check(
                 "secondary outage | relay active (exact)", est.sec_d1,
-                cond_outage_d1_exact(derived, "secondary", alpha, quad)))
+                cond_outage_d1_exact(derived, "secondary", alpha)))
         else:
             checks.append(_bound_check(
                 "primary outage | relay active within bound", est.pri_d1,
@@ -790,7 +787,7 @@ def compare_analytic_mc(params: SystemParams, alpha: float,
             checks.append(_bound_check(
                 "secondary outage | relay active within bound", est.sec_d1,
                 upper_bound_d1(derived, "secondary", alpha)))
-    summary = total_secondary_outage(derived, alpha, quad)
+    summary = total_secondary_outage(derived, alpha)
     if summary.bound:
         checks.append(_bound_check("total secondary outage within bound",
                                    est.sec, summary.total_sec))

@@ -1,41 +1,27 @@
-"""Tolerance-controlled integration of exp(c*x)/x over a positive interval.
+"""Integration of exp(c*x)/x over a positive interval at a fixed tolerance.
 
 The closed-form outage expressions for full relay power contain an integral of
 this family whose value is a difference of exponential integrals.  Rather than
 pulling in a special-function dependency, the integrand (smooth on the strictly
 positive intervals that ever occur) is handled by adaptive Simpson refinement
-with a log fast path at c = 0.
+with a log fast path at c = 0.  Every call runs at one tolerance, 1e-10
+absolute and 1e-10 relative, with at most 60 halvings of any panel; hitting
+that cap raises QuadratureError.
 """
 
 import math
 import sys
-from dataclasses import dataclass
+
+_ABS_TOL = 1e-10
+_REL_TOL = 1e-10
+_MAX_DEPTH = 60
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and a refinement cap for the adaptive rule."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_depth: int = 60
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ValueError("tolerances must be positive")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be at least 1")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
-
-
-class QuadratureError(RuntimeError):
+class QuadratureError(ArithmeticError):
     """Raised when the refinement cap is hit before meeting the tolerance."""
 
 
 def integrate_exp_over_x(c: float, a: float, b: float,
-                         spec: QuadratureSpec = DEFAULT_QUADRATURE,
                          exp_shift: float = 0.0) -> float:
     """Integrate exp(c*x + exp_shift)/x over [a, b].
 
@@ -56,7 +42,7 @@ def integrate_exp_over_x(c: float, a: float, b: float,
     def f(x):
         return math.exp(c * x + exp_shift) / x
 
-    return _adaptive_simpson(f, a, b, spec)
+    return _adaptive_simpson(f, a, b)
 
 
 _MIN_DEPTH = 6   # splits forced before acceptance; guards peaked integrands
@@ -66,12 +52,11 @@ _MIN_DEPTH = 6   # splits forced before acceptance; guards peaked integrands
 _ROUNDOFF = 64.0 * sys.float_info.epsilon
 
 
-def _refine(f, a, b, fa, fm, fb, whole, tol0, spec: QuadratureSpec) -> float:
+def _refine(f, a, b, fa, fm, fb, whole, tol0) -> float:
     """One adaptive pass: split until the two-panel vs one-panel difference is
     within 15x of the local budget, then apply the Richardson correction.
     The budget halves per split; acceptance also waits out a minimum depth so
     a narrow peak cannot slip through a crude first estimate."""
-    min_depth = min(_MIN_DEPTH, spec.max_depth)
     total = 0.0
     stack = [(a, b, fa, fm, fb, whole, tol0, 0)]
     while stack:
@@ -85,9 +70,9 @@ def _refine(f, a, b, fa, fm, fb, whole, tol0, spec: QuadratureSpec) -> float:
         err = left + right - s
         converged = (abs(err) <= 15.0 * tol
                      or abs(err) <= _ROUNDOFF * (abs(left) + abs(right)))
-        if depth >= min_depth and converged:
+        if depth >= _MIN_DEPTH and converged:
             total += left + right + err / 15.0
-        elif depth >= spec.max_depth:
+        elif depth >= _MAX_DEPTH:
             raise QuadratureError(
                 f"no convergence on [{a0}, {b0}] at depth {depth}"
             )
@@ -98,15 +83,15 @@ def _refine(f, a, b, fa, fm, fb, whole, tol0, spec: QuadratureSpec) -> float:
     return total
 
 
-def _adaptive_simpson(f, a, b, spec: QuadratureSpec) -> float:
+def _adaptive_simpson(f, a, b) -> float:
     fa, fb = f(a), f(b)
     fm = f(0.5 * (a + b))
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    tol0 = max(spec.abs_tol, spec.rel_tol * abs(whole))
-    total = _refine(f, a, b, fa, fm, fb, whole, tol0, spec)
+    tol0 = max(_ABS_TOL, _REL_TOL * abs(whole))
+    total = _refine(f, a, b, fa, fm, fb, whole, tol0)
     # the crude whole-interval estimate can badly misjudge the magnitude;
     # re-anchor the relative tolerance on the refined value when it does
-    tol1 = max(spec.abs_tol, spec.rel_tol * abs(total))
+    tol1 = max(_ABS_TOL, _REL_TOL * abs(total))
     if tol0 > 4.0 * tol1:
-        total = _refine(f, a, b, fa, fm, fb, whole, tol1, spec)
+        total = _refine(f, a, b, fa, fm, fb, whole, tol1)
     return total

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -31,6 +32,26 @@ def synth_derived(rate_p=0.4, rate_s=0.2, snr_p=100.0, snr_s=100.0,
         gain=LinkTable.from_dict(table),
         params=params,
     )
+
+
+def exp_over_x_reference(c, a, b) -> float:
+    """Integral of exp(c*x)/x over [a, b], 0 < a < b, which is
+    Ei(c*b) - Ei(c*a), summed from the series of Ei in decimal arithmetic:
+    ln(b/a) + sum over k >= 1 of c^k (b^k - a^k) / (k * k!)."""
+    with localcontext() as ctx:
+        # terms reach e^(|c|*b) while the sum can be e^(-|c|*b) small
+        ctx.prec = 30 + int(2.0 * abs(c) * b / math.log(10.0))
+        ca, cb = Decimal(c) * Decimal(a), Decimal(c) * Decimal(b)
+        total = (Decimal(b) / Decimal(a)).ln()
+        pa = pb = Decimal(1)
+        k = 0
+        while True:
+            k += 1
+            pa, pb = pa * ca / k, pb * cb / k
+            term = (pb - pa) / k
+            total += term
+            if k > abs(cb) and abs(term) <= abs(total) * Decimal("1e-25"):
+                return float(total)
 
 
 def symmetric_relay_params():

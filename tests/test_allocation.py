@@ -124,7 +124,7 @@ def test_allocate_prefers_more_relay_power():
 
 
 def test_allocate_infeasible_without_secondary_access(table1):
-    res = allocate(table1, epsilon=1e-9)
+    res = allocate(table1.with_epsilon(1e-9))
     assert not res.feasible
     assert res.u_s_total == 1.0
     assert math.isnan(res.alpha)
@@ -152,7 +152,7 @@ def test_allocate_tie_breaks_toward_smaller_alpha(table1):
     ceiling = secondary_split_ceiling(d.lambda_s)
     seed = alpha_for_primary_bound(with_relay_snr(d, 2.0), 0.005)
     assert seed > ceiling
-    res = allocate(table1, epsilon=0.005, snr_r_grid=(2.0,),
+    res = allocate(table1.with_epsilon(0.005), snr_r_grid=(2.0,),
                    alpha_grid=(0.95, 0.85))
     assert res.feasible
     assert res.alpha == 0.85
@@ -166,7 +166,7 @@ def test_allocate_tie_breaks_toward_smaller_snr_r(table1):
     for snr_r in (2.0, 2.1):
         seed = alpha_for_primary_bound(with_relay_snr(d, snr_r), 0.005)
         assert seed > ceiling
-    res = allocate(table1, epsilon=0.005, snr_r_grid=(2.1, 2.0),
+    res = allocate(table1.with_epsilon(0.005), snr_r_grid=(2.1, 2.0),
                    alpha_grid=(0.9,))
     assert res.feasible
     assert res.snr_r == 2.0
@@ -192,13 +192,10 @@ def test_allocate_returns_nudged_twin_when_inverse_overshoots(table1):
 
 # ---- bisection against the full grid scan -----------------------------------------
 
-def _grid_scan_allocate(params, epsilon=None, snr_r_grid=None, alpha_grid=None):
+def _grid_scan_allocate(params, snr_r_grid=None, alpha_grid=None):
     """Reference allocator: evaluates both bounds at every candidate split of
     every relay SNR, keeping the first strict improvement."""
-    if epsilon is None:
-        epsilon = params.epsilon
-    else:
-        params = params.with_epsilon(epsilon)
+    epsilon = params.epsilon
     derived = derive(params)
     infeasible = AllocationResult(alpha=math.nan, snr_r=math.nan, u_p=math.nan,
                                   u_s_total=1.0, feasible=False)
@@ -241,9 +238,11 @@ def _grid_scan_allocate(params, epsilon=None, snr_r_grid=None, alpha_grid=None):
 def _assert_matches_grid_scan(params, epsilon, **grids):
     # repr compares every float bit for bit (signed zeros included) and
     # treats the NaNs of an infeasible result as equal
+    params = params.with_epsilon(epsilon)
+
     def outcome(allocator):
         try:
-            return repr(allocator(params, epsilon, **grids))
+            return repr(allocator(params, **grids))
         except ValueError as exc:
             return f"ValueError: {exc}"
     assert outcome(allocate) == outcome(_grid_scan_allocate)
@@ -321,7 +320,7 @@ def test_allocate_matches_grid_scan_on_restricted_grids():
     dict(snr_r_grid=(10.0, -1.0)),
 ])
 def test_allocate_rejects_grids_like_grid_scan(table1, grids):
-    _assert_matches_grid_scan(table1, None, **grids)
+    _assert_matches_grid_scan(table1, table1.epsilon, **grids)
 
 
 def test_default_alpha_grid_covers_floor_to_one(table1_derived):

@@ -13,7 +13,10 @@ from crrelay import (
     cond_pri_outage_d0,
     cond_sec_outage_d0,
     conditional_outages,
+    db_to_linear,
+    default_params,
     derive,
+    load_config,
     noncoop_primary_outage,
     noncoop_secondary_outage,
     prob_decode_order,
@@ -259,6 +262,51 @@ def test_d1_exact_tiny_relay_gain_stays_finite():
     d = synth_derived(pp=1000.0, sp=100.0, rp=5e-3)
     val = cond_outage_d1_exact(d, "primary", 1.0)
     assert 0.0 <= val <= 1.0 and math.isfinite(val)
+
+
+# full-power outages 1 - e^(-t/g_relay) - g_sig/(g_cross*g_relay)
+# * e^(-c*g_sig - t/g_relay) * (Ei(c*(g_sig + t*g_cross)) - Ei(c*g_sig)),
+# c = (1/g_relay - 1/g_sig)/g_cross, evaluated with mpmath at 100 digits
+WEAK_RELAY_EI = {
+    -90: (0.06718571857806965, 0.0391747436316028),
+    -140: (0.06718571866322898, 0.039174743749823424),
+    -200: (0.06718571866322984, 0.0391747437498246),
+}
+
+
+@pytest.mark.parametrize("snr_r_db",
+                         [-90, -140, -200, -300, -1000, -3080, -3236])
+def test_d1_exact_weak_relay_matches_reference(snr_r_db):
+    # relay gains this weak once lost digits, printed 0 or 1, or raised; the
+    # full-power form must reach its no-relay limit smoothly.  mpmath's own
+    # Ei loses precision below -220 dB, where the limit itself is the
+    # reference
+    d = derive(default_params().with_snr_r(db_to_linear(snr_r_db)))
+    g = d.gain
+    cases = (("primary", 1.0, g.pp, g.sp, d.lambda_p),
+             ("secondary", 0.0, g.ss, g.ps, d.lambda_s))
+    for k, (user, alpha, g_sig, g_cross, t) in enumerate(cases):
+        if snr_r_db in WEAK_RELAY_EI:
+            ref = WEAK_RELAY_EI[snr_r_db][k]
+        else:
+            ref = 1.0 - g_sig * math.exp(-t / g_sig) / (g_sig + t * g_cross)
+        assert cond_outage_d1_exact(d, user, alpha) == pytest.approx(
+            ref, rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("overrides, ref", [
+    # Ei references as above: a strong relay over a weak direct link, where
+    # the direct SINR density at the threshold is vanishingly small
+    (("link_vars.ss=1e-4",), 0.03127690228464602),
+    (("link_vars.ss=1e-4", "snr_r_db=0"), 0.27222304315243184),
+    (("link_vars.ss=1e-4", "snr_r_db=-10"), 0.9582970404835344),
+    # just above the admission cutoff: the admitted secondary SNR is 0.019
+    (("epsilon=0.003196",), 0.031076667092000493),
+])
+def test_d1_exact_weak_direct_link_keeps_relay(overrides, ref):
+    d = derive(load_config(None, overrides))
+    assert cond_outage_d1_exact(d, "secondary", 0.0) == pytest.approx(
+        ref, rel=0.0, abs=1e-12)
 
 
 # ---- relay-active bounds ---------------------------------------------------

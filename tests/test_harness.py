@@ -5,7 +5,7 @@ import io
 import pytest
 
 from crrelay import (
-    ResultTable,
+    QuadratureError,
     SweepSpec,
     compare_analytic_mc,
     default_params,
@@ -346,9 +346,17 @@ def test_compare_analytic_mc_no_secondary(table1):
 
 def test_cli_analytic_and_region(capsys):
     assert cli_main(["analytic", "--alpha", "0.5"]) == 0
-    assert cli_main(["region", "--rate-p", "0.4", "--rate-s", "0.2"]) == 0
+    assert cli_main(["--set", "rate_p=0.4", "--set", "rate_s=0.2",
+                     "region"]) == 0
     out = capsys.readouterr().out
     assert "0.4257" in out and "0.7579" in out
+
+
+@pytest.mark.parametrize("rate", ["-1", "nan"])
+def test_cli_region_rejects_invalid_rate(rate, capsys):
+    assert cli_main(["--set", f"rate_p={rate}", "region"]) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "band" not in captured.out
 
 
 def test_cli_simulate_and_allocate(capsys):
@@ -445,15 +453,48 @@ def test_cli_sweep_rejects_oversized_axis(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_cli_sweep_uses_quad_tol(monkeypatch):
-    seen = []
+@pytest.mark.parametrize("snr_r_db", ["-90", "-140", "-200", "-300", "-1000",
+                                      "-3080", "-3236"])
+@pytest.mark.parametrize("alpha", ["0", "1"])
+def test_cli_analytic_weak_relay(snr_r_db, alpha, capsys):
+    # the relay-aided user's exact form reaches its no-relay limit
+    assert cli_main(["--set", f"snr_r_db={snr_r_db}", "analytic",
+                     "--alpha", alpha]) == 0
+    out = capsys.readouterr().out
+    assert "nan" not in out
+    assert ("pri_d1=0.0671857" if alpha == "1" else "sec_d1=0.0391747") in out
 
-    def fake_run_sweep(spec, workers=1, quad=None):
-        seen.append(quad)
-        return ResultTable(rows=())
 
-    monkeypatch.setattr("crrelay.cli.run_sweep", fake_run_sweep)
-    assert cli_main(["--quad-tol", "1e-6", "sweep", "--axis", "alpha",
-                     "--start", "0.5", "--stop", "0.5", "--step", "1",
-                     "--mode", "analytic"]) == 0
-    assert [(q.abs_tol, q.rel_tol) for q in seen] == [(1e-6, 1e-6)]
+@pytest.mark.parametrize("exc", [QuadratureError("no convergence"),
+                                 OverflowError("math range error")])
+def test_cli_arithmetic_error_exits_1(exc, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("crrelay.analytic.integrate_exp_over_x", fail)
+    assert cli_main(["analytic", "--alpha", "1"]) == 1
+    assert f"error: {exc}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["allocate", "--epsilon", "0.05"],
+    ["region", "--rate-p", "0.4"],
+    ["--quad-tol", "1e-6", "analytic"],
+    ["--trials", "abc", "simulate"],
+    ["nope"],
+], ids=["allocate-epsilon", "region-rate-p", "quad-tol", "bad-trials",
+        "unknown-command"])
+def test_cli_usage_error_exits_1(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(argv)
+    assert exit_info.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", [["--set", "epsilon=0.09"],
+                                    ["--config", "scenario.cfg"]])
+def test_cli_reproduce_rejects_scenario_options(option, tmp_path, capsys):
+    assert cli_main(["--out-dir", str(tmp_path), *option, "reproduce",
+                     "--target", "table1"]) == 1
+    assert f"error: reproduce takes no {option[0]}" in capsys.readouterr().err
+    assert not (tmp_path / "table1.csv").exists()
