@@ -5,9 +5,10 @@ admission threshold.
 The primary bound never increases with the split and the secondary bound
 never decreases with it, exactly in floating point: each is a chain of
 monotone operations.  So at each relay SNR the feasible splits form a suffix
-of the sorted grid, the smallest feasible split is that SNR's best point, and
-a bisection finds it.  The primary bound is invertible in closed form on its
-split-dependent branch, and that exact split joins the grid's candidates.
+of the sorted grid and its first point is that SNR's best.  Only the relay
+gains depend on the relay SNR; all else is computed once per scenario.  The
+primary bound is invertible in closed form on its split-dependent branch:
+that exact split locates the grid's first feasible point and is a candidate.
 """
 
 import bisect
@@ -19,8 +20,10 @@ from .analytic import (
     primary_split_floor,
     prob_relay_active,
     secondary_split_ceiling,
-    upper_bound_d1,
+    _primary_bound,
     _ratio_outage,
+    _secondary_bound,
+    upper_bound_d1,
 )
 from .system import DerivedParams, SystemParams, db_to_linear, derive, two_slot_threshold
 
@@ -66,11 +69,9 @@ def common_alpha_band(rate_p: float, rate_s: float):
 
 
 def with_relay_snr(derived: DerivedParams, snr_r: float) -> DerivedParams:
-    """Re-point the derived table at a different relay SNR (cheap: only the
-    relay-side gains change; the admitted secondary SNR does not involve the
-    relay)."""
-    if snr_r < 0.0:
-        raise ValueError("snr_r must be nonnegative")
+    """Re-point the derived table at a different relay SNR: only the relay
+    gains change, since the admitted secondary SNR does not involve the
+    relay.  SystemParams validates the relay SNR."""
     v = derived.params.link_vars
     return replace(
         derived,
@@ -154,12 +155,12 @@ def allocate(params: SystemParams, snr_r_grid=None,
              alpha_grid=None) -> AllocationResult:
     """Minimize the total secondary outage bound subject to the primary bound.
 
-    At each relay SNR, bisects the sorted split grid for its first point
-    meeting the primary bound, and also tries the exact closed-form split and
-    a nudged twin inside the grid's hull; the smallest feasible of these
-    minimizes the activation-weighted secondary bound there, because the
-    primary bound does not increase and the secondary bound does not decrease
-    with the split.  Ties go to the smaller relay SNR, then the smaller split.
+    Only the relay gains change with the relay SNR.  At each one the exact
+    closed-form split locates the sorted grid's first point meeting the
+    primary bound, and the grid is bisected only when one or two evaluations
+    do not confirm it.  That point, the exact split and its nudged twin are
+    the candidates; the smallest feasible one minimizes the secondary bound
+    there.  Ties go to the smaller relay SNR, then the smaller split.
     Feasibility of the winner is re-checked against the primary bound, never
     assumed.
     """
@@ -183,16 +184,28 @@ def allocate(params: SystemParams, snr_r_grid=None,
         raise ValueError("alpha grid has no points in [0, 1]")
     lo, hi = grid[0], grid[-1]
 
-    best = None   # (u_s_total, snr_r, alpha, d_r)
+    g, v = derived.gain, params.link_vars
+    lam_p, lam_s = derived.lambda_p, derived.lambda_s
+    x = _ratio_outage(g.pp, g.sp, lam_p)     # the bounds without relay help
+    y = _ratio_outage(g.ss, g.ps, lam_s)
+    best = None   # (u_s_total, snr_r, alpha)
     for snr_r in sorted(snr_r_grid):
-        d_r = with_relay_snr(derived, snr_r)
+        if not 0.0 <= snr_r < math.inf:
+            params.with_snr_r(snr_r)     # raises SystemParams' own message
+        g_rp, g_rs = snr_r * v.rp, snr_r * v.rs
 
         def meets(alpha):
-            return upper_bound_d1(d_r, "primary", alpha) <= epsilon
+            return _primary_bound(x, g_rp, alpha, lam_p) <= epsilon
 
-        i = bisect.bisect_left(grid, True, key=meets)
+        seed_alpha = alpha_for_primary_bound(derived, epsilon, snr_r)
+        # no inverse: even the full split misses epsilon, barring rounding
+        i = (len(grid) if seed_alpha is None
+             else bisect.bisect_left(grid, seed_alpha))
+        if i < len(grid) and not meets(grid[i]):
+            i = bisect.bisect_left(grid, True, i + 1, key=meets)
+        elif i > 0 and meets(grid[i - 1]):
+            i = bisect.bisect_left(grid, True, 0, i - 1, key=meets)
         alpha = grid[i] if i < len(grid) else None
-        seed_alpha = alpha_for_primary_bound(d_r, epsilon)
         if seed_alpha is not None:
             # the exact inverse can overshoot epsilon by an ulp, so its
             # nudged twin stays a candidate; both only inside the grid hull
@@ -202,14 +215,14 @@ def allocate(params: SystemParams, snr_r_grid=None,
                     break
         if alpha is None:
             continue
-        u_s = (1.0 - w) * sec_d0 + w * upper_bound_d1(d_r, "secondary", alpha)
+        u_s = (1.0 - w) * sec_d0 + w * _secondary_bound(y, g_rs, alpha, lam_s)
         if best is None or u_s < best[0]:
-            best = (u_s, snr_r, alpha, d_r)
+            best = (u_s, snr_r, alpha)
 
     if best is None:
         return AllocationResult(alpha=math.nan, snr_r=math.nan, u_p=math.nan,
                                 u_s_total=1.0, feasible=False)
-    u_s, snr_r, alpha, d_r = best
-    u_p = upper_bound_d1(d_r, "primary", alpha)
+    u_s, snr_r, alpha = best
+    u_p = upper_bound_d1(with_relay_snr(derived, snr_r), "primary", alpha)
     return AllocationResult(alpha=alpha, snr_r=snr_r, u_p=u_p,
                             u_s_total=u_s, feasible=u_p <= epsilon)

@@ -265,6 +265,28 @@ def secondary_split_ceiling(lambda_s: float) -> float:
     return 1.0 / (1.0 + lambda_s)
 
 
+def _primary_bound(x: float, g_rp: float, alpha: float, lam: float) -> float:
+    """Saturating-relay primary bound from its no-relay value x."""
+    if alpha <= primary_split_floor(lam) or g_rp == 0.0:
+        return x
+    t = alpha * (1.0 + lam) - lam
+    # rounding right at the branch switch, or a relay gain so weak that the
+    # product underflows: no relay help, the bound's limit
+    if t <= 0.0 or g_rp * t == 0.0:
+        return x
+    return _clamp01(x * (1.0 - math.exp(-lam / (g_rp * t))))
+
+
+def _secondary_bound(y: float, g_rs: float, alpha: float, lam: float) -> float:
+    """Saturating-relay secondary bound from its no-relay value y."""
+    if alpha >= secondary_split_ceiling(lam) or g_rs == 0.0:
+        return y
+    t = 1.0 - alpha * (1.0 + lam)
+    if t <= 0.0 or g_rs * t == 0.0:
+        return y
+    return _clamp01(y * (1.0 - math.exp(-lam / (g_rs * t))))
+
+
 def upper_bound_d1(derived: DerivedParams, user: str, alpha: float) -> float:
     """Upper bound on the conditional outage given an active relay.
 
@@ -279,24 +301,12 @@ def upper_bound_d1(derived: DerivedParams, user: str, alpha: float) -> float:
         if g.pp <= 0.0:
             raise ValueError("primary direct gain must be positive")
         x = _ratio_outage(g.pp, g.sp, derived.lambda_p)
-        if alpha <= primary_split_floor(derived.lambda_p) or g.rp == 0.0:
-            return x
-        t = alpha * (1.0 + derived.lambda_p) - derived.lambda_p
-        # rounding right at the branch switch, or a relay gain so weak that
-        # the product underflows: no relay help, the bound's limit
-        if t <= 0.0 or g.rp * t == 0.0:
-            return x
-        return _clamp01(x * (1.0 - math.exp(-derived.lambda_p / (g.rp * t))))
+        return _primary_bound(x, g.rp, alpha, derived.lambda_p)
     if user == "secondary":
         if g.ss <= 0.0:
             raise ValueError("secondary direct gain must be positive")
         y = _ratio_outage(g.ss, g.ps, derived.lambda_s)
-        if alpha >= secondary_split_ceiling(derived.lambda_s) or g.rs == 0.0:
-            return y
-        t = 1.0 - alpha * (1.0 + derived.lambda_s)
-        if t <= 0.0 or g.rs * t == 0.0:
-            return y
-        return _clamp01(y * (1.0 - math.exp(-derived.lambda_s / (g.rs * t))))
+        return _secondary_bound(y, g.rs, alpha, derived.lambda_s)
     raise ValueError("user must be 'primary' or 'secondary'")
 
 

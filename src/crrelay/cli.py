@@ -201,6 +201,13 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        # every subcommand takes these, so every one rejects bad values
+        if args.trials is not None and args.trials < 1:
+            raise ValueError("trials must be at least 1")
+        if args.workers < 1:
+            raise ValueError("workers must be at least 1")
+        if args.seed < 0:
+            raise ValueError("seed must be a nonnegative integer")
         if args.command == "reproduce":
             return _cmd_reproduce(args)
         params = load_config(args.config, args.set)

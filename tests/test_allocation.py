@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from crrelay import (
     upper_bound_d1,
     with_relay_snr,
 )
+import crrelay.allocation
 from crrelay.allocation import (
     default_alpha_grid,
     default_snr_r_grid,
@@ -23,7 +25,8 @@ from crrelay.allocation import (
     rate_s_at_split_ceiling,
 )
 from crrelay.analytic import primary_split_floor, secondary_split_ceiling
-from crrelay.system import two_slot_threshold
+from crrelay.harness import default_params
+from crrelay.system import db_to_linear, secondary_cutoff_snr, two_slot_threshold
 
 FLOOR_04 = 0.4256508225014825          # split floor at rate_p = 0.4
 CEILING_02 = 0.7578582832551991        # split ceiling at rate_s = 0.2
@@ -253,10 +256,28 @@ def test_allocate_matches_grid_scan_on_random_scenarios():
     from hypothesis import given, settings, strategies as st
     from test_properties import PROPERTY_SETTINGS, scenarios
 
-    @settings(max_examples=40, **PROPERTY_SETTINGS)
-    @given(params=scenarios(), epsilon=st.floats(1e-4, 0.5))
-    def check(params, epsilon):
-        _assert_matches_grid_scan(params, epsilon)
+    @st.composite
+    def pool_families(draw):
+        """Scenarios as drawn, with a weak relay-to-primary link (the
+        primary bound mostly out of reach), or 0.5-5 dB below the admission
+        cutoff (no secondary access)."""
+        params = draw(scenarios()).with_epsilon(draw(st.floats(1e-4, 0.5)))
+        family = draw(st.sampled_from(("drawn", "weak_relay", "below_cutoff")))
+        if family == "weak_relay":
+            link_vars = replace(params.link_vars,
+                                rp=draw(st.floats(1e-4, 1e-3)))
+            params = replace(params, link_vars=link_vars)
+        elif family == "below_cutoff":
+            cutoff = secondary_cutoff_snr(params.rate_p, params.epsilon,
+                                          params.link_vars.pp)
+            params = replace(params, snr_p=cutoff * db_to_linear(
+                -draw(st.floats(0.5, 5.0))))
+        return params
+
+    @settings(max_examples=90, **PROPERTY_SETTINGS)
+    @given(params=pool_families())
+    def check(params):
+        _assert_matches_grid_scan(params, params.epsilon)
 
     check()
 
@@ -311,6 +332,56 @@ def test_allocate_matches_grid_scan_on_restricted_grids():
                                   alpha_grid=alpha_grid)
 
     check()
+
+
+@pytest.mark.parametrize("case", ["seed_is_first", "below_seed_meets",
+                                  "seed_fails", "grid_below_seed",
+                                  "no_inverse"])
+def test_allocate_seeded_search_branches(table1, case):
+    # each case takes one path from the closed-form split to the grid's
+    # first feasible point.  On Table 1 the inverse and the float above it
+    # miss epsilon at relay SNR 10 (its twin meets it); at relay SNR 1.5 the
+    # two floats below the inverse still meet epsilon
+    d = derive(table1)
+    snr_r = {"below_seed_meets": 1.5, "no_inverse": 0.0}.get(case, 10.0)
+    seed = alpha_for_primary_bound(d, table1.epsilon, snr_r)
+    if case == "seed_is_first":         # the point above meets, below not
+        grid, expected = (seed - 0.01, seed + 1e-9, 1.0), seed + 1e-9
+    elif case == "below_seed_meets":    # the search continues downward
+        below = math.nextafter(seed, 0.0)
+        below2 = math.nextafter(below, 0.0)
+        assert upper_bound_d1(with_relay_snr(d, snr_r), "primary",
+                              below2) <= table1.epsilon
+        grid, expected = (below2, below, seed, 1.0), below2
+    elif case == "seed_fails":          # the search continues upward
+        above = math.nextafter(seed, 1.0)
+        assert upper_bound_d1(with_relay_snr(d, snr_r), "primary",
+                              above) > table1.epsilon
+        grid, expected = (seed, above, seed + 1e-9, 1.0), seed + 1e-9
+    elif case == "grid_below_seed":     # nothing at or above the inverse
+        grid, expected = (0.1, 0.2), math.nan
+    else:                               # a silent relay: taken as an
+        assert seed is None             # inverse above the grid
+        grid, expected = default_alpha_grid(d.lambda_p), math.nan
+    res = allocate(table1, snr_r_grid=(snr_r,), alpha_grid=grid)
+    assert repr(res.alpha) == repr(expected)
+    _assert_matches_grid_scan(table1, table1.epsilon, snr_r_grid=(snr_r,),
+                              alpha_grid=grid)
+
+
+def test_default_allocate_evaluates_555_bounds(monkeypatch):
+    # the deterministic record of the allocator's work: every bound it
+    # evaluates while searching goes through these two helpers
+    calls = []
+    for name in ("_primary_bound", "_secondary_bound"):
+        bound = getattr(crrelay.allocation, name)
+
+        def counted(*args, _bound=bound):
+            calls.append(args)
+            return _bound(*args)
+        monkeypatch.setattr(crrelay.allocation, name, counted)
+    assert allocate(default_params()).feasible
+    assert len(calls) == 555
 
 
 @pytest.mark.parametrize("grids", [

@@ -433,17 +433,39 @@ def test_cli_accepts_silent_relay(capsys):
     assert "nan" not in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("command", [
-    ["simulate"],
-    ["verify"],
-    ["sweep", "--axis", "snr_p_db", "--start", "20", "--stop", "20",
-     "--step", "1"],
-    ["reproduce", "--target", "fig3"],
-], ids=["simulate", "verify", "sweep", "reproduce"])
+_EVERY_COMMAND = dict(
+    simulate=["simulate"],
+    verify=["verify"],
+    sweep=["sweep", "--axis", "snr_p_db", "--start", "20", "--stop", "20",
+           "--step", "1"],
+    reproduce=["reproduce", "--target", "fig3"],
+    analytic=["analytic"],
+    allocate=["allocate"],
+    region=["region"],
+)
+
+
+@pytest.mark.parametrize("command", _EVERY_COMMAND.values(),
+                         ids=_EVERY_COMMAND.keys())
 def test_cli_rejects_zero_trials(command, tmp_path, capsys):
     assert cli_main(["--out-dir", str(tmp_path), "--trials", "0",
                      *command]) == 1
     assert "trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, message", [
+    (["--workers", "0"], "workers must be at least 1"),
+    (["--seed", "-1"], "seed must be a nonnegative integer"),
+], ids=["workers", "seed"])
+@pytest.mark.parametrize("command", _EVERY_COMMAND.values(),
+                         ids=_EVERY_COMMAND.keys())
+def test_cli_rejects_bad_workers_and_seed(command, option, message, tmp_path,
+                                          capsys):
+    # the same message whether or not the subcommand reads the option
+    assert cli_main(["--out-dir", str(tmp_path), *option, *command]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_sweep_rejects_oversized_axis(capsys):
