@@ -14,6 +14,7 @@ from .harness import (
     REPRODUCE_TARGETS,
     SWEEP_AXES,
     SweepSpec,
+    check_run,
     compare_analytic_mc,
     load_config,
     reproduce,
@@ -202,12 +203,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         # every subcommand takes these, so every one rejects bad values
-        if args.trials is not None and args.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if args.workers < 1:
-            raise ValueError("workers must be at least 1")
-        if args.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+        check_run(args.trials, args.seed, args.workers)
         if args.command == "reproduce":
             return _cmd_reproduce(args)
         params = load_config(args.config, args.set)

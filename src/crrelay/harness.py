@@ -705,6 +705,17 @@ _TARGET_BUILDERS = {
 REPRODUCE_TARGETS = tuple(_TARGET_BUILDERS)
 
 
+def check_run(trials, seed: int, workers: int) -> None:
+    """Raise the simulator's ValueError for a trial count, seed or worker
+    count it would reject; trials None stands for a command's default."""
+    if trials is not None and trials < 1:
+        raise ValueError("trials must be at least 1")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
+
+
 def reproduce(target: str, out_dir=None, trials=None, seed: int = 0,
               workers: int = 1) -> Report:
     """Run one reproduction target: emit its CSV and a deviation report.
@@ -716,6 +727,7 @@ def reproduce(target: str, out_dir=None, trials=None, seed: int = 0,
     """
     if target not in _TARGET_BUILDERS:
         raise ValueError(f"target must be one of {REPRODUCE_TARGETS}")
+    check_run(trials, seed, workers)
     out = resolve_out_dir(out_dir)
     build = _TARGET_BUILDERS[target]
     if target == "fig3":

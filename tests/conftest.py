@@ -76,38 +76,53 @@ def link_draws(params, seed, start, n):
             for k, name in enumerate(LINKS)}
 
 
-def replay_slot(draw, derived, alpha):
-    """One slot of the proposed scheme replayed in plain Python from the
-    printed events: (relay_active, pri_outage, sec_outage).
+def replay_slot(draw, derived, alpha, scheme="proposed"):
+    """One slot of a scheme replayed in plain Python from the printed events:
+    (relay_active, pri_outage, sec_outage).
 
-    draw maps each link to its squared magnitude.  The relay decodes the
-    stronger signal first, treating the other as noise, then the weaker one
-    cleanly, and activates only if both stages clear their thresholds.
+    draw maps each link to its squared magnitude.  In the proposed scheme the
+    relay decodes the stronger signal first, treating the other as noise,
+    then the weaker one cleanly, and activates only if both stages clear
+    their thresholds.  The relay-assisted baseline activates when the relay
+    decodes the secondary signal through the primary's; the non-cooperative
+    scheme never uses the relay and compares one-slot SINRs with theta.
     """
     p = derived.params
     lp, ls = derived.lambda_p, derived.lambda_s
+    if scheme == "noncooperative":
+        v = p.snr_p * draw["pp"] / (derived.snr_s * draw["sp"] + 1.0)
+        u = derived.snr_s * draw["ss"] / (p.snr_p * draw["ps"] + 1.0)
+        return False, v < derived.theta_p, u < derived.theta_s
     x = p.snr_p * draw["pr"]
     y = derived.snr_s * draw["sr"]
-    active = ((x > y and x >= lp * (1.0 + y) and y >= ls)
-              or (y > x and y >= ls * (1.0 + x) and x >= lp))
+    if scheme == "relay_assisted_secondary":
+        active = y >= ls * (1.0 + x)
+    else:
+        active = ((x > y and x >= lp * (1.0 + y) and y >= ls)
+                  or (y > x and y >= ls * (1.0 + x) and x >= lp))
     v = p.snr_p * draw["pp"] / (derived.snr_s * draw["sp"] + 1.0)
     u = derived.snr_s * draw["ss"] / (p.snr_p * draw["ps"] + 1.0)
     if not active:
         return False, 2.0 * v < lp, 2.0 * u < ls
     rp, rs = draw["rp"], draw["rs"]
+    if scheme == "relay_assisted_secondary":
+        pri_mrc = v + p.snr_p * draw["pp"] / (p.snr_r * rp + 1.0)
+        sec_mrc = ((derived.snr_s * draw["ss"] + p.snr_r * rs)
+                   / (p.snr_p * draw["ps"] + 1.0))
+        return True, pri_mrc < lp, sec_mrc < ls
     w_p = alpha * p.snr_r * rp / ((1.0 - alpha) * p.snr_r * rp + 1.0)
     w_s = (1.0 - alpha) * p.snr_r * rs / (alpha * p.snr_r * rs + 1.0)
     return True, v + w_p < lp, u + w_s < ls
 
 
-def replay_counts(params, alpha, seed, n):
+def replay_counts(params, alpha, seed, n, scheme="proposed"):
     """(d1, pri, sec) event counts of replay_slot over trials [0, n)."""
     derived = derive(params)
     g = link_draws(params, seed, 0, n)
     d1 = pri = sec = 0
     for i in range(n):
         draw = {name: float(g[name][i]) for name in LINKS}
-        active, pri_out, sec_out = replay_slot(draw, derived, alpha)
+        active, pri_out, sec_out = replay_slot(draw, derived, alpha, scheme)
         d1 += active
         pri += pri_out
         sec += sec_out

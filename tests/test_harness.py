@@ -310,6 +310,20 @@ def test_reproduce_rejects_unknown_target(tmp_path):
         reproduce("fig7", out_dir=tmp_path)
 
 
+@pytest.mark.parametrize("target", ["fig3", "table1"])
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(trials=0), "trials must be at least 1"),
+    (dict(workers=0), "workers must be at least 1"),
+    (dict(seed=-1), "seed must be a nonnegative integer"),
+], ids=["trials", "workers", "seed"])
+def test_reproduce_rejects_bad_run_values(target, kwargs, message, tmp_path):
+    # rejected up front with the simulator's message, before any output
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        reproduce(target, out_dir=out, **kwargs)
+    assert not out.exists()
+
+
 def test_out_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("CRRELAY_OUT_DIR", str(tmp_path / "envout"))
     report = reproduce("fig2")

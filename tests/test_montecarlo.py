@@ -1,9 +1,14 @@
 import math
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crrelay
 from crrelay import (
     cond_outage_d1_exact,
     cond_pri_outage_d0,
@@ -16,6 +21,8 @@ from crrelay import (
     prob_relay_active,
 )
 from crrelay.montecarlo import (
+    _CHUNK_TRIALS,
+    _SUB_TRIALS,
     SCHEMES,
     OutageEstimate,
     _count_chunk,
@@ -53,6 +60,39 @@ def test_unit_block_scales_to_inversion_draws(table1):
     for k, name in enumerate(LINKS):
         var = getattr(table1.link_vars, name)
         assert np.array_equal(var * e[k], -var * np.log1p(-u[:, k]))
+
+
+@pytest.mark.parametrize("n", [1, _SUB_TRIALS - 1, _SUB_TRIALS, _SUB_TRIALS + 1,
+                               2 * _SUB_TRIALS + 17, _CHUNK_TRIALS])
+def test_unit_block_matches_uniforms_across_sub_blocks(n):
+    # the sub-blocked transpose continues one stream: every trial reads the
+    # same uniforms as the (n, 8) block, also from an odd start
+    start = 4099
+    e = _unit_block(3, start, n)
+    assert e.shape == (8, n) and e.flags["C_CONTIGUOUS"]
+    assert np.array_equal(e, -np.log1p(-_uniform_block(3, start, n)).T)
+
+
+def test_unit_block_peak_memory_stays_near_its_output():
+    # the chunk is written in place from cache-sized sub-blocks; a full-size
+    # uniform temporary next to the output would double the peak
+    tracemalloc.start()
+    try:
+        e = _unit_block(4, 0, _CHUNK_TRIALS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * e.nbytes
+
+
+def test_import_does_not_load_numpy_random():
+    # numpy.random is loaded only when a simulation draws; commands that
+    # never simulate do not pay its import time and memory
+    src = str(Path(crrelay.__file__).resolve().parents[1])
+    code = "import sys, crrelay; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "False"
 
 
 def test_channel_block_means(table1):
@@ -143,6 +183,19 @@ def test_simulate_slot_matches_estimate_counts(table1):
     assert est.pri.p_hat == pri / n
     assert est.sec.p_hat == sec / n
     assert est.p_d1.p_hat == d1 / n
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_estimate_matches_replay_across_sub_blocks(table1, scheme):
+    # two whole sub-blocks and a ragged tail, every scheme, both extreme
+    # splits and one interior split
+    n = 2 * _SUB_TRIALS + 17
+    for alpha in (0.0, 0.5, 1.0):
+        d1, pri, sec = replay_counts(table1, alpha, 29, n, scheme)
+        est = estimate(table1, alpha, n, 29, scheme)
+        assert (est.pri.p_hat, est.sec.p_hat) == (pri / n, sec / n)
+        if scheme != "noncooperative":
+            assert est.p_d1.p_hat == d1 / n
 
 
 def test_simulate_slot_alpha_one_relay_term(table1, table1_derived):
