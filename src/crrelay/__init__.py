@@ -7,7 +7,6 @@ from .allocation import (
     alpha_for_primary_bound,
     common_alpha_band,
     min_snr_r_for_epsilon,
-    with_relay_snr,
 )
 from .analytic import (
     ConditionalOutage,

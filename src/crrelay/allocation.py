@@ -13,7 +13,7 @@ that exact split locates the grid's first feasible point and is a candidate.
 
 import bisect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .analytic import (
     cond_sec_outage_d0,
@@ -68,18 +68,6 @@ def common_alpha_band(rate_p: float, rate_s: float):
     return (lo, hi)
 
 
-def with_relay_snr(derived: DerivedParams, snr_r: float) -> DerivedParams:
-    """Re-point the derived table at a different relay SNR: only the relay
-    gains change, since the admitted secondary SNR does not involve the
-    relay.  SystemParams validates the relay SNR."""
-    v = derived.params.link_vars
-    return replace(
-        derived,
-        gain=replace(derived.gain, rp=snr_r * v.rp, rs=snr_r * v.rs),
-        params=derived.params.with_snr_r(snr_r),
-    )
-
-
 def alpha_for_primary_bound(derived: DerivedParams, epsilon: float,
                             snr_r: float | None = None):
     """Smallest split meeting the primary bound at the given relay SNR.
@@ -109,43 +97,51 @@ def alpha_for_primary_bound(derived: DerivedParams, epsilon: float,
 
 
 def min_snr_r_for_epsilon(derived: DerivedParams, alpha: float,
-                          epsilon: float) -> float:
+                          epsilon: float) -> float | None:
     """Smallest relay SNR meeting the primary bound at the given split.
 
-    Only defined strictly above the split floor, where the bound actually
-    responds to relay power; returns 0 when the bound holds without it.
+    Inverts the split-dependent branch of the primary bound for the relay
+    gain.  Returns 0 when the bound holds without relay help; returns None
+    when it does not and the split is at or below the split floor, where
+    relay power cannot help.  Splits above 1 (or NaN) are rejected.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie strictly between 0 and 1")
-    lam = derived.lambda_p
-    floor = primary_split_floor(lam)
-    if not floor < alpha <= 1.0:
+    if not alpha <= 1.0:
         raise ValueError("alpha must lie strictly above the split floor and at most 1")
+    lam = derived.lambda_p
     x = _ratio_outage(derived.gain.pp, derived.gain.sp, lam)
     if epsilon >= x:
         return 0.0
-    log_gap = -math.log1p(-epsilon / x)
     t = alpha * (1.0 + lam) - lam
-    if t <= 0.0:       # alpha rounded onto the branch switch
-        raise ValueError("alpha must lie strictly above the split floor")
+    # t also rounds to 0 or below just above the floor
+    if alpha <= primary_split_floor(lam) or t <= 0.0:
+        return None
+    log_gap = -math.log1p(-epsilon / x)
     g_rp = lam / (t * log_gap)
     return g_rp / derived.params.link_vars.rp
 
 
-def default_snr_r_grid(lo_db: float = -10.0, hi_db: float = 30.0,
-                       step_db: float = 0.25) -> tuple:
+# The allocator's default search grids: relay SNR from -10 to 30 dB in
+# 0.25 dB steps, split from the split floor up to 1 in steps of 0.005.
+_SNR_R_GRID_DB = (-10.0, 30.0, 0.25)
+_ALPHA_GRID_STEP = 0.005
+
+
+def default_snr_r_grid() -> tuple:
     """Logarithmic relay-SNR grid (linear values)."""
+    lo_db, hi_db, step_db = _SNR_R_GRID_DB
     n = int(round((hi_db - lo_db) / step_db))
     return tuple(db_to_linear(lo_db + k * step_db) for k in range(n + 1))
 
 
-def default_alpha_grid(lambda_p: float, step: float = 0.005) -> tuple:
+def default_alpha_grid(lambda_p: float) -> tuple:
     """Split grid from the primary split floor up to 1."""
     floor = primary_split_floor(lambda_p)
     pts = [floor]
     k = 1
-    while floor + k * step < 1.0:
-        pts.append(floor + k * step)
+    while floor + k * _ALPHA_GRID_STEP < 1.0:
+        pts.append(floor + k * _ALPHA_GRID_STEP)
         k += 1
     pts.append(1.0)
     return tuple(pts)
@@ -223,6 +219,6 @@ def allocate(params: SystemParams, snr_r_grid=None,
         return AllocationResult(alpha=math.nan, snr_r=math.nan, u_p=math.nan,
                                 u_s_total=1.0, feasible=False)
     u_s, snr_r, alpha = best
-    u_p = upper_bound_d1(with_relay_snr(derived, snr_r), "primary", alpha)
+    u_p = upper_bound_d1(derive(params.with_snr_r(snr_r)), "primary", alpha)
     return AllocationResult(alpha=alpha, snr_r=snr_r, u_p=u_p,
                             u_s_total=u_s, feasible=u_p <= epsilon)

@@ -48,18 +48,23 @@ class ConditionalOutage:
 class OutageSummary:
     """Activation-weighted total outage probabilities.
 
-    bound=True means total_sec is the upper-bound mixture (interior power
-    split).  At a split of exactly 0 or 1 both totals mix exact conditionals,
-    but under the paper's approximate activation weight p_d1 (see
-    prob_relay_active), so they are not exact totals either.  total_pri is
-    the symmetric primary mixture; it is a derived quantity, not a published
-    closed form.
+    cond holds the conditionals the totals mix; it is None without secondary
+    access, where nothing is mixed.  bound is True when total_sec is the
+    upper-bound mixture (interior power split).  At a split of exactly 0 or 1
+    both totals mix exact conditionals, but under the paper's approximate
+    activation weight p_d1 (see prob_relay_active), so they are not exact
+    totals either.  total_pri is the symmetric primary mixture; it is a
+    derived quantity, not a published closed form.
     """
 
     p_d1: float
     total_sec: float
     total_pri: float
-    bound: bool
+    cond: ConditionalOutage | None
+
+    @property
+    def bound(self) -> bool:
+        return self.cond is not None and not self.cond.d1_exact
 
 
 def _clamp01(x: float) -> float:
@@ -345,14 +350,14 @@ def total_secondary_outage(derived: DerivedParams,
     g = derived.gain
     if derived.snr_s == 0.0:
         pri = 1.0 - math.exp(-derived.lambda_p / (2.0 * g.pp))
-        return OutageSummary(p_d1=0.0, total_sec=1.0, total_pri=pri, bound=False)
+        return OutageSummary(p_d1=0.0, total_sec=1.0, total_pri=pri, cond=None)
     w = prob_relay_active(derived)
     cond = conditional_outages(derived, alpha)
     return OutageSummary(
         p_d1=w,
         total_sec=_clamp01((1.0 - w) * cond.sec_d0 + w * cond.sec_d1),
         total_pri=_clamp01((1.0 - w) * cond.pri_d0 + w * cond.pri_d1),
-        bound=not cond.d1_exact,
+        cond=cond,
     )
 
 

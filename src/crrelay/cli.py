@@ -8,20 +8,21 @@ import argparse
 import sys
 
 from .allocation import allocate, common_alpha_band
-from .analytic import conditional_outages, total_secondary_outage
+from .analytic import total_secondary_outage
 from .harness import (
+    DEFAULT_SWEEP_TRIALS,
+    DEFAULT_TRIALS,
     MODES,
     REPRODUCE_TARGETS,
     SWEEP_AXES,
     SweepSpec,
-    check_run,
     compare_analytic_mc,
     load_config,
     reproduce,
     resolve_out_dir,
     run_sweep,
 )
-from .montecarlo import SCHEMES, estimate
+from .montecarlo import SCHEMES, check_run, estimate
 from .system import db_to_linear, derive, linear_to_db, secondary_cutoff_snr
 
 
@@ -101,8 +102,8 @@ def _cmd_analytic(params, args):
     print(f"relay activation: {summary.p_d1:.6g}")
     print(f"total secondary outage ({kind}): {summary.total_sec:.6g}")
     print(f"total primary outage ({kind}):   {summary.total_pri:.6g}")
-    if derived.snr_s > 0.0:
-        cond = conditional_outages(derived, args.alpha)
+    cond = summary.cond
+    if cond is not None:
         print(f"conditionals: pri_d0={cond.pri_d0:.6g} sec_d0={cond.sec_d0:.6g} "
               f"pri_d1={cond.pri_d1:.6g} sec_d1={cond.sec_d1:.6g} "
               f"(d1 {'exact' if cond.d1_exact else 'bounds'})")
@@ -110,7 +111,7 @@ def _cmd_analytic(params, args):
 
 
 def _cmd_simulate(params, args):
-    trials = 1_000_000 if args.trials is None else args.trials
+    trials = DEFAULT_TRIALS if args.trials is None else args.trials
     est = estimate(params, args.alpha, trials, args.seed, args.scheme,
                    args.workers)
     print(f"scheme={args.scheme} alpha={args.alpha} trials={trials} "
@@ -153,7 +154,7 @@ def _cmd_sweep(params, args):
     spec = SweepSpec.from_range(
         params, args.axis, args.start, args.stop, args.step,
         schemes=schemes, mode=args.mode,
-        trials=100_000 if args.trials is None else args.trials,
+        trials=DEFAULT_SWEEP_TRIALS if args.trials is None else args.trials,
         seed=args.seed, alpha=args.alpha, snr_r_policy=args.snr_r_policy)
     table = run_sweep(spec, workers=args.workers)
     if args.out is None:
@@ -180,7 +181,7 @@ def _cmd_reproduce(args):
 
 
 def _cmd_verify(params, args):
-    trials = 1_000_000 if args.trials is None else args.trials
+    trials = DEFAULT_TRIALS if args.trials is None else args.trials
     report = compare_analytic_mc(params, args.alpha, trials, args.seed,
                                  args.workers)
     print(report.render())

@@ -28,23 +28,16 @@ from .allocation import (
     min_snr_r_for_epsilon,
     rate_p_at_split_floor,
     rate_s_at_split_ceiling,
-    with_relay_snr,
 )
 from .analytic import (
-    _ratio_outage,
-    cond_outage_d1_exact,
-    cond_pri_outage_d0,
-    cond_sec_outage_d0,
     noncoop_primary_outage,
     noncoop_secondary_outage,
     primary_split_floor,
     prob_decode_order,
-    prob_relay_active,
     total_secondary_outage,
-    upper_bound_d1,
 )
-from .montecarlo import (SCHEMES, OutageEstimate, check_request, estimate,
-                         estimate_many)
+from .montecarlo import (SCHEMES, OutageEstimate, check_request, check_run,
+                         estimate, estimate_many)
 from .system import (
     LINKS,
     LinkTable,
@@ -67,6 +60,11 @@ MODES = ("analytic", "montecarlo", "both")
 # Longest axis SweepSpec.from_range builds; a finer step is refused before
 # any value is allocated.
 MAX_SWEEP_POINTS = 10_000
+
+# Default Monte Carlo trials: one simulate or verify run, and each point of a
+# sweep or simulated reproduction target.
+DEFAULT_TRIALS = 1_000_000
+DEFAULT_SWEEP_TRIALS = 100_000
 
 # Published reference values the reproduction targets compare against.
 _TABLE1_EPS = (0.04, 0.05, 0.06, 0.07, 0.08, 0.09)
@@ -179,7 +177,7 @@ class SweepSpec:
     values: tuple
     schemes: tuple = ("proposed",)
     mode: str = "both"
-    trials: int = 100_000
+    trials: int = DEFAULT_SWEEP_TRIALS
     seed: int = 0
     alpha: float = 0.5
     snr_r_policy: str = "fixed"
@@ -303,12 +301,7 @@ def _row_snr_r(params, derived, alpha, policy):
         return params.snr_r
     if derived.snr_s == 0.0:
         return 0.0
-    if alpha > primary_split_floor(derived.lambda_p):
-        return min_snr_r_for_epsilon(derived, alpha, params.epsilon)
-    x = _ratio_outage(derived.gain.pp, derived.gain.sp, derived.lambda_p)
-    if params.epsilon >= x:
-        return 0.0
-    return None
+    return min_snr_r_for_epsilon(derived, alpha, params.epsilon)
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> ResultTable:
@@ -329,7 +322,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> ResultTable:
             snr_r = _row_snr_r(params, derived, alpha, spec.snr_r_policy)
             if snr_r is not None and snr_r != params.snr_r:
                 params = params.with_snr_r(snr_r)
-                derived = with_relay_snr(derived, snr_r)
+                derived = derive(params)
         except ValueError as exc:
             for scheme in spec.schemes:
                 rows.append(ResultRow(axis=spec.axis, value=value,
@@ -705,17 +698,6 @@ _TARGET_BUILDERS = {
 REPRODUCE_TARGETS = tuple(_TARGET_BUILDERS)
 
 
-def check_run(trials, seed: int, workers: int) -> None:
-    """Raise the simulator's ValueError for a trial count, seed or worker
-    count it would reject; trials None stands for a command's default."""
-    if trials is not None and trials < 1:
-        raise ValueError("trials must be at least 1")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
-
-
 def reproduce(target: str, out_dir=None, trials=None, seed: int = 0,
               workers: int = 1) -> Report:
     """Run one reproduction target: emit its CSV and a deviation report.
@@ -731,7 +713,7 @@ def reproduce(target: str, out_dir=None, trials=None, seed: int = 0,
     out = resolve_out_dir(out_dir)
     build = _TARGET_BUILDERS[target]
     if target == "fig3":
-        trials = 100_000 if trials is None else trials
+        trials = DEFAULT_SWEEP_TRIALS if trials is None else trials
         title, header, rows, checks = build(trials, seed, workers)
     else:
         title, header, rows, checks = build()
@@ -748,7 +730,7 @@ def reproduce(target: str, out_dir=None, trials=None, seed: int = 0,
 
 
 def compare_analytic_mc(params: SystemParams, alpha: float,
-                        trials: int = 1_000_000, seed: int = 0,
+                        trials: int = DEFAULT_TRIALS, seed: int = 0,
                         workers: int = 1) -> Report:
     """Cross-check every closed form against the event-level simulator.
 
@@ -771,9 +753,10 @@ def compare_analytic_mc(params: SystemParams, alpha: float,
     est, nc = estimate_many(seed, trials, [(params, alpha, "proposed"),
                                            (params, alpha, "noncooperative")],
                             workers)
+    summary = total_secondary_outage(derived, alpha)
+    cond = summary.cond
     checks = [
-        _z_check("relay activation frequency", est.p_d1,
-                 prob_relay_active(derived),
+        _z_check("relay activation frequency", est.p_d1, summary.p_d1,
                  note="closed form factorizes correlated order/threshold "
                       "events; a persistent ~0.1-1% gap is expected"),
         _z_check("SIC order: primary decoded first", est.order_p,
@@ -781,25 +764,24 @@ def compare_analytic_mc(params: SystemParams, alpha: float,
     ]
     if est.sec_d0 is not None:
         checks.append(_z_check("secondary outage | relay silent", est.sec_d0,
-                               cond_sec_outage_d0(derived)))
+                               cond.sec_d0))
         checks.append(_z_check("primary outage | relay silent", est.pri_d0,
-                               cond_pri_outage_d0(derived)))
+                               cond.pri_d0))
     if est.sec_d1 is not None:
-        if alpha in (0.0, 1.0):
+        if cond.d1_exact:
             checks.append(_z_check(
                 "primary outage | relay active (exact)", est.pri_d1,
-                cond_outage_d1_exact(derived, "primary", alpha)))
+                cond.pri_d1))
             checks.append(_z_check(
                 "secondary outage | relay active (exact)", est.sec_d1,
-                cond_outage_d1_exact(derived, "secondary", alpha)))
+                cond.sec_d1))
         else:
             checks.append(_bound_check(
                 "primary outage | relay active within bound", est.pri_d1,
-                upper_bound_d1(derived, "primary", alpha)))
+                cond.pri_d1))
             checks.append(_bound_check(
                 "secondary outage | relay active within bound", est.sec_d1,
-                upper_bound_d1(derived, "secondary", alpha)))
-    summary = total_secondary_outage(derived, alpha)
+                cond.sec_d1))
     if summary.bound:
         checks.append(_bound_check("total secondary outage within bound",
                                    est.sec, summary.total_sec))

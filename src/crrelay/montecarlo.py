@@ -96,8 +96,6 @@ class SchemeEstimates:
 
 def _generator(seed: int, start: int):
     """Philox generator over the seed's stream, positioned at trial start."""
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
     bit = np.random.Philox(key=seed)
     bit.advance(_BLOCKS_PER_TRIAL * start)
     return np.random.Generator(bit)
@@ -201,6 +199,17 @@ def _count_chunk(derived: DerivedParams, alpha: float, scheme: str,
     return counts
 
 
+def check_run(trials, seed: int, workers: int) -> None:
+    """Raise ValueError for a trial count, seed or worker count the simulator
+    does not accept; trials None stands for a command's default."""
+    if trials is not None and trials < 1:
+        raise ValueError("trials must be at least 1")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
+
+
 def check_request(alpha: float, scheme: str) -> None:
     """Raise ValueError for a scheme or split the simulator does not accept."""
     if scheme not in SCHEMES:
@@ -219,12 +228,9 @@ def estimate_many(seed: int, trials: int, requests, workers: int = 1) -> list:
     i is bit-identical to estimate() on requests[i] for any worker count:
     chunks draw from disjoint trial-index ranges of the counter-based stream.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    check_run(trials, seed, workers)
     for _, alpha, scheme in requests:
         check_request(alpha, scheme)
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
 
     jobs = [(derive(params), alpha, scheme)
             for params, alpha, scheme in requests]

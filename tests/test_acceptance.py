@@ -47,7 +47,6 @@ from crrelay import (
     table1_params,
     total_secondary_outage,
     upper_bound_d1,
-    with_relay_snr,
 )
 from crrelay.allocation import rate_s_at_split_ceiling
 from crrelay.analytic import primary_split_floor
@@ -330,8 +329,8 @@ def test_c7_cutoff_behavior(tmp_path):
 def _usprime_at(params, alpha):
     d = derive(params)
     snr_r = min_snr_r_for_epsilon(d, alpha, params.epsilon)
-    return (total_secondary_outage(with_relay_snr(d, snr_r), alpha).total_sec,
-            snr_r)
+    d_r = derive(params.with_snr_r(snr_r))
+    return total_secondary_outage(d_r, alpha).total_sec, snr_r
 
 
 def test_c8_trends():

@@ -15,7 +15,6 @@ from crrelay import (
     prob_relay_active,
     table1_params,
     upper_bound_d1,
-    with_relay_snr,
 )
 import crrelay.allocation
 from crrelay.allocation import (
@@ -45,7 +44,7 @@ def test_alpha_extraction_round_trip(table1_derived):
     # substituting the extracted split back must recover the target exactly
     for eps in (0.035, 0.04, 0.06, 0.085):
         for snr_r in (2.0, 10.0, 40.0):
-            d_r = with_relay_snr(table1_derived, snr_r)
+            d_r = derive(table1_derived.params.with_snr_r(snr_r))
             alpha = alpha_for_primary_bound(d_r, eps)
             assert primary_split_floor(d_r.lambda_p) < alpha <= 1.0
             assert upper_bound_d1(d_r, "primary", alpha) == pytest.approx(
@@ -59,20 +58,18 @@ def test_alpha_extraction_slack_threshold(table1_derived):
 
 
 def test_alpha_extraction_rich_relay_limit(table1_derived):
-    d_r = with_relay_snr(table1_derived, 1e12)
+    d_r = derive(table1_derived.params.with_snr_r(1e12))
     alpha = alpha_for_primary_bound(d_r, 0.04)
     assert alpha == pytest.approx(primary_split_floor(d_r.lambda_p), abs=1e-9)
 
 
 def test_alpha_extraction_infeasible(table1_derived):
     # a weak relay cannot close a tight target even at full power
-    d_r = with_relay_snr(table1_derived, 0.01)
+    d_r = derive(table1_derived.params.with_snr_r(0.01))
     assert alpha_for_primary_bound(d_r, 0.001) is None
-    assert alpha_for_primary_bound(with_relay_snr(table1_derived, 0.0),
-                                   0.04) is None
+    assert alpha_for_primary_bound(table1_derived, 0.04, 0.0) is None
     # a relay gain that underflows in the inversion acts as none
-    assert alpha_for_primary_bound(with_relay_snr(table1_derived, 5e-324),
-                                   0.001) is None
+    assert alpha_for_primary_bound(table1_derived, 0.001, 5e-324) is None
 
 
 # ---- minimum relay SNR ----------------------------------------------------------
@@ -85,7 +82,7 @@ def test_min_snr_r_reference(table1_derived):
 def test_min_snr_r_round_trip(table1_derived):
     for alpha in (0.45, 0.5, 0.7, 1.0):
         snr_r = min_snr_r_for_epsilon(table1_derived, alpha, 0.04)
-        d_r = with_relay_snr(table1_derived, snr_r)
+        d_r = derive(table1_derived.params.with_snr_r(snr_r))
         assert upper_bound_d1(d_r, "primary", alpha) == pytest.approx(
             0.04, abs=1e-9)
 
@@ -95,11 +92,15 @@ def test_min_snr_r_zero_when_target_slack(table1_derived):
 
 
 def test_min_snr_r_rejects_floor(table1_derived):
+    # at or below the split floor relay power cannot help: None, or 0 when
+    # the bound holds without it; a split above 1 is rejected
     floor = primary_split_floor(table1_derived.lambda_p)
-    with pytest.raises(ValueError):
-        min_snr_r_for_epsilon(table1_derived, floor, 0.04)
-    with pytest.raises(ValueError):
-        min_snr_r_for_epsilon(table1_derived, 1.1, 0.04)
+    for alpha in (floor, 0.3, 0.0, -0.2):
+        assert min_snr_r_for_epsilon(table1_derived, alpha, 0.04) is None
+        assert min_snr_r_for_epsilon(table1_derived, alpha, 0.5) == 0.0
+    for alpha in (1.1, math.nan):
+        with pytest.raises(ValueError, match="at most 1"):
+            min_snr_r_for_epsilon(table1_derived, alpha, 0.04)
 
 
 # ---- allocation -------------------------------------------------------------------
@@ -153,7 +154,7 @@ def test_allocate_tie_breaks_toward_smaller_alpha(table1):
     # resolve to the smallest feasible split
     d = derive(table1.with_epsilon(0.005))
     ceiling = secondary_split_ceiling(d.lambda_s)
-    seed = alpha_for_primary_bound(with_relay_snr(d, 2.0), 0.005)
+    seed = alpha_for_primary_bound(d, 0.005, 2.0)
     assert seed > ceiling
     res = allocate(table1.with_epsilon(0.005), snr_r_grid=(2.0,),
                    alpha_grid=(0.95, 0.85))
@@ -167,7 +168,7 @@ def test_allocate_tie_breaks_toward_smaller_snr_r(table1):
     d = derive(table1.with_epsilon(0.005))
     ceiling = secondary_split_ceiling(d.lambda_s)
     for snr_r in (2.0, 2.1):
-        seed = alpha_for_primary_bound(with_relay_snr(d, snr_r), 0.005)
+        seed = alpha_for_primary_bound(d, 0.005, snr_r)
         assert seed > ceiling
     res = allocate(table1.with_epsilon(0.005), snr_r_grid=(2.1, 2.0),
                    alpha_grid=(0.9,))
@@ -179,7 +180,7 @@ def test_allocate_returns_nudged_twin_when_inverse_overshoots(table1):
     # at the Table 1 column the exact inverse lands a rounding step above
     # epsilon, and no default grid point is closer to it than its nudged
     # twin: the twin is the allocated split, which is why it stays
-    d_r = with_relay_snr(derive(table1), 10.0)
+    d_r = derive(table1.with_snr_r(10.0))
     seed = alpha_for_primary_bound(d_r, table1.epsilon)
     twin = seed + 1e-9
     assert upper_bound_d1(d_r, "primary", seed) > table1.epsilon
@@ -218,7 +219,7 @@ def _grid_scan_allocate(params, snr_r_grid=None, alpha_grid=None):
     lo, hi = grid[0], grid[-1]
     best = None
     for snr_r in sorted(snr_r_grid):
-        d_r = with_relay_snr(derived, snr_r)
+        d_r = derive(derived.params.with_snr_r(snr_r))
         seed_alpha = alpha_for_primary_bound(d_r, epsilon)
         candidates = list(grid)
         if seed_alpha is not None:
@@ -298,7 +299,7 @@ def test_allocate_matches_grid_scan_on_restricted_grids():
         families = [st.lists(anywhere, min_size=1, max_size=8),
                     st.lists(st.floats(0.0, floor, exclude_max=True),
                              min_size=1, max_size=5)]
-        seed = alpha_for_primary_bound(with_relay_snr(derived, snr_r), epsilon)
+        seed = alpha_for_primary_bound(derived, epsilon, snr_r)
         if seed is not None:
             twin = min(1.0, seed + 1e-9)
             near = st.sampled_from((
@@ -350,12 +351,12 @@ def test_allocate_seeded_search_branches(table1, case):
     elif case == "below_seed_meets":    # the search continues downward
         below = math.nextafter(seed, 0.0)
         below2 = math.nextafter(below, 0.0)
-        assert upper_bound_d1(with_relay_snr(d, snr_r), "primary",
+        assert upper_bound_d1(derive(d.params.with_snr_r(snr_r)), "primary",
                               below2) <= table1.epsilon
         grid, expected = (below2, below, seed, 1.0), below2
     elif case == "seed_fails":          # the search continues upward
         above = math.nextafter(seed, 1.0)
-        assert upper_bound_d1(with_relay_snr(d, snr_r), "primary",
+        assert upper_bound_d1(derive(d.params.with_snr_r(snr_r)), "primary",
                               above) > table1.epsilon
         grid, expected = (seed, above, seed + 1e-9, 1.0), seed + 1e-9
     elif case == "grid_below_seed":     # nothing at or above the inverse
@@ -434,16 +435,3 @@ def test_band_empty_iff_threshold_product_exceeds_one():
             product = (two_slot_threshold(rate_p) * two_slot_threshold(rate_s))
             assert (common_alpha_band(rate_p, rate_s) is not None) == \
                 (product <= 1.0)
-
-
-# ---- derived-table relay repoint -------------------------------------------------
-
-def test_with_relay_snr_rescales_only_relay_gains(table1_derived):
-    d_r = with_relay_snr(table1_derived, 2.5)
-    assert d_r.gain.rp == 2.5 * table1_derived.params.link_vars.rp
-    assert d_r.gain.rs == 2.5 * table1_derived.params.link_vars.rs
-    assert d_r.gain.pp == table1_derived.gain.pp
-    assert d_r.gain.sr == table1_derived.gain.sr
-    assert d_r.params.snr_r == 2.5
-    with pytest.raises(ValueError):
-        with_relay_snr(table1_derived, -1.0)

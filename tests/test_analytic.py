@@ -24,7 +24,6 @@ from crrelay import (
     prob_relay_active_exact,
     total_secondary_outage,
     upper_bound_d1,
-    with_relay_snr,
 )
 from crrelay.analytic import primary_split_floor, secondary_split_ceiling
 
@@ -361,7 +360,7 @@ def test_bound_continuous_at_branch_points(table1_derived):
 def test_bound_underflowing_relay_gain_is_no_relay(table1_derived):
     # at the smallest positive relay SNR the relay gain times the split term
     # underflows to 0: the bound takes its no-relay limit, not 1/0
-    d = with_relay_snr(table1_derived, 5e-324)
+    d = derive(table1_derived.params.with_snr_r(5e-324))
     assert upper_bound_d1(d, "primary", 0.5) == \
         upper_bound_d1(d, "primary", 0.0)
     assert upper_bound_d1(d, "secondary", 0.5) == \

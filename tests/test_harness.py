@@ -1,9 +1,12 @@
+import ast
 import csv
 import hashlib
 import io
+from pathlib import Path
 
 import pytest
 
+import crrelay.analytic
 from crrelay import (
     QuadratureError,
     SweepSpec,
@@ -200,34 +203,53 @@ def test_sweep_csv_byte_stable_across_runs_and_workers():
     assert run_sweep(spec, workers=4).to_csv_bytes() == ref
 
 
-# Standard output of two CLI sweeps whose simulated rows share one draw
-# source: the first splits 300_001 trials into chunks (the last one partial)
-# over two workers, the second mixes analytic and simulated cells; both keep
-# out-of-range splits as per-row errors.
+# Standard output of CLI sweeps, with the set of row errors each must show.
+# The first splits 300_001 trials into chunks (the last one partial) over two
+# workers, the second mixes analytic and simulated cells; both keep
+# out-of-range splits as per-row errors.  The min_for_epsilon cases cover the
+# infeasible rows below the split floor, the floor itself, and the splits
+# above 1 (the last range point rounds to just above 1).
+_OUT_OF_RANGE = "alpha must lie in [0, 1]"
+_BELOW_FLOOR = "infeasible: split at or below the primary-bound floor"
+_ABOVE_ONE = "alpha must lie strictly above the split floor and at most 1"
 _SWEEP_STDOUT_SHA256 = {
     "alpha-montecarlo-workers2": (
         ["--trials", "300001", "--workers", "2", "sweep", "--axis", "alpha",
          "--start", "0.9", "--stop", "1.2", "--step", "0.1",
          "--mode", "montecarlo", "--schemes", "proposed,noncooperative"],
         "ce5417abaea5f48386c9ede3d7b4c83f553530e98918bd24c9104edf690b3dce",
+        {_OUT_OF_RANGE},
     ),
     "alpha-both": (
         ["--trials", "200000", "sweep", "--axis", "alpha",
          "--start", "-0.2", "--stop", "1.2", "--step", "0.2",
          "--mode", "both", "--schemes", "proposed,relay_assisted_secondary"],
         "9e9f9c0c10e7ede76243fb531c28552cf12c6c54cd0b402784a3f65692610930",
+        {_OUT_OF_RANGE},
+    ),
+    "alpha-min-policy": (
+        ["sweep", "--snr-r-policy", "min_for_epsilon", "--axis", "alpha",
+         "--start", "-0.2", "--stop", "1.2", "--step", "0.1"],
+        "52bfc8c10f360187baaee8d755e5abdabc55a696174637c59c2f7c58e0c7ff25",
+        {_BELOW_FLOOR, _ABOVE_ONE},
+    ),
+    "alpha-min-policy-at-floor": (
+        ["sweep", "--snr-r-policy", "min_for_epsilon", "--axis", "alpha",
+         "--start", "0.4256508225014825", "--stop", "0.4256508225014825",
+         "--step", "0.1", "--schemes", "proposed,noncooperative"],
+        "96c77078e1fb3cef0c705b5718f1815af1d2ae4e02a02a9726b090196335a9af",
+        {_BELOW_FLOOR},
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_SWEEP_STDOUT_SHA256))
 def test_cli_sweep_stdout_bytes_pinned(case, capsys):
-    argv, digest = _SWEEP_STDOUT_SHA256[case]
+    argv, digest, errors = _SWEEP_STDOUT_SHA256[case]
     assert cli_main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
-    errors = [r["error"] for r in rows_from_csv(out) if r["error"]]
-    assert errors and set(errors) == {"alpha must lie in [0, 1]"}
+    assert {r["error"] for r in rows_from_csv(out) if r["error"]} == errors
 
 
 # ---- reproduction targets ------------------------------------------------------
@@ -347,6 +369,25 @@ def test_compare_analytic_mc_interior_split(table1):
 def test_compare_analytic_mc_extreme_split(table1):
     report = compare_analytic_mc(table1, 1.0, trials=60_000, seed=4)
     assert any("exact" in c.name for c in report.checks)
+
+
+def test_exact_conditionals_integrate_once(monkeypatch, capsys):
+    # analytic and verify read the conditionals the totals mixed instead of
+    # evaluating them again: one quadrature for the relay-aided user
+    calls = []
+    integrate = crrelay.analytic.integrate_exp_over_x
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return integrate(*args, **kwargs)
+    monkeypatch.setattr(crrelay.analytic, "integrate_exp_over_x", counted)
+    assert cli_main(["analytic", "--alpha", "1"]) == 0
+    assert "(d1 exact)" in capsys.readouterr().out
+    assert len(calls) == 1
+    calls.clear()
+    report = compare_analytic_mc(default_params(), alpha=1.0, trials=1_000)
+    assert any("(exact)" in c.name for c in report.checks)
+    assert len(calls) == 1
 
 
 def test_compare_analytic_mc_no_secondary(table1):
@@ -534,3 +575,20 @@ def test_cli_reproduce_rejects_scenario_options(option, tmp_path, capsys):
                      "--target", "table1"]) == 1
     assert f"error: reproduce takes no {option[0]}" in capsys.readouterr().err
     assert not (tmp_path / "table1.csv").exists()
+
+
+# ---- module boundaries --------------------------------------------------------
+
+@pytest.mark.parametrize("module", ["harness", "cli"])
+def test_front_ends_import_no_private_names(module):
+    # the harness and the CLI use the layers below them only through their
+    # public names; a private helper they need belongs to its owner's API
+    source = Path(crrelay.__file__).with_name(f"{module}.py").read_text()
+    private = [
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").startswith("crrelay"))
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -15,7 +15,6 @@ from crrelay import (
     prob_relay_active_exact,
     total_secondary_outage,
     upper_bound_d1,
-    with_relay_snr,
 )
 from crrelay.analytic import primary_split_floor, secondary_split_ceiling
 from crrelay.system import LINKS
@@ -99,7 +98,7 @@ def test_bounds_do_not_increase_with_relay_snr(params, alpha, r1, r2):
     assume(d.snr_s > 0.0)
     lo, hi = sorted((r1, r2))
     for x, y in ((lo, hi), (lo, math.nextafter(lo, math.inf))):
-        d_x, d_y = with_relay_snr(d, x), with_relay_snr(d, y)
+        d_x, d_y = derive(params.with_snr_r(x)), derive(params.with_snr_r(y))
         for user in ("primary", "secondary"):
             assert (upper_bound_d1(d_x, user, alpha)
                     >= upper_bound_d1(d_y, user, alpha)), (user, x, y)

@@ -62,6 +62,17 @@ def test_derive_gain_table_wiring(table1):
     assert d.gain.sr == pytest.approx(d.snr_s * v.sr, rel=1e-15)
 
 
+def test_with_snr_r_rescales_only_relay_gains(table1):
+    base, d_r = derive(table1), derive(table1.with_snr_r(2.5))
+    assert d_r.gain.rp == 2.5 * table1.link_vars.rp
+    assert d_r.gain.rs == 2.5 * table1.link_vars.rs
+    assert replace(d_r.gain, rp=base.gain.rp, rs=base.gain.rs) == base.gain
+    assert d_r.snr_s == base.snr_s
+    assert d_r.params.snr_r == 2.5
+    with pytest.raises(ValueError):
+        table1.with_snr_r(-1.0)
+
+
 def test_secondary_denied_at_tight_threshold(table1):
     # epsilon -> 0 forces the admission margin negative: no secondary power
     d = derive(table1.with_epsilon(1e-12))
