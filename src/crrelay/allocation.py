@@ -108,7 +108,7 @@ def min_snr_r_for_epsilon(derived: DerivedParams, alpha: float,
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie strictly between 0 and 1")
     if not alpha <= 1.0:
-        raise ValueError("alpha must lie strictly above the split floor and at most 1")
+        raise ValueError("alpha must be at most 1")
     lam = derived.lambda_p
     x = _ratio_outage(derived.gain.pp, derived.gain.sp, lam)
     if epsilon >= x:

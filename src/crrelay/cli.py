@@ -95,9 +95,9 @@ def _cmd_analytic(params, args):
     derived = derive(params)
     cutoff = secondary_cutoff_snr(params.rate_p, params.epsilon,
                                   params.link_vars.pp)
+    summary = total_secondary_outage(derived, args.alpha)
     print(f"secondary snr: {derived.snr_s:.6g} "
           f"(admission cutoff {linear_to_db(cutoff):.4g} dB)")
-    summary = total_secondary_outage(derived, args.alpha)
     kind = "bound" if summary.bound else "exact"
     print(f"relay activation: {summary.p_d1:.6g}")
     print(f"total secondary outage ({kind}): {summary.total_sec:.6g}")

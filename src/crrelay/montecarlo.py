@@ -22,15 +22,13 @@ exponentials -log1p(-u) are generated once per (seed, chunk) and shared by
 every request of an estimate_many() call, each kernel scaling the links it
 reads.  A chunk's draws are transposed into their (8, n) layout one
 cache-sized sub-block of the stream at a time, so memory stays at one chunk
-(plus one sub-block) per worker however many trials or requests.
+(plus one sub-block) per worker however many trials or requests.  numpy is
+imported on the first draw, so the commands that never simulate never load it.
 """
 
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-
-import numpy as np
 
 from .system import LINKS, DerivedParams, SystemParams, derive
 
@@ -96,24 +94,28 @@ class SchemeEstimates:
 
 def _generator(seed: int, start: int):
     """Philox generator over the seed's stream, positioned at trial start."""
+    import numpy as np
+
     bit = np.random.Philox(key=seed)
     bit.advance(_BLOCKS_PER_TRIAL * start)
     return np.random.Generator(bit)
 
 
-def _uniform_block(seed: int, start: int, n: int) -> np.ndarray:
+def _uniform_block(seed: int, start: int, n: int) -> "np.ndarray":
     """Uniform doubles for trials [start, start+n), shape (n, 8)."""
     u = _generator(seed, start).random(n * _DOUBLES_PER_TRIAL)
     return u.reshape(n, _DOUBLES_PER_TRIAL)
 
 
-def _unit_block(seed: int, start: int, n: int) -> np.ndarray:
+def _unit_block(seed: int, start: int, n: int) -> "np.ndarray":
     """Unit-mean exponentials -log1p(-u) for trials [start, start+n).
 
     Shape (8, n), C-contiguous, row k holding link LINKS[k]; a link's channel
     draws are its variance times its row.  Equal to -log1p(-u).T for u =
     _uniform_block(seed, start, n), read in cache-sized sub-blocks.
     """
+    import numpy as np
+
     gen = _generator(seed, start)
     e = np.empty((_DOUBLES_PER_TRIAL, n))
     for s in range(0, n, _SUB_TRIALS):
@@ -126,13 +128,15 @@ def _unit_block(seed: int, start: int, n: int) -> np.ndarray:
 
 
 def _count_chunk(derived: DerivedParams, alpha: float, scheme: str,
-                 e: np.ndarray) -> dict:
+                 e: "np.ndarray") -> dict:
     """Integer event counts of one scheme over a chunk of unit draws.
 
     Scales only the links the scheme reads and drops each scaled link and
     temporary after its last use, so evaluating a request adds a few trial
     vectors to the chunk's working set.
     """
+    import numpy as np
+
     p = derived.params
     snr_p, snr_s, snr_r = p.snr_p, derived.snr_s, p.snr_r
     lp, ls = derived.lambda_p, derived.lambda_s
@@ -245,6 +249,8 @@ def estimate_many(seed: int, trials: int, requests, workers: int = 1) -> list:
     if workers == 1 or len(chunks) == 1:
         partials = [run(c) for c in chunks]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(run, chunks))
 

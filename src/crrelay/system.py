@@ -84,6 +84,9 @@ class SystemParams:
     link_vars: LinkTable
 
     def __post_init__(self):
+        for name in ("rate_p", "rate_s", "snr_p", "snr_r"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not (self.rate_p > 0.0 and self.rate_s > 0.0):
             raise ValueError("rates must be positive")
         if not self.snr_p > 0.0:
@@ -92,9 +95,6 @@ class SystemParams:
             raise ValueError("snr_r must be nonnegative")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie strictly between 0 and 1")
-        for name in ("rate_p", "rate_s", "snr_p", "snr_r"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
         for name in ("rate_p", "rate_s"):
             if not getattr(self, name) < MAX_RATE:
                 raise ValueError(f"{name} must be below {MAX_RATE:g} "

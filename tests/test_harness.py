@@ -211,7 +211,7 @@ def test_sweep_csv_byte_stable_across_runs_and_workers():
 # above 1 (the last range point rounds to just above 1).
 _OUT_OF_RANGE = "alpha must lie in [0, 1]"
 _BELOW_FLOOR = "infeasible: split at or below the primary-bound floor"
-_ABOVE_ONE = "alpha must lie strictly above the split floor and at most 1"
+_ABOVE_ONE = "alpha must be at most 1"
 _SWEEP_STDOUT_SHA256 = {
     "alpha-montecarlo-workers2": (
         ["--trials", "300001", "--workers", "2", "sweep", "--axis", "alpha",
@@ -230,7 +230,7 @@ _SWEEP_STDOUT_SHA256 = {
     "alpha-min-policy": (
         ["sweep", "--snr-r-policy", "min_for_epsilon", "--axis", "alpha",
          "--start", "-0.2", "--stop", "1.2", "--step", "0.1"],
-        "52bfc8c10f360187baaee8d755e5abdabc55a696174637c59c2f7c58e0c7ff25",
+        "7ed76f1e4d4134ff1537d13eb318729429d52590b979cfbdadb71faef42452c2",
         {_BELOW_FLOOR, _ABOVE_ONE},
     ),
     "alpha-min-policy-at-floor": (
@@ -471,6 +471,25 @@ def test_cli_config_errors(tmp_path):
 def test_cli_rejects_non_finite_scenario(override, capsys):
     assert cli_main(["--set", override, "analytic"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override, name", [
+    ("rate_p=nan", "rate_p"), ("rate_s=nan", "rate_s"),
+    ("rate_s=-inf", "rate_s"), ("snr_p_db=nan", "snr_p"),
+    ("snr_p_db=4000", "snr_p"), ("snr_r_db=nan", "snr_r"),
+    ("snr_r_db=inf", "snr_r"),
+])
+def test_cli_names_the_non_finite_value(override, name, capsys):
+    # finiteness is checked before sign, so NaN is not called non-positive
+    assert cli_main(["--set", override, "analytic"]) == 1
+    assert capsys.readouterr() == ("", f"error: {name} must be finite\n")
+
+
+@pytest.mark.parametrize("alpha", ["1.5", "-0.5", "nan"])
+def test_cli_analytic_rejects_split_before_printing(alpha, capsys):
+    assert cli_main(["analytic", "--alpha", alpha]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
 
 
 def test_cli_analytic_converges_on_wide_quadrature_interval(capsys):

@@ -95,6 +95,59 @@ def test_import_does_not_load_numpy_random():
     assert out.strip() == "False"
 
 
+def run_fresh(code, *args):
+    """Standard output of `code` run with `args` in a fresh interpreter."""
+    src = str(Path(crrelay.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=src,
+                          check=True, capture_output=True, text=True,
+                          timeout=120).stdout
+
+
+# main(argv) with its stdout discarded, then whether numpy got loaded
+_MAIN_LOADS_NUMPY = (
+    "import contextlib, io, sys\n"
+    "from crrelay.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    rc = main(sys.argv[1:])\n"
+    "print(rc, 'numpy' in sys.modules)\n"
+)
+
+
+def test_import_loads_no_numpy():
+    # the simulator imports numpy and its thread pool on first use, so the
+    # package and its CLI start without numpy, concurrent.futures or logging
+    code = ("import sys, crrelay, crrelay.cli; print(sorted(m for m in "
+            "('numpy', 'concurrent.futures', 'logging') if m in sys.modules))")
+    assert run_fresh(code).strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["allocate"],
+    ["analytic", "--alpha", "1"],
+    ["region"],
+    ["reproduce", "--target", "fig2"],
+    ["sweep", "--axis", "snr_p_db", "--start", "19", "--stop", "21",
+     "--step", "1", "--mode", "analytic"],
+], ids=["allocate", "analytic", "region", "reproduce-fig2", "sweep-analytic"])
+def test_non_simulating_commands_load_no_numpy(argv, tmp_path):
+    out = run_fresh(_MAIN_LOADS_NUMPY, "--out-dir", str(tmp_path), *argv)
+    assert out.split() == ["0", "False"]
+
+
+def test_simulate_loads_numpy():
+    out = run_fresh(_MAIN_LOADS_NUMPY, "--trials", "1000", "simulate")
+    assert out.split() == ["0", "True"]
+
+
+def test_first_numpy_import_in_worker_threads_keeps_estimates():
+    # with 2 workers the first draws, and so the first numpy import, happen
+    # inside the pool's threads
+    code = "import sys; from crrelay.cli import main; sys.exit(main(sys.argv[1:]))"
+    runs = [run_fresh(code, "--workers", w, "--trials", "200000", "simulate")
+            for w in ("1", "2")]
+    assert runs[0].startswith("scheme=proposed") and runs[1] == runs[0]
+
+
 def test_channel_block_means(table1):
     g = link_draws(table1, seed=21, start=0, n=1_000_000)
     assert g["pp"].mean() == pytest.approx(1.0, abs=0.003)
