@@ -68,6 +68,8 @@ class OutageSummary:
 
 
 def _clamp01(x: float) -> float:
+    if x != x:
+        raise ArithmeticError("an outage probability evaluated to NaN")
     return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
 
 

@@ -6,6 +6,7 @@ a verification or reproduction check fails.
 
 import argparse
 import sys
+from pathlib import Path
 
 from .allocation import allocate, common_alpha_band
 from .analytic import total_secondary_outage
@@ -156,11 +157,13 @@ def _cmd_sweep(params, args):
         schemes=schemes, mode=args.mode,
         trials=DEFAULT_SWEEP_TRIALS if args.trials is None else args.trials,
         seed=args.seed, alpha=args.alpha, snr_r_policy=args.snr_r_policy)
-    table = run_sweep(spec, workers=args.workers)
+    data = run_sweep(spec, workers=args.workers).to_csv_bytes()
     if args.out is None:
-        sys.stdout.write(table.to_csv_text())
+        sys.stdout.write(data.decode("utf-8"))
     else:
-        path = table.write_csv(args.out)
+        path = Path(args.out)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
         print(f"wrote {path}")
     return 0
 

@@ -19,7 +19,7 @@ import csv
 import io
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .allocation import (
@@ -52,8 +52,13 @@ OUT_DIR_ENV = "CRRELAY_OUT_DIR"
 
 _SCALAR_KEYS = ("rate_p", "rate_s", "snr_p_db", "snr_r_db", "epsilon")
 
-SWEEP_AXES = ("snr_p_db", "snr_r_db", "epsilon", "alpha", "rate_p", "rate_s",
-              "mu1", "mu2") + tuple(f"var_{l}" for l in LINKS)
+# The links each channel-variance axis sets: the relay's link pair toward the
+# primary (mu1) or the secondary (mu2), or one link.
+_LINK_AXES = {"mu1": ("pr", "rp"), "mu2": ("sr", "rs"),
+              **{f"var_{l}": (l,) for l in LINKS}}
+
+SWEEP_AXES = ("snr_p_db", "snr_r_db", "epsilon", "alpha", "rate_p",
+              "rate_s") + tuple(_LINK_AXES)
 
 MODES = ("analytic", "montecarlo", "both")
 
@@ -226,9 +231,7 @@ class ResultRow:
     error: str = ""
 
 
-_CSV_COLUMNS = ("axis", "value", "scheme", "analytic_sec", "analytic_is_bound",
-                "mc_sec", "mc_sec_std_err", "p_d1", "snr_s", "snr_r", "alpha",
-                "error")
+_CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 def _csv_cell(x) -> str:
@@ -261,14 +264,13 @@ class ResultTable:
     def to_csv_bytes(self) -> bytes:
         return _csv_bytes(_CSV_COLUMNS, self.cells())
 
-    def to_csv_text(self) -> str:
-        return self.to_csv_bytes().decode("utf-8")
 
-    def write_csv(self, path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(self.to_csv_bytes())
-        return path
+def _with_links(scenario: SystemParams, **axes) -> SystemParams:
+    """Scenario with each channel-variance axis in axes set to its value."""
+    lv = scenario.link_vars
+    for axis, value in axes.items():
+        lv = replace(lv, **dict.fromkeys(_LINK_AXES[axis], value))
+    return replace(scenario, link_vars=lv)
 
 
 def _apply_axis(scenario: SystemParams, axis: str, value: float, alpha: float):
@@ -283,15 +285,8 @@ def _apply_axis(scenario: SystemParams, axis: str, value: float, alpha: float):
         return scenario, float(value)
     if axis in ("rate_p", "rate_s"):
         return replace(scenario, **{axis: float(value)}), alpha
-    if axis == "mu1":
-        lv = replace(scenario.link_vars, pr=value, rp=value)
-        return replace(scenario, link_vars=lv), alpha
-    if axis == "mu2":
-        lv = replace(scenario.link_vars, sr=value, rs=value)
-        return replace(scenario, link_vars=lv), alpha
-    if axis.startswith("var_"):
-        lv = replace(scenario.link_vars, **{axis[4:]: value})
-        return replace(scenario, link_vars=lv), alpha
+    if axis in _LINK_AXES:
+        return _with_links(scenario, **{axis: value}), alpha
     raise ValueError(f"unknown axis {axis!r}")
 
 
@@ -349,17 +344,12 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> ResultTable:
                         row.analytic_sec = summary.total_sec
                         row.analytic_is_bound = summary.bound
                         row.p_d1 = summary.p_d1
-                    elif scheme == "noncooperative":
+                    elif derived.snr_s == 0.0 or scheme == "noncooperative":
+                        # no closed form for the relay-assisted baseline
                         row.analytic_sec = (
                             1.0 if derived.snr_s == 0.0
-                            else noncoop_secondary_outage(derived)
-                        )
+                            else noncoop_secondary_outage(derived))
                         row.analytic_is_bound = False
-                    else:
-                        # no closed form for the relay-assisted baseline
-                        if derived.snr_s == 0.0:
-                            row.analytic_sec = 1.0
-                            row.analytic_is_bound = False
                 if spec.mode in ("montecarlo", "both"):
                     check_request(alpha, scheme)
                     mc_rows.append(row)
@@ -415,19 +405,22 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
+def _check(name, ok, detail) -> Check:
+    """The one verdict rule: a check passes exactly when ok holds."""
+    return Check(name, "PASS" if ok else "FAIL", detail)
+
+
 def _value_check(name, produced, reference, tol) -> Check:
-    ok = abs(produced - reference) <= tol
-    return Check(name, "PASS" if ok else "FAIL",
-                 f"produced={produced:.9g} reference={reference:.9g} "
-                 f"tol={tol:.9g} |diff|={abs(produced - reference):.3g}")
+    return _check(name, abs(produced - reference) <= tol,
+                  f"produced={produced:.9g} reference={reference:.9g} "
+                  f"tol={tol:.9g} |diff|={abs(produced - reference):.3g}")
 
 
 def _less_check(name, smaller, larger, margin=0.0, strict=True) -> Check:
     ok = smaller < larger - margin if strict else smaller <= larger + 1e-12
     rel = "<" if strict else "<="
-    return Check(name, "PASS" if ok else "FAIL",
-                 f"{smaller:.9g} {rel} {larger:.9g}"
-                 + (f" (margin {margin:.3g})" if margin else ""))
+    return _check(name, ok, f"{smaller:.9g} {rel} {larger:.9g}"
+                  + (f" (margin {margin:.3g})" if margin else ""))
 
 
 def _z_check(name, est: OutageEstimate, analytic: float, note="") -> Check:
@@ -445,16 +438,15 @@ def _z_check(name, est: OutageEstimate, analytic: float, note="") -> Check:
         ok = ok or lo <= analytic <= hi
     if note:
         detail += f" [{note}]"
-    return Check(name, "PASS" if ok else "FAIL", detail)
+    return _check(name, ok, detail)
 
 
 def _bound_check(name, est: OutageEstimate, bound: float, note="") -> Check:
-    ok = est.p_hat <= bound + 3.0 * est.std_err
     detail = (f"mc={est.p_hat:.6g} bound={bound:.6g} "
               f"slack={bound + 3.0 * est.std_err - est.p_hat:+.3g}")
     if note:
         detail += f" [{note}]"
-    return Check(name, "PASS" if ok else "FAIL", detail)
+    return _check(name, est.p_hat <= bound + 3.0 * est.std_err, detail)
 
 
 def _note(name, text) -> Check:
@@ -553,11 +545,9 @@ def _fig3(trials, seed, workers):
         and r.snr_s == 0.0
         for r in below
     )
-    checks.append(Check(
+    checks.append(_check(
         "below cutoff: no secondary access, outage 1 in every scheme",
-        "PASS" if ok_below and below else "FAIL",
-        f"{len(below)} rows below {cutoff_db:.2f} dB",
-    ))
+        ok_below and below, f"{len(below)} rows below {cutoff_db:.2f} dB"))
     at20 = {r.scheme: r for r in table.rows if r.value == 20.0}
     prop, relay, nc = (at20["proposed"], at20["relay_assisted_secondary"],
                        at20["noncooperative"])
@@ -577,11 +567,9 @@ def _fig3(trials, seed, workers):
         and r.mc_sec is not None and r.analytic_sec is not None
         and r.mc_sec > r.analytic_sec + 3.0 * r.mc_sec_std_err
     ]
-    checks.append(Check(
-        "proposed rows: simulation within bound + 3 std_err",
-        "PASS" if not dominated else "FAIL",
-        f"{len(dominated)} violations over {len(table.rows)} rows",
-    ))
+    checks.append(_check(
+        "proposed rows: simulation within bound + 3 std_err", not dominated,
+        f"{len(dominated)} violations over {len(table.rows)} rows"))
     return ("fig3: secondary outage versus primary SNR", _CSV_COLUMNS,
             table.cells(), checks)
 
@@ -601,8 +589,7 @@ def _min_relay_curve(scenario, alpha=0.5, start=12.0, stop=30.0):
 def _mu_family_curves() -> dict:
     """Minimum-relay-power curve per channel-condition family (mu1, mu2)."""
     base = default_params()
-    return {(mu1, mu2): _min_relay_curve(replace(base, link_vars=replace(
-                base.link_vars, pr=mu1, rp=mu1, sr=mu2, rs=mu2)))
+    return {(mu1, mu2): _min_relay_curve(_with_links(base, mu1=mu1, mu2=mu2))
             for mu1, mu2 in _MU_FAMILIES}
 
 
@@ -670,10 +657,9 @@ def _fig6():
                     u[0.5], u[0.76]),
         _less_check("20 dB: u_s_prime(0.76) <= u_s_prime(1.0)",
                     u[0.76], u[1.0], strict=False),
-        Check("split below the floor reports outage 1",
-              "PASS" if below_floor_alpha < floor
-              and below.analytic_sec == 1.0 else "FAIL",
-              f"alpha={below_floor_alpha} < floor={floor:.6f}"),
+        _check("split below the floor reports outage 1",
+               below_floor_alpha < floor and below.analytic_sec == 1.0,
+               f"alpha={below_floor_alpha} < floor={floor:.6f}"),
         _note("flat region", "the secondary bound is split-independent above "
               f"{1.0 / (1.0 + derived.lambda_s):.4f}, so 0.76 and 1.0 "
               "coincide analytically"),
@@ -744,9 +730,8 @@ def compare_analytic_mc(params: SystemParams, alpha: float,
         checks = (
             _note("no secondary access", "scenario sits below the admission "
                   "cutoff; secondary outage is 1 by definition"),
-            Check("simulated secondary outage is 1",
-                  "PASS" if est.sec.p_hat == 1.0 else "FAIL",
-                  f"mc={est.sec.p_hat}"),
+            _check("simulated secondary outage is 1", est.sec.p_hat == 1.0,
+                   f"mc={est.sec.p_hat}"),
         )
         return Report(title, checks)
 
@@ -762,40 +747,24 @@ def compare_analytic_mc(params: SystemParams, alpha: float,
         _z_check("SIC order: primary decoded first", est.order_p,
                  prob_decode_order(derived, "p")),
     ]
+    active, active_check = (("relay active (exact)", _z_check)
+                            if cond.d1_exact else
+                            ("relay active within bound", _bound_check))
+    total, note = (("bound", "") if summary.bound else
+                   ("exact-conditional mixture",
+                    "mixture weight inherits the activation closed form"))
     if est.sec_d0 is not None:
-        checks.append(_z_check("secondary outage | relay silent", est.sec_d0,
-                               cond.sec_d0))
-        checks.append(_z_check("primary outage | relay silent", est.pri_d0,
-                               cond.pri_d0))
+        checks += [_z_check(f"{user} outage | relay silent", mc, ref)
+                   for user, mc, ref in (("secondary", est.sec_d0, cond.sec_d0),
+                                         ("primary", est.pri_d0, cond.pri_d0))]
     if est.sec_d1 is not None:
-        if cond.d1_exact:
-            checks.append(_z_check(
-                "primary outage | relay active (exact)", est.pri_d1,
-                cond.pri_d1))
-            checks.append(_z_check(
-                "secondary outage | relay active (exact)", est.sec_d1,
-                cond.sec_d1))
-        else:
-            checks.append(_bound_check(
-                "primary outage | relay active within bound", est.pri_d1,
-                cond.pri_d1))
-            checks.append(_bound_check(
-                "secondary outage | relay active within bound", est.sec_d1,
-                cond.sec_d1))
-    if summary.bound:
-        checks.append(_bound_check("total secondary outage within bound",
-                                   est.sec, summary.total_sec))
-        checks.append(_bound_check("total primary outage within bound",
-                                   est.pri, summary.total_pri))
-    else:
-        checks.append(_bound_check(
-            "total secondary outage within exact-conditional mixture",
-            est.sec, summary.total_sec,
-            note="mixture weight inherits the activation closed form"))
-        checks.append(_bound_check(
-            "total primary outage within exact-conditional mixture",
-            est.pri, summary.total_pri,
-            note="mixture weight inherits the activation closed form"))
+        checks += [active_check(f"{user} outage | {active}", mc, ref)
+                   for user, mc, ref in (("primary", est.pri_d1, cond.pri_d1),
+                                         ("secondary", est.sec_d1, cond.sec_d1))]
+    checks += [_bound_check(f"total {user} outage within {total}", mc, ref,
+                            note=note)
+               for user, mc, ref in (("secondary", est.sec, summary.total_sec),
+                                     ("primary", est.pri, summary.total_pri))]
     checks.append(_z_check("non-cooperative secondary outage", nc.sec,
                            noncoop_secondary_outage(derived)))
     checks.append(_z_check(

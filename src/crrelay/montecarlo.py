@@ -212,6 +212,8 @@ def check_run(trials, seed: int, workers: int) -> None:
         raise ValueError("workers must be at least 1")
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
+    if seed >= 2 ** 128:
+        raise ValueError("seed must be below 2**128")   # the Philox key width
 
 
 def check_request(alpha: float, scheme: str) -> None:

@@ -166,11 +166,14 @@ def admitted_secondary_snr(rate_p, snr_p, var_pp, var_sp, epsilon) -> float:
 
 
 def derive(params: SystemParams) -> DerivedParams:
-    """Compute thresholds, the admitted secondary SNR and the mean-gain table."""
+    """Thresholds, admitted secondary SNR and mean gains; ValueError on overflow."""
     snr_s = admitted_secondary_snr(
         params.rate_p, params.snr_p, params.link_vars.pp, params.link_vars.sp,
         params.epsilon,
     )
+    if not math.isfinite(snr_s):
+        raise ValueError("admitted secondary SNR overflows: link variance pp "
+                         "is too large or sp too small")
     v = params.link_vars
     gain = LinkTable(
         pp=params.snr_p * v.pp,
@@ -182,6 +185,9 @@ def derive(params: SystemParams) -> DerivedParams:
         rp=params.snr_r * v.rp,
         rs=params.snr_r * v.rs,
     )
+    for name, g in gain.as_dict().items():
+        if not math.isfinite(g):
+            raise ValueError(f"mean gain of link {name} overflows")
     return DerivedParams(
         theta_p=one_slot_threshold(params.rate_p),
         theta_s=one_slot_threshold(params.rate_s),

@@ -25,7 +25,8 @@ from crrelay import (
     total_secondary_outage,
     upper_bound_d1,
 )
-from crrelay.analytic import primary_split_floor, secondary_split_ceiling
+from crrelay.analytic import (_clamp01, primary_split_floor,
+                              secondary_split_ceiling)
 
 # frozen reference values for the allocation-table scenario at epsilon=0.04
 T1_ACTIVATION = 0.9870192472216616
@@ -475,3 +476,11 @@ def test_probabilities_stay_in_unit_interval():
             values += [noncoop_secondary_outage(d), noncoop_primary_outage(d),
                        cond_sec_outage_d0(d), cond_pri_outage_d0(d)]
         assert all(0.0 <= v <= 1.0 for v in values)
+
+
+def test_clamp01_raises_on_nan():
+    # every closed-form probability passes through the clamp, so a NaN from
+    # an overflowed intermediate is refused there instead of returned
+    assert (_clamp01(-0.5), _clamp01(0.25), _clamp01(1.5)) == (0.0, 0.25, 1.0)
+    with pytest.raises(ArithmeticError, match="NaN"):
+        _clamp01(math.nan)

@@ -1,7 +1,9 @@
 import ast
 import csv
 import hashlib
+import importlib
 import io
+import types
 from pathlib import Path
 
 import pytest
@@ -83,7 +85,7 @@ def test_sweep_shape_and_columns():
                      schemes=("proposed", "noncooperative"), mode="analytic")
     table = run_sweep(spec)
     assert len(table.rows) == 6
-    text = table.to_csv_text()
+    text = table.to_csv_bytes().decode("utf-8")
     rows = rows_from_csv(text)
     assert tuple(rows[0].keys()) == _CSV_COLUMNS
     assert text.count("\r\n") == 7
@@ -327,6 +329,89 @@ def test_reproduce_target_csv_bytes_pinned(tmp_path):
     assert digests == _TARGET_CSV_SHA256
 
 
+# SHA-256 of each target's report text, same runs, without its "files:" line
+# (it names the output directory).  Any change to a verdict, a check's name
+# or its detail format moves a digest.
+_TARGET_REPORT_SHA256 = {
+    "table1": "ca3553ef4e962fa062acce8cbdfdc8a2aecdd3a54155a2343b3c3a3d3bed860f",
+    "fig2": "27a668707122ab3056b592298492e04d1983819779fcdc34f2d312c6051b41f4",
+    "fig3": "915c52e640d16c9f61b54fd17c536408677741ab5821ba45c55bb0b01c9447cc",
+    "fig4": "615563c5f58efaf4a86a447a4513128c2e7c73d191291be7f80c03cb183665fd",
+    "fig5": "0fabb4a9d436b34d72b09ee065a438520979888278ee11b3ac43c515a4250b00",
+    "fig6": "bdbc860c944a15f530a603b3cedf1e126f25bbc4a2f45d5dfac5dabaa3979680",
+}
+
+
+def test_reproduce_target_report_bytes_pinned(tmp_path):
+    assert set(REPRODUCE_TARGETS) == set(_TARGET_REPORT_SHA256)
+    digests = {}
+    for target in REPRODUCE_TARGETS:
+        reproduce(target, out_dir=tmp_path, trials=20_000, seed=1)
+        lines = (tmp_path / f"{target}_report.txt").read_text().splitlines(True)
+        kept = "".join(l for l in lines if not l.startswith("files: "))
+        digests[target] = hashlib.sha256(kept.encode("utf-8")).hexdigest()
+    assert digests == _TARGET_REPORT_SHA256
+
+
+# Standard output and exit code of verify runs covering both relay-active
+# row kinds (exact at splits 0 and 1, bounds inside), both total references
+# and the scenario without secondary access; and of sweeps moving each kind
+# of link axis and crossing the admission cutoff with every scheme.
+_ALL_SCHEMES = "proposed,relay_assisted_secondary,noncooperative"
+_HARNESS_STDOUT_SHA256 = {
+    "verify-alpha-0": (
+        ["--trials", "100000", "verify", "--alpha", "0"], 2,
+        "e933ed2da641205f3a5d5164b3c27c2213d02b95b769151434d2c18591bea8d6",
+    ),
+    "verify-alpha-0.5": (
+        ["--trials", "100000", "verify", "--alpha", "0.5"], 2,
+        "e7cfe23d336a86e5bd1b8e6f08295e08d5a3d0d88e4aa8522f253e4588702e82",
+    ),
+    "verify-alpha-1": (
+        ["--trials", "100000", "verify", "--alpha", "1"], 2,
+        "6a8604203c1bffac46a5d59adae5dce4a3126d0558d23656addeb7435470679c",
+    ),
+    "verify-no-secondary-access": (
+        ["--trials", "100000", "--set", "epsilon=0.001", "verify"], 0,
+        "274350696c9b7a15219702d7272096f77d278aae8c1e9ea8ea75cd2e5cfeef15",
+    ),
+    "sweep-mu1": (
+        ["--trials", "20000", "sweep", "--axis", "mu1",
+         "--start", "0.1", "--stop", "1", "--step", "0.3"], 0,
+        "963c4efaa2b57cc45f899bda977b15d0ee40c9567d111742f09f0d1eff3faa12",
+    ),
+    "sweep-mu2": (
+        ["sweep", "--mode", "analytic", "--axis", "mu2",
+         "--start", "0.1", "--stop", "1", "--step", "0.3"], 0,
+        "32426f4fbe9080c3c3447c7d9b2039a0f18df51842294b47519d4c948688c4f7",
+    ),
+    "sweep-var_sp": (
+        ["--trials", "20000", "sweep", "--axis", "var_sp",
+         "--start", "0.05", "--stop", "0.2", "--step", "0.05"], 0,
+        "c87073703474bcfba6a496cde0c6de7db31a933eadc2e65003057dc242f6c462",
+    ),
+    "sweep-var_rp": (
+        ["sweep", "--mode", "analytic", "--axis", "var_rp",
+         "--start", "0.5", "--stop", "2", "--step", "0.5"], 0,
+        "cbb3dde47535b85ecfb0ec57dab6e93f57301523188350013351983c44f6946d",
+    ),
+    "sweep-cutoff-all-schemes": (
+        ["--trials", "20000", "sweep", "--axis", "snr_p_db",
+         "--start", "5", "--stop", "14", "--step", "1",
+         "--schemes", _ALL_SCHEMES], 0,
+        "af8100f53ae2fea88c13153ba79dae40c5013f1b58deb7b5e42995a5e1aa3dbe",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HARNESS_STDOUT_SHA256))
+def test_cli_harness_stdout_bytes_pinned(case, tmp_path, capsys):
+    argv, code, digest = _HARNESS_STDOUT_SHA256[case]
+    assert cli_main(["--out-dir", str(tmp_path), *argv]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_reproduce_rejects_unknown_target(tmp_path):
     with pytest.raises(ValueError):
         reproduce("fig7", out_dir=tmp_path)
@@ -485,6 +570,48 @@ def test_cli_names_the_non_finite_value(override, name, capsys):
     assert capsys.readouterr() == ("", f"error: {name} must be finite\n")
 
 
+_SECONDARY_SNR_OVERFLOWS = ("admitted secondary SNR overflows: link variance "
+                            "pp is too large or sp too small")
+
+
+@pytest.mark.parametrize("overrides, command, message", [
+    (["link_vars.sp=1e-320"], ["analytic"], _SECONDARY_SNR_OVERFLOWS),
+    (["link_vars.sp=1e-320"], ["allocate"], _SECONDARY_SNR_OVERFLOWS),
+    (["link_vars.sp=1e-320"], ["simulate"], _SECONDARY_SNR_OVERFLOWS),
+    (["link_vars.ss=1e300", "link_vars.sp=1e-10"], ["analytic"],
+     "mean gain of link ss overflows"),
+    (["link_vars.pr=1e300", "snr_p_db=200"], ["analytic"],
+     "mean gain of link pr overflows"),
+    (["snr_p_db=1000", "snr_r_db=-1000", "link_vars.ss=1e200"],
+     ["analytic", "--alpha", "0"], "an outage probability evaluated to NaN"),
+], ids=["sp-analytic", "sp-allocate", "sp-simulate", "ss-gain", "pr-gain",
+        "nan-conditional"])
+def test_cli_rejects_overflowing_scenario(overrides, command, message, capsys):
+    # an overflow is refused, never printed as a NaN outage or a 0 +- 0
+    # estimate
+    argv = [a for item in overrides for a in ("--set", item)]
+    assert cli_main(["--trials", "1000", *argv, *command]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+_SEED_LIMIT = 2 ** 128
+
+
+@pytest.mark.parametrize("command", [["reproduce", "--target", "all"],
+                                     ["simulate"]], ids=["reproduce", "simulate"])
+def test_cli_rejects_seed_beyond_philox_key(command, tmp_path, capsys):
+    assert cli_main(["--out-dir", str(tmp_path), "--seed", str(_SEED_LIMIT),
+                     *command]) == 1
+    assert capsys.readouterr() == ("", "error: seed must be below 2**128\n")
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_accepts_largest_seed(capsys):
+    assert cli_main(["--seed", str(_SEED_LIMIT - 1), "--trials", "1000",
+                     "simulate"]) == 0
+    assert "secondary outage:" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("alpha", ["1.5", "-0.5", "nan"])
 def test_cli_analytic_rejects_split_before_printing(alpha, capsys):
     assert cli_main(["analytic", "--alpha", alpha]) == 1
@@ -597,6 +724,19 @@ def test_cli_reproduce_rejects_scenario_options(option, tmp_path, capsys):
 
 
 # ---- module boundaries --------------------------------------------------------
+
+def test_traced_bindings_exist(monkeypatch):
+    # the benchmark's count metrics read these cross-layer bindings; one that
+    # a refactor drops would only show up as a missing span in a traced run
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    for caller, name in tracing.COUNTED:
+        fn = getattr(importlib.import_module(f"crrelay.{caller}"), name, None)
+        assert isinstance(fn, types.FunctionType), f"crrelay.{caller}.{name}"
+        package, _, layer = fn.__module__.rpartition(".")
+        assert package == "crrelay", f"crrelay.{caller}.{name}"
+        assert layer in tracing.LAYERS and layer != caller, (caller, name, layer)
+
 
 @pytest.mark.parametrize("module", ["harness", "cli"])
 def test_front_ends_import_no_private_names(module):

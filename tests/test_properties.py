@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from crrelay import (
     LinkTable,
     SystemParams,
+    allocate,
     db_to_linear,
     derive,
     estimate,
@@ -102,3 +103,46 @@ def test_bounds_do_not_increase_with_relay_snr(params, alpha, r1, r2):
         for user in ("primary", "secondary"):
             assert (upper_bound_d1(d_x, user, alpha)
                     >= upper_bound_d1(d_y, user, alpha)), (user, x, y)
+
+
+@st.composite
+def extreme_scenarios(draw):
+    """Scenarios with SNRs and some link variances anywhere in the double
+    range, or None where SystemParams itself rejects the values."""
+    exponent = st.one_of(st.just(0.0), st.floats(-320.0, 300.0))
+    try:
+        return SystemParams(
+            rate_p=draw(st.floats(1e-3, 4.0)),
+            rate_s=draw(st.floats(1e-3, 4.0)),
+            snr_p=db_to_linear(draw(st.floats(-50.0, 3000.0))),
+            snr_r=db_to_linear(draw(st.floats(-3300.0, 3000.0))),
+            epsilon=draw(st.floats(1e-12, 0.5)),
+            link_vars=LinkTable.from_dict(
+                {name: 10.0 ** draw(exponent) for name in LINKS}),
+        )
+    except ValueError:
+        return None
+
+
+@settings(max_examples=300, **PROPERTY_SETTINGS)
+@given(params=extreme_scenarios(), alpha=splits)
+def test_extreme_scenarios_raise_or_give_no_nan(params, alpha):
+    # an overflow inside a closed form must surface as an error, never as a
+    # NaN outage; an infeasible allocation's NaN split is its documented
+    # sentinel, so only its secondary outage is read
+    assume(params is not None)
+    try:
+        s = total_secondary_outage(derive(params), alpha)
+    except (ValueError, ArithmeticError):
+        pass
+    else:
+        cond = () if s.cond is None else (s.cond.pri_d0, s.cond.sec_d0,
+                                          s.cond.pri_d1, s.cond.sec_d1)
+        assert not any(map(math.isnan, (s.p_d1, s.total_sec, s.total_pri,
+                                        *cond))), s
+    try:
+        res = allocate(params)
+    except (ValueError, ArithmeticError):
+        return
+    values = (res.alpha, res.snr_r, res.u_p) if res.feasible else ()
+    assert not any(map(math.isnan, (res.u_s_total, *values))), res
