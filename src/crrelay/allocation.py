@@ -12,6 +12,7 @@ that exact split locates the grid's first feasible point and is a candidate.
 """
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -128,8 +129,9 @@ _SNR_R_GRID_DB = (-10.0, 30.0, 0.25)
 _ALPHA_GRID_STEP = 0.005
 
 
+@functools.cache
 def default_snr_r_grid() -> tuple:
-    """Logarithmic relay-SNR grid (linear values)."""
+    """Logarithmic relay-SNR grid (linear values), computed once."""
     lo_db, hi_db, step_db = _SNR_R_GRID_DB
     n = int(round((hi_db - lo_db) / step_db))
     return tuple(db_to_linear(lo_db + k * step_db) for k in range(n + 1))

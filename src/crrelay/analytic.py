@@ -197,8 +197,12 @@ def cond_pri_outage_d0(derived: DerivedParams) -> float:
     return _ratio_outage(2.0 * g.pp, g.sp, derived.lambda_p)
 
 
-def _full_power_outage(g_sig, g_cross, g_relay, threshold) -> float:
-    """Outage of direct copy plus a full-power relay copy.
+# the direct, cross and relay links of each user's full-power form
+_FULL_POWER_LINKS = {"primary": "pp, sp and rp", "secondary": "ss, ps and rs"}
+
+
+def _full_power_outage(g_sig, g_cross, g_relay, threshold, user) -> float:
+    """Outage of direct copy plus a full-power relay copy for the given user.
 
     P(g_sig*E1/(g_cross*E2+1) + g_relay*E3 < threshold).  Conditioning on the
     relay term and integrating the ratio tail yields a single integral of
@@ -218,6 +222,10 @@ def _full_power_outage(g_sig, g_cross, g_relay, threshold) -> float:
                 - g_relay * math.exp(-threshold / g_sig)
                 * (1.0 / d + g_sig * g_cross / (d * d)))
     c = (1.0 / g_relay - 1.0 / g_sig) / g_cross
+    if not (math.isfinite(c) and math.isfinite(d)):
+        raise ArithmeticError(
+            f"full-power {user} outage overflows: the mean gains of links "
+            f"{_FULL_POWER_LINKS[user]} are out of range")
     a = g_sig
     shifted = integrate_exp_over_x(
         c, a, d, exp_shift=-c * a - threshold / g_relay
@@ -247,7 +255,8 @@ def cond_outage_d1_exact(derived: DerivedParams, user: str,
             return _ratio_outage(g.pp, g.sp, derived.lambda_p)
         if g.sp == 0.0:
             raise ValueError("full-power form needs a positive cross gain")
-        return _full_power_outage(g.pp, g.sp, g.rp, derived.lambda_p)
+        return _full_power_outage(g.pp, g.sp, g.rp, derived.lambda_p,
+                                  "primary")
     if user == "secondary":
         if g.ss <= 0.0:
             raise ValueError("secondary gains must be positive")
@@ -255,7 +264,8 @@ def cond_outage_d1_exact(derived: DerivedParams, user: str,
             return _ratio_outage(g.ss, g.ps, derived.lambda_s)
         if g.ps == 0.0:
             raise ValueError("full-power form needs a positive cross gain")
-        return _full_power_outage(g.ss, g.ps, g.rs, derived.lambda_s)
+        return _full_power_outage(g.ss, g.ps, g.rs, derived.lambda_s,
+                                  "secondary")
     raise ValueError("user must be 'primary' or 'secondary'")
 
 

@@ -5,6 +5,7 @@ a verification or reproduction check fails.
 """
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -36,7 +37,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and reused for the rest of
+    the process.  Parsing leaves it unchanged: every call gets a fresh
+    namespace, and ``append`` copies its default list."""
     top = _Parser(
         prog="crrelay",
         description="Outage analysis, simulation and power allocation for a "

@@ -3,12 +3,15 @@ import csv
 import hashlib
 import importlib
 import io
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
 import crrelay.analytic
+import crrelay.cli
 from crrelay import (
     QuadratureError,
     SweepSpec,
@@ -584,8 +587,15 @@ _SECONDARY_SNR_OVERFLOWS = ("admitted secondary SNR overflows: link variance "
      "mean gain of link pr overflows"),
     (["snr_p_db=1000", "snr_r_db=-1000", "link_vars.ss=1e200"],
      ["analytic", "--alpha", "0"], "an outage probability evaluated to NaN"),
+    # c = (1/g_rs - 1/g_ss)/g_ps of the full-power secondary form overflows
+    (["link_vars.pp=4.84e+33", "link_vars.sp=3.89e+35", "link_vars.ps=1.46e-259",
+      "link_vars.ss=4.56e-112", "link_vars.pr=4.14e-59", "link_vars.sr=8.99e+30",
+      "link_vars.rp=6.84e-57", "link_vars.rs=2.53e+159", "snr_p_db=-10.55",
+      "snr_r_db=216.76"], ["analytic", "--alpha", "0"],
+     "full-power secondary outage overflows: the mean gains of links ss, ps "
+     "and rs are out of range"),
 ], ids=["sp-analytic", "sp-allocate", "sp-simulate", "ss-gain", "pr-gain",
-        "nan-conditional"])
+        "nan-conditional", "full-power-secondary"])
 def test_cli_rejects_overflowing_scenario(overrides, command, message, capsys):
     # an overflow is refused, never printed as a NaN outage or a 0 +- 0
     # estimate
@@ -721,6 +731,98 @@ def test_cli_reproduce_rejects_scenario_options(option, tmp_path, capsys):
                      "--target", "table1"]) == 1
     assert f"error: reproduce takes no {option[0]}" in capsys.readouterr().err
     assert not (tmp_path / "table1.csv").exists()
+
+
+def _run_cli(argv, capsys):
+    """Exit code, standard output and standard error of one main(argv) call;
+    a usage error leaves main through SystemExit."""
+    try:
+        code = cli_main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+_TOP_USAGE = (
+    "usage: crrelay [-h] [--config CONFIG] [--set KEY=VAL] [--seed SEED]\n"
+    "               [--trials TRIALS] [--workers WORKERS] [--out-dir OUT_DIR]\n"
+    "               {analytic,simulate,allocate,region,sweep,reproduce,verify} ...\n"
+)
+
+# outputs taken while main still built a new parser on every call
+_ONE_PROCESS_CALLS = [
+    (["--set", "epsilon=0.05", "allocate"], 0,
+     "alpha=0.426346 snr_r=1000 (30 dB)\n"
+     "primary bound:          0.05\n"
+     "secondary outage bound: 0.000151436\n", ""),
+    (["allocate"], 0,
+     "alpha=0.42637 snr_r=1000 (30 dB)\n"
+     "primary bound:          0.03\n"
+     "secondary outage bound: 0.000317925\n", ""),
+    (["analytic", "--alpha", "x"], 1, "",
+     "usage: crrelay analytic [-h] [--alpha ALPHA]\n"
+     "crrelay analytic: error: argument --alpha: invalid float value: 'x'\n"),
+    (["--set", "bogus"], 1, "",
+     _TOP_USAGE + "crrelay: error: the following arguments are required: "
+                  "command\n"),
+    (["analytic", "--alpha", "1"], 0,
+     "secondary snr: 86.5055 (admission cutoff 10.21 dB)\n"
+     "relay activation: 0.985473\n"
+     "total secondary outage (exact): 0.0388954\n"
+     "total primary outage (exact):   0.00294644\n"
+     "conditionals: pri_d0=0.0346429 sec_d0=0.0199442 pri_d1=0.00247919 "
+     "sec_d1=0.0391747 (d1 exact)\n", ""),
+]
+
+
+def test_cli_calls_in_one_process_are_independent(monkeypatch, capsys):
+    # the process keeps one parser; no call's options or failure reach the next
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv, *expected in _ONE_PROCESS_CALLS:
+        assert _run_cli(argv, capsys) == tuple(expected), argv
+
+
+_HELP_SHA256 = {
+    None: "4e88126649c93d3a42a8b444f53ecd36406d4650c5e442cdf851f4d6c452612c",
+    "analytic": "e80e8e648dc55ee9f42f9b04c1267cd03fd44e2bd762177d9ba44d0f55ef8242",
+    "simulate": "07349e476660d5d9f6f1b16187de77906d6b9e11ccf74476321b8149bb3a867f",
+    "allocate": "ecf09228439092ccc8a70b899038d456ac6d3481a98b09edfe440b19e499d454",
+    "region": "6bf20f93a4c730383145f882a5c64b22753a98075f73dcde4977435ea1995a3e",
+    "sweep": "5858faff7434fb1a7c3aecc359fcc3b2711f54839ecb01c4af49805977070883",
+    "reproduce": "691fb6a7c814e423985232eed5a3cb4443101935bdcf5ad11db8e6f3b856afaa",
+    "verify": "512e7901cb85783a4da97cb2c7e4652abc0855e19de06e68e70bec1879a99b94",
+}
+
+
+def test_cli_help_text_pinned(monkeypatch, capsys):
+    # the same text from a newly built parser and from the reused one
+    monkeypatch.setenv("COLUMNS", "80")
+    for reused in (False, True):
+        for command, digest in _HELP_SHA256.items():
+            if not reused:
+                crrelay.cli._build_parser.cache_clear()
+            argv = ["--help"] if command is None else [command, "--help"]
+            code, out, err = _run_cli(argv, capsys)
+            assert (code, err) == (0, ""), (command, reused)
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, \
+                (command, reused)
+
+
+def test_cli_parser_built_on_first_call_only():
+    # importing the CLI builds no parser, so a cold start never pays for it;
+    # the first main call builds it and later calls reuse it
+    code = ("import contextlib, io, crrelay, crrelay.cli as cli\n"
+            "built = [cli._build_parser.cache_info().misses]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for _ in range(2):\n"
+            "        cli.main(['region'])\n"
+            "        built.append(cli._build_parser.cache_info().misses)\n"
+            "print(built)\n")
+    src = Path(crrelay.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[0, 1, 1]"
 
 
 # ---- module boundaries --------------------------------------------------------
