@@ -20,7 +20,7 @@ approximate weight and are not exact even where the conditionals are.
 import math
 from dataclasses import dataclass
 
-from .quadrature import integrate_exp_over_x
+from .quadrature import QuadratureError, integrate_exp_over_x
 from .system import DerivedParams
 
 
@@ -201,6 +201,11 @@ def cond_pri_outage_d0(derived: DerivedParams) -> float:
 _FULL_POWER_LINKS = {"primary": "pp, sp and rp", "secondary": "ss, ps and rs"}
 
 
+def _full_power_message(user, failure) -> str:
+    return (f"full-power {user} outage {failure}: the mean gains of links "
+            f"{_FULL_POWER_LINKS[user]} are out of range")
+
+
 def _full_power_outage(g_sig, g_cross, g_relay, threshold, user) -> float:
     """Outage of direct copy plus a full-power relay copy for the given user.
 
@@ -218,18 +223,22 @@ def _full_power_outage(g_sig, g_cross, g_relay, threshold, user) -> float:
     """
     d = g_sig + threshold * g_cross
     if g_relay <= 1e-8 * min(g_sig, threshold):
+        if d * d == 0.0:
+            raise ArithmeticError(_full_power_message(user, "underflows"))
         return (_ratio_outage(g_sig, g_cross, threshold)
                 - g_relay * math.exp(-threshold / g_sig)
                 * (1.0 / d + g_sig * g_cross / (d * d)))
     c = (1.0 / g_relay - 1.0 / g_sig) / g_cross
     if not (math.isfinite(c) and math.isfinite(d)):
-        raise ArithmeticError(
-            f"full-power {user} outage overflows: the mean gains of links "
-            f"{_FULL_POWER_LINKS[user]} are out of range")
+        raise ArithmeticError(_full_power_message(user, "overflows"))
     a = g_sig
-    shifted = integrate_exp_over_x(
-        c, a, d, exp_shift=-c * a - threshold / g_relay
-    )
+    try:
+        shifted = integrate_exp_over_x(
+            c, a, d, exp_shift=-c * a - threshold / g_relay
+        )
+    except QuadratureError as exc:
+        raise QuadratureError(
+            _full_power_message(user, "does not converge")) from exc
     return _clamp01(
         1.0
         - math.exp(-threshold / g_relay)

@@ -305,7 +305,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> ResultTable:
     Row errors are captured in the error column instead of aborting the
     sweep; rows without secondary access report secondary outage 1.  Every
     simulated row reads the same trials of the seed's stream, so they are
-    estimated together in one estimate_many() call.
+    estimated together in one estimate_many() call, which counts only the
+    secondary events a row reports.
     """
     rows = []
     mc_rows, requests = [], []
@@ -359,7 +360,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> ResultTable:
             rows.append(row)
     if requests:
         try:
-            ests = estimate_many(spec.seed, spec.trials, requests, workers)
+            ests = estimate_many(spec.seed, spec.trials, requests, workers,
+                                 primary=False)
         except ValueError as exc:
             for row in mc_rows:
                 row.error = str(exc)

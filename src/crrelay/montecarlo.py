@@ -19,11 +19,14 @@ worker count or chunking.
 The uniforms depend on the seed and trial index alone, never on the scenario,
 scheme or split: only the per-link variance scales them.  So the unit-mean
 exponentials -log1p(-u) are generated once per (seed, chunk) and shared by
-every request of an estimate_many() call, each kernel scaling the links it
-reads.  A chunk's draws are transposed into their (8, n) layout one
-cache-sized sub-block of the stream at a time, so memory stays at one chunk
-(plus one sub-block) per worker however many trials or requests.  numpy is
-imported on the first draw, so the commands that never simulate never load it.
+every request of an estimate_many() call.  A chunk's draws are transposed
+into their (8, n) layout one cache-sized sub-block of the stream at a time,
+into one draw buffer per worker that every chunk of the call refills.  A link
+whose variance every request shares is scaled in that buffer once per chunk.
+Requests on the same scenario and split form a group, and one kernel call
+counts all of a group's schemes, computing the SINR terms they share once.
+numpy is imported on the first draw, so the commands that never simulate
+never load it.
 """
 
 import math
@@ -36,11 +39,12 @@ SCHEMES = ("proposed", "noncooperative", "relay_assisted_secondary")
 
 _DOUBLES_PER_TRIAL = 8
 _BLOCKS_PER_TRIAL = 2       # Philox counter blocks (4 doubles each) per trial
-# Trials per chunk.  Bounds memory, never results: a chunk holds its unit
-# draws (64 B per trial) and the few trial vectors one request's kernel needs
-# on top of them.
-_CHUNK_TRIALS = 1 << 16
+# Trials per chunk.  Bounds memory, never results: a worker holds one chunk of
+# unit draws (64 B per trial) and the few trial vectors one group's kernel
+# needs on top of them.
+_CHUNK_TRIALS = 1 << 15
 _SUB_TRIALS = 1 << 12       # trials per 256 KB sub-block, transposed in cache
+_MANTISSA_BITS = 53         # a raw 64-bit draw keeps its top 53 bits
 
 
 @dataclass(frozen=True)
@@ -75,14 +79,15 @@ class SchemeEstimates:
     frequency (the surrogate activation event for the relay-assisted
     baseline); None for the non-cooperative scheme.  order_p is the frequency
     of the primary-first SIC order (proposed scheme only).  Conditional
-    estimates are None when their conditioning event never occurred.
+    estimates are None when their conditioning event never occurred.  Every
+    primary estimate is None when the primary events were not counted.
     """
 
     scheme: str
     alpha: float
     trials: int
     seed: int
-    pri: OutageEstimate
+    pri: OutageEstimate | None
     sec: OutageEstimate
     p_d1: OutageEstimate | None = None
     order_p: OutageEstimate | None = None
@@ -92,48 +97,61 @@ class SchemeEstimates:
     sec_d1: OutageEstimate | None = None
 
 
-def _generator(seed: int, start: int):
-    """Philox generator over the seed's stream, positioned at trial start."""
+def _philox(seed: int, start: int):
+    """Philox bit generator over the seed's stream, positioned at trial start."""
     import numpy as np
 
     bit = np.random.Philox(key=seed)
     bit.advance(_BLOCKS_PER_TRIAL * start)
-    return np.random.Generator(bit)
+    return bit
 
 
 def _uniform_block(seed: int, start: int, n: int) -> "np.ndarray":
     """Uniform doubles for trials [start, start+n), shape (n, 8)."""
-    u = _generator(seed, start).random(n * _DOUBLES_PER_TRIAL)
+    import numpy as np
+
+    u = np.random.Generator(_philox(seed, start)).random(n * _DOUBLES_PER_TRIAL)
     return u.reshape(n, _DOUBLES_PER_TRIAL)
 
 
-def _unit_block(seed: int, start: int, n: int) -> "np.ndarray":
+def _unit_block(seed: int, start: int, n: int, out=None) -> "np.ndarray":
     """Unit-mean exponentials -log1p(-u) for trials [start, start+n).
 
-    Shape (8, n), C-contiguous, row k holding link LINKS[k]; a link's channel
-    draws are its variance times its row.  Equal to -log1p(-u).T for u =
-    _uniform_block(seed, start, n), read in cache-sized sub-blocks.
+    Shape (8, n), row k holding link LINKS[k]; a link's channel draws are its
+    variance times its row.  Equal to -log1p(-u).T for u =
+    _uniform_block(seed, start, n), read in cache-sized sub-blocks and
+    written into `out` when given, else into a new C-contiguous array.  Each
+    raw 64-bit draw becomes -u as its top 53 bits times -2**-53, the
+    generator's own uniform double with its sign flipped, both steps exact.
     """
     import numpy as np
 
-    gen = _generator(seed, start)
-    e = np.empty((_DOUBLES_PER_TRIAL, n))
+    bit = _philox(seed, start)
+    e = np.empty((_DOUBLES_PER_TRIAL, n)) if out is None else out
     for s in range(0, n, _SUB_TRIALS):
         m = min(_SUB_TRIALS, n - s)
-        u = gen.random(m * _DOUBLES_PER_TRIAL).reshape(m, _DOUBLES_PER_TRIAL)
-        np.negative(u.T, out=e[:, s:s + m])
+        raw = bit.random_raw(m * _DOUBLES_PER_TRIAL)
+        raw >>= 64 - _MANTISSA_BITS
+        np.multiply(raw.reshape(m, _DOUBLES_PER_TRIAL).T,
+                    -2.0 ** -_MANTISSA_BITS, out=e[:, s:s + m])
+        del raw   # one sub-block alive at a time
     np.log1p(e, out=e)
     np.negative(e, out=e)
     return e
 
 
-def _count_chunk(derived: DerivedParams, alpha: float, scheme: str,
-                 e: "np.ndarray") -> dict:
-    """Integer event counts of one scheme over a chunk of unit draws.
+def _count_group(derived: DerivedParams, alpha: float, schemes, e,
+                 scaled=(), primary: bool = True) -> list:
+    """Integer event counts of each scheme in `schemes` over a chunk of draws.
 
-    Scales only the links the scheme reads and drops each scaled link and
-    temporary after its last use, so evaluating a request adds a few trial
-    vectors to the chunk's working set.
+    All schemes run on one scenario and split, so the SINR terms they share
+    (the relay's x and y, the direct v and u and their parts, the
+    silent-relay events) are computed once, each by the same operations as a
+    scheme's own printed expression.  Row k of `e` holds link LINKS[k]'s unit
+    draws, or its channel draws already scaled by its variance when k is in
+    `scaled`.  Secondary events are always counted, primary ones when
+    `primary`.  Each scaled link and temporary is dropped after its last
+    use, so a group adds a few trial vectors to the chunk's working set.
     """
     import numpy as np
 
@@ -142,65 +160,79 @@ def _count_chunk(derived: DerivedParams, alpha: float, scheme: str,
     lp, ls = derived.lambda_p, derived.lambda_s
 
     def g(name):
-        return getattr(p.link_vars, name) * e[LINKS.index(name)]
+        k = LINKS.index(name)
+        return e[k] if k in scaled else getattr(p.link_vars, name) * e[k]
 
-    if scheme == "noncooperative":
-        v = snr_p * g("pp") / (snr_s * g("sp") + 1.0)
-        pri = int(np.count_nonzero(v < derived.theta_p))
-        del v
-        u = snr_s * g("ss") / (snr_p * g("ps") + 1.0)
-        return {"pri": pri, "sec": int(np.count_nonzero(u < derived.theta_s))}
+    def n(mask):
+        return int(np.count_nonzero(mask))
 
-    x = snr_p * g("pr")
-    y = snr_s * g("sr")
-    if scheme == "proposed":
-        c_p = x > y
-        # boolean selects: np.where on bool arrays costs ~25x more
-        d1 = ((c_p & ((x >= lp * (1.0 + y)) & (y >= ls)))
-              | (~c_p & ((y > x) & (y >= ls * (1.0 + x)) & (x >= lp))))
-        del x, y
-        v = snr_p * g("pp") / (snr_s * g("sp") + 1.0)
-        rp = g("rp")
-        w_p = alpha * snr_r * rp / ((1.0 - alpha) * snr_r * rp + 1.0)
-        del rp
-        pri1, pri0 = v + w_p < lp, 2.0 * v < lp
-        del v, w_p
-        u = snr_s * g("ss") / (snr_p * g("ps") + 1.0)
-        rs = g("rs")
-        w_s = (1.0 - alpha) * snr_r * rs / (alpha * snr_r * rs + 1.0)
+    counts = {scheme: {} for scheme in schemes}
+    active = {}   # relay-activation event of each relayed scheme
+    proposed = "proposed" in counts
+    surrogate = "relay_assisted_secondary" in counts
+    if proposed or surrogate:
+        x = snr_p * g("pr")
+        y = snr_s * g("sr")
+        s_first = y >= ls * (1.0 + x)
+        if proposed:
+            c_p = x > y
+            # boolean selects: np.where on bool arrays costs ~25x more
+            active["proposed"] = (
+                (c_p & ((x >= lp * (1.0 + y)) & (y >= ls)))
+                | (~c_p & ((y > x) & s_first & (x >= lp))))
+            counts["proposed"]["order_p"] = n(c_p)
+            del c_p
+        if surrogate:
+            # Surrogate baseline: the relay activates when it decodes the
+            # secondary signal through the primary interference; it then
+            # forwards it at full power while the primary transmitter
+            # repeats, so the primary's second copy sees the relay as
+            # interference.
+            active["relay_assisted_secondary"] = s_first
+        del x, y, s_first
+    silent = {scheme: ~d1 for scheme, d1 in active.items()}
+    for scheme, d1 in active.items():
+        counts[scheme]["d1"] = n(d1)
+
+    def tally(user, relayed, repeated):
+        for scheme, d1 in active.items():
+            counts[scheme][f"{user}_d1"] = n(d1 & relayed[scheme])
+            counts[scheme][f"{user}_d0"] = n(silent[scheme] & repeated)
+
+    if primary:
+        v_num = snr_p * g("pp")
+        v = v_num / (snr_s * g("sp") + 1.0)
+        if "noncooperative" in counts:
+            counts["noncooperative"]["pri"] = n(v < derived.theta_p)
+        if active:
+            rp, relayed = g("rp"), {}
+            if proposed:
+                w_p = alpha * snr_r * rp / ((1.0 - alpha) * snr_r * rp + 1.0)
+                relayed["proposed"] = v + w_p < lp
+                del w_p
+            if surrogate:
+                relayed["relay_assisted_secondary"] = (
+                    v + v_num / (snr_r * rp + 1.0) < lp)
+            del rp
+            tally("pri", relayed, 2.0 * v < lp)
+        del v_num, v
+    u_num = snr_s * g("ss")
+    u_den = snr_p * g("ps") + 1.0
+    u = u_num / u_den
+    if "noncooperative" in counts:
+        counts["noncooperative"]["sec"] = n(u < derived.theta_s)
+    if active:
+        rs, relayed = g("rs"), {}
+        if proposed:
+            w_s = (1.0 - alpha) * snr_r * rs / (alpha * snr_r * rs + 1.0)
+            relayed["proposed"] = u + w_s < ls
+            del w_s
+        if surrogate:
+            relayed["relay_assisted_secondary"] = (
+                (u_num + snr_r * rs) / u_den < ls)
         del rs
-        sec1, sec0 = u + w_s < ls, 2.0 * u < ls
-    elif scheme == "relay_assisted_secondary":
-        # Surrogate baseline: the relay activates when it decodes the
-        # secondary signal through the primary interference; it then forwards
-        # it at full power while the primary transmitter repeats, so the
-        # primary's second copy sees the relay as interference.
-        d1 = y >= ls * (1.0 + x)
-        del x, y
-        pp = g("pp")
-        v = snr_p * pp / (snr_s * g("sp") + 1.0)
-        pri_mrc = v + snr_p * pp / (snr_r * g("rp") + 1.0)
-        del pp
-        pri1, pri0 = pri_mrc < lp, 2.0 * v < lp
-        del v, pri_mrc
-        ss, ps = g("ss"), g("ps")
-        u = snr_s * ss / (snr_p * ps + 1.0)
-        sec_mrc = (snr_s * ss + snr_r * g("rs")) / (snr_p * ps + 1.0)
-        del ss, ps
-        sec1, sec0 = sec_mrc < ls, 2.0 * u < ls
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-
-    counts = {
-        "d1": int(np.count_nonzero(d1)),
-        "pri_d1": int(np.count_nonzero(d1 & pri1)),
-        "sec_d1": int(np.count_nonzero(d1 & sec1)),
-        "pri_d0": int(np.count_nonzero(~d1 & pri0)),
-        "sec_d0": int(np.count_nonzero(~d1 & sec0)),
-    }
-    if scheme == "proposed":
-        counts["order_p"] = int(np.count_nonzero(c_p))
-    return counts
+        tally("sec", relayed, 2.0 * u < ls)
+    return [counts[scheme] for scheme in schemes]
 
 
 def check_run(trials, seed: int, workers: int) -> None:
@@ -224,44 +256,74 @@ def check_request(alpha: float, scheme: str) -> None:
         raise ValueError("alpha must lie in [0, 1]")
 
 
-def estimate_many(seed: int, trials: int, requests, workers: int = 1) -> list:
+def estimate_many(seed: int, trials: int, requests, workers: int = 1,
+                  primary: bool = True) -> list:
     """Monte Carlo outage estimates for many (params, alpha, scheme) requests.
 
     Every request reads trials [0, trials) of the seed's stream, so each
-    chunk's unit draws are generated once and every request's kernel runs on
-    them; only integer counts are kept per request.  Memory stays at one
-    chunk per worker whatever `trials` or the number of requests, and result
-    i is bit-identical to estimate() on requests[i] for any worker count:
-    chunks draw from disjoint trial-index ranges of the counter-based stream.
+    chunk's unit draws are generated once and every request is counted on
+    them: one kernel call per (params, alpha) group counts all of its
+    schemes, and only integer counts are kept.  Memory stays at one chunk per
+    worker whatever `trials` or the number of requests, and result i is
+    bit-identical to estimate() on requests[i] for any worker count: chunks
+    draw from disjoint trial-index ranges of the counter-based stream.
+    With primary False no primary event is counted and every primary
+    estimate is None.
     """
     check_run(trials, seed, workers)
     for _, alpha, scheme in requests:
         check_request(alpha, scheme)
 
-    jobs = [(derive(params), alpha, scheme)
-            for params, alpha, scheme in requests]
+    groups = {}   # (params, alpha) -> (its index, its distinct schemes)
+    slots = []    # (group index, scheme index) of each request
+    for params, alpha, scheme in requests:
+        i, schemes = groups.setdefault((params, alpha), (len(groups), []))
+        if scheme not in schemes:
+            schemes.append(scheme)
+        slots.append((i, schemes.index(scheme)))
+    jobs = [(derive(params), alpha, tuple(schemes))
+            for (params, alpha), (_, schemes) in groups.items()]
+    # links whose variance every request shares: scaled in place per chunk
+    shared = {}
+    for k, name in enumerate(LINKS):
+        variances = {getattr(params.link_vars, name) for params, _ in groups}
+        if len(variances) == 1:
+            shared[k] = variances.pop()
     chunks = [(start, min(_CHUNK_TRIALS, trials - start))
               for start in range(0, trials, _CHUNK_TRIALS)]
+    workers = min(workers, len(chunks))
 
-    def run(chunk):
-        e = _unit_block(seed, *chunk)
-        return [_count_chunk(derived, alpha, scheme, e)
-                for derived, alpha, scheme in jobs]
+    def run(part):
+        """Summed counts over a worker's chunks, on one reused draw buffer."""
+        import numpy as np
 
-    if workers == 1 or len(chunks) == 1:
-        partials = [run(c) for c in chunks]
+        buf = np.empty(_DOUBLES_PER_TRIAL * min(_CHUNK_TRIALS, trials))
+        totals = [[Counter() for _ in schemes] for _, _, schemes in jobs]
+        for start, n in part:
+            e = _unit_block(seed, start, n,
+                            out=buf[:_DOUBLES_PER_TRIAL * n].reshape(-1, n))
+            for k, var in shared.items():
+                e[k] *= var
+            for total, (derived, alpha, schemes) in zip(totals, jobs):
+                for count, more in zip(total, _count_group(
+                        derived, alpha, schemes, e, shared, primary)):
+                    count.update(more)
+        return totals
+
+    if workers == 1:
+        partials = [run(chunks)]
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(run, chunks))
+            partials = list(pool.map(run, [chunks[w::workers]
+                                           for w in range(workers)]))
 
-    totals = [Counter() for _ in jobs]
-    for part in partials:
-        for total, counts in zip(totals, part):
-            total.update(counts)
-    return [_scheme_estimates(scheme, alpha, trials, seed, total)
-            for (_, alpha, scheme), total in zip(jobs, totals)]
+    totals = [[sum(counts, Counter()) for counts in zip(*group)]
+              for group in zip(*partials)]
+    return [_scheme_estimates(scheme, alpha, trials, seed, totals[i][j],
+                              primary)
+            for (_, alpha, scheme), (i, j) in zip(requests, slots)]
 
 
 def estimate(params: SystemParams, alpha: float, trials: int, seed: int,
@@ -275,7 +337,7 @@ def estimate(params: SystemParams, alpha: float, trials: int, seed: int,
 
 
 def _scheme_estimates(scheme: str, alpha: float, trials: int, seed: int,
-                      totals: Counter) -> SchemeEstimates:
+                      totals: Counter, primary: bool) -> SchemeEstimates:
     """Estimates of one request from its event counts over all trials."""
 
     def co(successes, n):
@@ -283,22 +345,25 @@ def _scheme_estimates(scheme: str, alpha: float, trials: int, seed: int,
             return None
         return OutageEstimate.from_counts(successes, n, seed)
 
+    def pri(successes, n):
+        return co(successes, n) if primary else None
+
     if scheme == "noncooperative":
         return SchemeEstimates(
             scheme=scheme, alpha=alpha, trials=trials, seed=seed,
-            pri=co(totals["pri"], trials), sec=co(totals["sec"], trials),
+            pri=pri(totals["pri"], trials), sec=co(totals["sec"], trials),
         )
 
     n_d1 = totals["d1"]
     n_d0 = trials - n_d1
     return SchemeEstimates(
         scheme=scheme, alpha=alpha, trials=trials, seed=seed,
-        pri=co(totals["pri_d0"] + totals["pri_d1"], trials),
+        pri=pri(totals["pri_d0"] + totals["pri_d1"], trials),
         sec=co(totals["sec_d0"] + totals["sec_d1"], trials),
         p_d1=co(n_d1, trials),
         order_p=co(totals["order_p"], trials) if scheme == "proposed" else None,
-        pri_d0=co(totals["pri_d0"], n_d0),
-        pri_d1=co(totals["pri_d1"], n_d1),
+        pri_d0=pri(totals["pri_d0"], n_d0),
+        pri_d1=pri(totals["pri_d1"], n_d1),
         sec_d0=co(totals["sec_d0"], n_d0),
         sec_d1=co(totals["sec_d1"], n_d1),
     )

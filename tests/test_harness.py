@@ -594,8 +594,25 @@ _SECONDARY_SNR_OVERFLOWS = ("admitted secondary SNR overflows: link variance "
       "snr_r_db=216.76"], ["analytic", "--alpha", "0"],
      "full-power secondary outage overflows: the mean gains of links ss, ps "
      "and rs are out of range"),
+    # the weak-relay limit's d*d underflows to 0
+    (["link_vars.pp=3.04e+92", "link_vars.sp=1.71e+268",
+      "link_vars.ps=5.72e-230", "link_vars.ss=8.81e-77",
+      "link_vars.pr=1.07e-188", "link_vars.sr=9e+283", "link_vars.rp=9.66e-233",
+      "link_vars.rs=1.38e-288", "snr_p_db=86.42", "snr_r_db=-640.07"],
+     ["analytic", "--alpha", "0"],
+     "full-power secondary outage underflows: the mean gains of links ss, ps "
+     "and rs are out of range"),
+    # the adaptive quadrature hits its depth cap on [2e-285, 3e29]
+    (["link_vars.pp=1.05e-09", "link_vars.sp=5.39e+09", "link_vars.ps=3.75e+04",
+      "link_vars.ss=3.95e-309", "link_vars.pr=7.54e-48",
+      "link_vars.sr=3.36e-207", "link_vars.rp=2.74e-318",
+      "link_vars.rs=3.06e+175", "snr_p_db=434.27", "snr_r_db=-159.04"],
+     ["analytic", "--alpha", "0"],
+     "full-power secondary outage does not converge: the mean gains of links "
+     "ss, ps and rs are out of range"),
 ], ids=["sp-analytic", "sp-allocate", "sp-simulate", "ss-gain", "pr-gain",
-        "nan-conditional", "full-power-secondary"])
+        "nan-conditional", "full-power-secondary", "full-power-underflow",
+        "full-power-no-convergence"])
 def test_cli_rejects_overflowing_scenario(overrides, command, message, capsys):
     # an overflow is refused, never printed as a NaN outage or a 0 +- 0
     # estimate
@@ -706,7 +723,11 @@ def test_cli_arithmetic_error_exits_1(exc, monkeypatch, capsys):
 
     monkeypatch.setattr("crrelay.analytic.integrate_exp_over_x", fail)
     assert cli_main(["analytic", "--alpha", "1"]) == 1
-    assert f"error: {exc}" in capsys.readouterr().err
+    # a quadrature failure is reported by the form that ran it
+    message = ("full-power primary outage does not converge: the mean gains "
+               "of links pp, sp and rp are out of range"
+               if isinstance(exc, QuadratureError) else str(exc))
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [

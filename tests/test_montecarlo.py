@@ -25,7 +25,7 @@ from crrelay.montecarlo import (
     _SUB_TRIALS,
     SCHEMES,
     OutageEstimate,
-    _count_chunk,
+    _count_group,
     _uniform_block,
     _unit_block,
 )
@@ -63,7 +63,8 @@ def test_unit_block_scales_to_inversion_draws(table1):
 
 
 @pytest.mark.parametrize("n", [1, _SUB_TRIALS - 1, _SUB_TRIALS, _SUB_TRIALS + 1,
-                               2 * _SUB_TRIALS + 17, _CHUNK_TRIALS])
+                               2 * _SUB_TRIALS + 17, _CHUNK_TRIALS,
+                               2 * _CHUNK_TRIALS])
 def test_unit_block_matches_uniforms_across_sub_blocks(n):
     # the sub-blocked transpose continues one stream: every trial reads the
     # same uniforms as the (n, 8) block, also from an odd start
@@ -199,14 +200,14 @@ def unit_column(params, **draw):
 
 def test_relay_decision_no_signal(table1, table1_derived):
     e = unit_column(table1, pp=1, sp=1, ps=1, ss=1, pr=0.0, sr=0.0, rp=1, rs=1)
-    counts = _count_chunk(table1_derived, 0.5, "proposed", e)
+    counts = _count_group(table1_derived, 0.5, ("proposed",), e)[0]
     assert counts["d1"] == 0 and counts["order_p"] == 0
 
 
 def test_relay_decision_strong_signals(table1, table1_derived):
     e = unit_column(table1, pp=1, sp=1, ps=1, ss=1, pr=100.0, sr=50.0,
                     rp=1, rs=1)
-    counts = _count_chunk(table1_derived, 0.5, "proposed", e)
+    counts = _count_group(table1_derived, 0.5, ("proposed",), e)[0]
     assert counts["d1"] == 1 and counts["order_p"] == 1
 
 
@@ -222,7 +223,7 @@ def test_relay_decision_orders_are_exclusive(table1, table1_derived):
         p_branch = x > y and x >= d.lambda_p * (1 + y) and y >= d.lambda_s
         s_branch = y > x and y >= d.lambda_s * (1 + x) and x >= d.lambda_p
         assert not (p_branch and s_branch)
-        counts = _count_chunk(d, 0.5, "proposed", e[:, i:i + 1])
+        counts = _count_group(d, 0.5, ("proposed",), e[:, i:i + 1])[0]
         assert counts["d1"] == (p_branch or s_branch)
         assert counts["order_p"] == (x > y)
 
@@ -255,12 +256,12 @@ def test_simulate_slot_alpha_one_relay_term(table1, table1_derived):
     # with all relay power on the primary, a huge relay-to-primary channel
     # makes a primary outage impossible
     draw = dict(pp=1e-9, sp=1, ps=1, ss=1, pr=100.0, sr=50.0, rp=1e9, rs=1e9)
-    counts = _count_chunk(table1_derived, 1.0, "proposed",
-                          unit_column(table1, **draw))
+    counts = _count_group(table1_derived, 1.0, ("proposed",),
+                          unit_column(table1, **draw))[0]
     assert counts["d1"] == 1 and counts["pri_d1"] == 0
     # and the secondary gets nothing from the relay
-    counts2 = _count_chunk(table1_derived, 1.0, "proposed",
-                           unit_column(table1, **{**draw, "ss": 1e-9}))
+    counts2 = _count_group(table1_derived, 1.0, ("proposed",),
+                           unit_column(table1, **{**draw, "ss": 1e-9}))[0]
     assert counts2["d1"] == 1 and counts2["sec_d1"] == 1
 
 
@@ -270,7 +271,7 @@ def test_simulate_slot_interior_alpha_saturates(table1, table1_derived):
     alpha = 0.3
     e = unit_column(table1, pp=1e-12, sp=1, ps=1, ss=1, pr=100.0, sr=50.0,
                     rp=1e12, rs=1e12)
-    counts = _count_chunk(table1_derived, alpha, "proposed", e)
+    counts = _count_group(table1_derived, alpha, ("proposed",), e)[0]
     # alpha/(1-alpha) = 0.4286 < lambda_p = 0.7411: outage despite the relay
     assert counts["d1"] == 1 and counts["pri_d1"] == 1
 
@@ -360,17 +361,72 @@ def test_bit_identical_across_chunk_sizes(table1, monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("trials", [1, 131_072, 300_001])
+@pytest.mark.parametrize("trials", [1, _CHUNK_TRIALS - 1, _CHUNK_TRIALS + 1,
+                                    2 * _CHUNK_TRIALS + 17, 131_072, 300_001])
 def test_estimate_many_matches_per_request_estimate(table1, trials, workers):
-    # one shared draw per chunk serves every request exactly as its own
-    # estimate() would; 300_001 trials end in a partial chunk
+    # one shared draw per chunk and one kernel call per (scenario, split)
+    # group serve every request exactly as its own estimate() would, where
+    # every link is scaled once per chunk.  With table1 and its narrower-sp
+    # twin every row but sp is scaled once for the whole call; with the
+    # symmetric scenario most rows are scaled per request.  Partial chunks
+    # end every trial count but 131_072.
+    narrow_sp = replace(table1, link_vars=replace(
+        table1.link_vars, sp=0.5 * table1.link_vars.sp))
+    for scenarios in ((table1, narrow_sp), (table1, symmetric_relay_params())):
+        requests = [(params, alpha, scheme)
+                    for params in scenarios
+                    for alpha in (0.0, 0.5, 1.0) for scheme in SCHEMES]
+        batch = estimate_many(61, trials, requests, workers=workers)
+        assert len(batch) == len(requests)
+        for est, (params, alpha, scheme) in zip(batch, requests):
+            assert est == estimate(params, alpha, trials, 61, scheme, workers)
+
+
+def test_estimate_many_can_skip_primary_events(table1):
+    # sweeps count only secondary events: every other estimate is unchanged
+    # and every primary one is None
     requests = [(params, alpha, scheme)
                 for params in (table1, symmetric_relay_params())
-                for scheme in SCHEMES for alpha in (0.0, 0.37, 1.0)]
-    batch = estimate_many(61, trials, requests, workers=workers)
-    assert len(batch) == len(requests)
-    for est, (params, alpha, scheme) in zip(batch, requests):
-        assert est == estimate(params, alpha, trials, 61, scheme, workers)
+                for alpha in (0.0, 0.5, 1.0) for scheme in SCHEMES]
+    trials = 2 * _CHUNK_TRIALS + 17
+    full = estimate_many(67, trials, requests)
+    secondary = estimate_many(67, trials, requests, workers=2, primary=False)
+    for est, sec in zip(full, secondary):
+        assert est.pri is not None
+        assert sec == replace(est, pri=None, pri_d0=None, pri_d1=None)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_estimate_many_reuses_one_draw_buffer_per_worker(table1, monkeypatch,
+                                                        workers):
+    # every chunk refills its worker's one draw buffer, so the peak is that
+    # buffer plus the kernel's few live trial vectors, never a second buffer
+    # or a per-chunk copy of the links
+    import crrelay.montecarlo as mc
+
+    owners = []   # kept alive, so no two buffers can share an id
+    unit_block = mc._unit_block
+
+    def recording(seed, start, n, out=None):
+        owners.append(out if out.base is None else out.base)
+        return unit_block(seed, start, n, out=out)
+
+    monkeypatch.setattr(mc, "_unit_block", recording)
+    requests = [(params, 0.5, scheme)
+                for params in (table1, symmetric_relay_params())
+                for scheme in SCHEMES]
+    trials = 8 * _CHUNK_TRIALS + 17
+    estimate_many(3, 1000, requests, workers)   # numpy's first-use state
+    owners.clear()
+    tracemalloc.start()
+    try:
+        estimate_many(3, trials, requests, workers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(owners) == 9 and len({id(o) for o in owners}) == workers
+    vector = 8 * _CHUNK_TRIALS   # one float64 trial vector of a chunk
+    assert peak <= workers * (8 * vector + 8 * vector)
 
 
 def test_different_seeds_differ(table1):
