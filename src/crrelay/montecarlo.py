@@ -21,8 +21,7 @@ scheme or split: only the per-link variance scales them.  So the unit-mean
 exponentials -log1p(-u) are generated once per (seed, chunk) and shared by
 every request of an estimate_many() call.  A chunk's draws are transposed
 into their (8, n) layout one cache-sized sub-block of the stream at a time,
-into one draw buffer per worker that every chunk of the call refills.  A link
-whose variance every request shares is scaled in that buffer once per chunk.
+into one draw buffer per worker that every chunk of the call refills.
 Requests on the same scenario and split form a group, and one kernel call
 counts all of a group's schemes, computing the SINR terms they share once.
 numpy is imported on the first draw, so the commands that never simulate
@@ -141,15 +140,14 @@ def _unit_block(seed: int, start: int, n: int, out=None) -> "np.ndarray":
 
 
 def _count_group(derived: DerivedParams, alpha: float, schemes, e,
-                 scaled=(), primary: bool = True) -> list:
+                 primary: bool = True) -> list:
     """Integer event counts of each scheme in `schemes` over a chunk of draws.
 
     All schemes run on one scenario and split, so the SINR terms they share
     (the relay's x and y, the direct v and u and their parts, the
     silent-relay events) are computed once, each by the same operations as a
     scheme's own printed expression.  Row k of `e` holds link LINKS[k]'s unit
-    draws, or its channel draws already scaled by its variance when k is in
-    `scaled`.  Secondary events are always counted, primary ones when
+    draws.  Secondary events are always counted, primary ones when
     `primary`.  Each scaled link and temporary is dropped after its last
     use, so a group adds a few trial vectors to the chunk's working set.
     """
@@ -160,8 +158,7 @@ def _count_group(derived: DerivedParams, alpha: float, schemes, e,
     lp, ls = derived.lambda_p, derived.lambda_s
 
     def g(name):
-        k = LINKS.index(name)
-        return e[k] if k in scaled else getattr(p.link_vars, name) * e[k]
+        return getattr(p.link_vars, name) * e[LINKS.index(name)]
 
     def n(mask):
         return int(np.count_nonzero(mask))
@@ -283,12 +280,6 @@ def estimate_many(seed: int, trials: int, requests, workers: int = 1,
         slots.append((i, schemes.index(scheme)))
     jobs = [(derive(params), alpha, tuple(schemes))
             for (params, alpha), (_, schemes) in groups.items()]
-    # links whose variance every request shares: scaled in place per chunk
-    shared = {}
-    for k, name in enumerate(LINKS):
-        variances = {getattr(params.link_vars, name) for params, _ in groups}
-        if len(variances) == 1:
-            shared[k] = variances.pop()
     chunks = [(start, min(_CHUNK_TRIALS, trials - start))
               for start in range(0, trials, _CHUNK_TRIALS)]
     workers = min(workers, len(chunks))
@@ -302,11 +293,9 @@ def estimate_many(seed: int, trials: int, requests, workers: int = 1,
         for start, n in part:
             e = _unit_block(seed, start, n,
                             out=buf[:_DOUBLES_PER_TRIAL * n].reshape(-1, n))
-            for k, var in shared.items():
-                e[k] *= var
             for total, (derived, alpha, schemes) in zip(totals, jobs):
                 for count, more in zip(total, _count_group(
-                        derived, alpha, schemes, e, shared, primary)):
+                        derived, alpha, schemes, e, primary)):
                     count.update(more)
         return totals
 

@@ -365,19 +365,23 @@ def test_bit_identical_across_chunk_sizes(table1, monkeypatch):
                                     2 * _CHUNK_TRIALS + 17, 131_072, 300_001])
 def test_estimate_many_matches_per_request_estimate(table1, trials, workers):
     # one shared draw per chunk and one kernel call per (scenario, split)
-    # group serve every request exactly as its own estimate() would, where
-    # every link is scaled once per chunk.  With table1 and its narrower-sp
-    # twin every row but sp is scaled once for the whole call; with the
-    # symmetric scenario most rows are scaled per request.  Partial chunks
-    # end every trial count but 131_072.
+    # group serve every request exactly as its own estimate() would.  The
+    # two scenario pairs are table1 with a twin that differs only in its sp
+    # variance, and table1 with the symmetric scenario.  Requests are
+    # interleaved across groups (scheme outside split), and one request is
+    # repeated, so results must come back in request order, not group order.
+    # At 0.37 the two users' shares differ.  Partial chunks end every trial
+    # count but 131_072.
     narrow_sp = replace(table1, link_vars=replace(
         table1.link_vars, sp=0.5 * table1.link_vars.sp))
     for scenarios in ((table1, narrow_sp), (table1, symmetric_relay_params())):
         requests = [(params, alpha, scheme)
-                    for params in scenarios
-                    for alpha in (0.0, 0.5, 1.0) for scheme in SCHEMES]
+                    for params in scenarios for scheme in SCHEMES
+                    for alpha in (0.0, 0.37, 0.5, 1.0)]
+        requests.insert(5, requests[-2])
         batch = estimate_many(61, trials, requests, workers=workers)
         assert len(batch) == len(requests)
+        assert batch[5] == batch[-2]
         for est, (params, alpha, scheme) in zip(batch, requests):
             assert est == estimate(params, alpha, trials, 61, scheme, workers)
 
