@@ -4,14 +4,12 @@ admission threshold.
 
 The primary bound never increases with the split and the secondary bound
 never decreases with it, exactly in floating point: each is a chain of
-monotone operations.  So at each relay SNR the feasible splits form a suffix
-of the sorted grid and its first point is that SNR's best.  Only the relay
-gains depend on the relay SNR; all else is computed once per scenario.  The
-primary bound is invertible in closed form on its split-dependent branch:
-that exact split locates the grid's first feasible point and is a candidate.
+monotone operations.  So at each relay SNR the smallest feasible split is
+that SNR's best, and the primary bound gives it in closed form on its
+split-dependent branch.  Only the relay gains depend on the relay SNR; all
+else is computed once per scenario.
 """
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -123,10 +121,8 @@ def min_snr_r_for_epsilon(derived: DerivedParams, alpha: float,
     return g_rp / derived.params.link_vars.rp
 
 
-# The allocator's default search grids: relay SNR from -10 to 30 dB in
-# 0.25 dB steps, split from the split floor up to 1 in steps of 0.005.
+# The allocator's default relay-SNR grid: -10 to 30 dB in 0.25 dB steps.
 _SNR_R_GRID_DB = (-10.0, 30.0, 0.25)
-_ALPHA_GRID_STEP = 0.005
 
 
 @functools.cache
@@ -137,30 +133,16 @@ def default_snr_r_grid() -> tuple:
     return tuple(db_to_linear(lo_db + k * step_db) for k in range(n + 1))
 
 
-def default_alpha_grid(lambda_p: float) -> tuple:
-    """Split grid from the primary split floor up to 1."""
-    floor = primary_split_floor(lambda_p)
-    pts = [floor]
-    k = 1
-    while floor + k * _ALPHA_GRID_STEP < 1.0:
-        pts.append(floor + k * _ALPHA_GRID_STEP)
-        k += 1
-    pts.append(1.0)
-    return tuple(pts)
-
-
-def allocate(params: SystemParams, snr_r_grid=None,
-             alpha_grid=None) -> AllocationResult:
+def allocate(params: SystemParams, snr_r_grid=None) -> AllocationResult:
     """Minimize the total secondary outage bound subject to the primary bound.
 
-    Only the relay gains change with the relay SNR.  At each one the exact
-    closed-form split locates the sorted grid's first point meeting the
-    primary bound, and the grid is bisected only when one or two evaluations
-    do not confirm it.  That point, the exact split and its nudged twin are
-    the candidates; the smallest feasible one minimizes the secondary bound
-    there.  Ties go to the smaller relay SNR, then the smaller split.
-    Feasibility of the winner is re-checked against the primary bound, never
-    assumed.
+    Only the relay gains change with the relay SNR.  At each one the split is
+    the exact closed-form inverse of the primary bound, or its nudged twin
+    when rounding leaves the inverse an ulp above epsilon; with no inverse,
+    only the full split can still meet epsilon.  The first of these that
+    meets the primary bound is that relay SNR's best; the relay SNR is then
+    chosen over the grid, ties going to the smaller one.  Feasibility of the
+    winner is re-checked against the primary bound, never assumed.
     """
     epsilon = params.epsilon
     derived = derive(params)
@@ -169,18 +151,11 @@ def allocate(params: SystemParams, snr_r_grid=None,
                                 u_s_total=1.0, feasible=False)
     if snr_r_grid is None:
         snr_r_grid = default_snr_r_grid()
-    if alpha_grid is None:
-        alpha_grid = default_alpha_grid(derived.lambda_p)
-    if len(snr_r_grid) == 0 or len(alpha_grid) == 0:
-        raise ValueError("grids must be nonempty")
+    if len(snr_r_grid) == 0:
+        raise ValueError("relay-SNR grid must be nonempty")
 
     w = prob_relay_active(derived)     # independent of the relay SNR
     sec_d0 = cond_sec_outage_d0(derived)
-
-    grid = sorted(a for a in alpha_grid if 0.0 <= a <= 1.0)
-    if not grid:
-        raise ValueError("alpha grid has no points in [0, 1]")
-    lo, hi = grid[0], grid[-1]
 
     g, v = derived.gain, params.link_vars
     lam_p, lam_s = derived.lambda_p, derived.lambda_s
@@ -191,26 +166,10 @@ def allocate(params: SystemParams, snr_r_grid=None,
         if not 0.0 <= snr_r < math.inf:
             params.with_snr_r(snr_r)     # raises SystemParams' own message
         g_rp, g_rs = snr_r * v.rp, snr_r * v.rs
-
-        def meets(alpha):
-            return _primary_bound(x, g_rp, alpha, lam_p) <= epsilon
-
-        seed_alpha = alpha_for_primary_bound(derived, epsilon, snr_r)
-        # no inverse: even the full split misses epsilon, barring rounding
-        i = (len(grid) if seed_alpha is None
-             else bisect.bisect_left(grid, seed_alpha))
-        if i < len(grid) and not meets(grid[i]):
-            i = bisect.bisect_left(grid, True, i + 1, key=meets)
-        elif i > 0 and meets(grid[i - 1]):
-            i = bisect.bisect_left(grid, True, 0, i - 1, key=meets)
-        alpha = grid[i] if i < len(grid) else None
-        if seed_alpha is not None:
-            # the exact inverse can overshoot epsilon by an ulp, so its
-            # nudged twin stays a candidate; both only inside the grid hull
-            for a in (seed_alpha, min(1.0, seed_alpha + 1e-9)):
-                if lo <= a <= hi and (alpha is None or a < alpha) and meets(a):
-                    alpha = a
-                    break
+        seed = alpha_for_primary_bound(derived, epsilon, snr_r)
+        candidates = (1.0,) if seed is None else (seed, min(1.0, seed + 1e-9))
+        alpha = next((a for a in candidates
+                      if _primary_bound(x, g_rp, a, lam_p) <= epsilon), None)
         if alpha is None:
             continue
         u_s = (1.0 - w) * sec_d0 + w * _secondary_bound(y, g_rs, alpha, lam_s)

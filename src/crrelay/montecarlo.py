@@ -53,13 +53,12 @@ class OutageEstimate:
     p_hat: float
     std_err: float
     trials: int
-    seed: int
 
     @classmethod
-    def from_counts(cls, successes: int, trials: int, seed: int) -> "OutageEstimate":
+    def from_counts(cls, successes: int, trials: int) -> "OutageEstimate":
         p = successes / trials
         return cls(p_hat=p, std_err=math.sqrt(p * (1.0 - p) / trials),
-                   trials=trials, seed=seed)
+                   trials=trials)
 
     def wilson(self, z: float = 3.0) -> tuple:
         """Wilson score interval; preferred over +-z*std_err for rare events."""
@@ -84,8 +83,6 @@ class SchemeEstimates:
 
     scheme: str
     alpha: float
-    trials: int
-    seed: int
     pri: OutageEstimate | None
     sec: OutageEstimate
     p_d1: OutageEstimate | None = None
@@ -310,8 +307,7 @@ def estimate_many(seed: int, trials: int, requests, workers: int = 1,
 
     totals = [[sum(counts, Counter()) for counts in zip(*group)]
               for group in zip(*partials)]
-    return [_scheme_estimates(scheme, alpha, trials, seed, totals[i][j],
-                              primary)
+    return [_scheme_estimates(scheme, alpha, trials, totals[i][j], primary)
             for (_, alpha, scheme), (i, j) in zip(requests, slots)]
 
 
@@ -325,28 +321,28 @@ def estimate(params: SystemParams, alpha: float, trials: int, seed: int,
     return estimate_many(seed, trials, [(params, alpha, scheme)], workers)[0]
 
 
-def _scheme_estimates(scheme: str, alpha: float, trials: int, seed: int,
+def _scheme_estimates(scheme: str, alpha: float, trials: int,
                       totals: Counter, primary: bool) -> SchemeEstimates:
     """Estimates of one request from its event counts over all trials."""
 
     def co(successes, n):
         if n == 0:
             return None
-        return OutageEstimate.from_counts(successes, n, seed)
+        return OutageEstimate.from_counts(successes, n)
 
     def pri(successes, n):
         return co(successes, n) if primary else None
 
     if scheme == "noncooperative":
         return SchemeEstimates(
-            scheme=scheme, alpha=alpha, trials=trials, seed=seed,
+            scheme=scheme, alpha=alpha,
             pri=pri(totals["pri"], trials), sec=co(totals["sec"], trials),
         )
 
     n_d1 = totals["d1"]
     n_d0 = trials - n_d1
     return SchemeEstimates(
-        scheme=scheme, alpha=alpha, trials=trials, seed=seed,
+        scheme=scheme, alpha=alpha,
         pri=pri(totals["pri_d0"] + totals["pri_d1"], trials),
         sec=co(totals["sec_d0"] + totals["sec_d1"], trials),
         p_d1=co(n_d1, trials),

@@ -352,8 +352,11 @@ def test_c8_trends():
     ok = ok and all(x < y for x, y in zip(u, u[1:]))
 
     floor = primary_split_floor(derive(base).lambda_p)
-    res = allocate(base, snr_r_grid=(10.0,), alpha_grid=(0.42,))
-    ok = ok and 0.42 < floor and not res.feasible and res.u_s_total == 1.0
+    (row,) = run_sweep(SweepSpec(
+        scenario=base, axis="alpha", values=(0.42,), mode="analytic",
+        snr_r_policy="min_for_epsilon")).rows
+    ok = (ok and 0.42 < floor and row.analytic_sec == 1.0
+          and row.error.startswith("infeasible: "))
     assert _line(
         "C8 trend checks", ok,
         f"mu1 down -> bound down & relay power up; mu2 down -> bound up; "

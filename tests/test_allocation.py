@@ -1,7 +1,6 @@
 import math
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from crrelay import (
@@ -18,7 +17,6 @@ from crrelay import (
 )
 import crrelay.allocation
 from crrelay.allocation import (
-    default_alpha_grid,
     default_snr_r_grid,
     rate_p_at_split_floor,
     rate_s_at_split_ceiling,
@@ -134,15 +132,6 @@ def test_allocate_infeasible_without_secondary_access(table1):
     assert math.isnan(res.alpha)
 
 
-def test_allocate_restricted_grid_below_floor_is_infeasible(table1):
-    # confining the split below the floor leaves the primary bound stuck at
-    # its no-relay value above epsilon
-    res = allocate(table1, snr_r_grid=(10.0,),
-                   alpha_grid=tuple(np.linspace(0.05, 0.40, 8)))
-    assert not res.feasible
-    assert res.u_s_total == 1.0
-
-
 def test_allocate_empty_grid_rejected(table1):
     with pytest.raises(ValueError):
         allocate(table1, snr_r_grid=())
@@ -150,36 +139,37 @@ def test_allocate_empty_grid_rejected(table1):
 
 def test_allocate_tie_breaks_toward_smaller_alpha(table1):
     # a weak relay pushes the closed-form seed above the secondary ceiling,
-    # where the objective is flat across the whole grid: the tie must
-    # resolve to the smallest feasible split
-    d = derive(table1.with_epsilon(0.005))
-    ceiling = secondary_split_ceiling(d.lambda_s)
+    # where the objective is flat from the seed up to the full split: the
+    # tie must resolve to the smallest feasible split, the seed itself
+    params = table1.with_epsilon(0.005)
+    d = derive(params)
+    d_r = derive(params.with_snr_r(2.0))
     seed = alpha_for_primary_bound(d, 0.005, 2.0)
-    assert seed > ceiling
-    res = allocate(table1.with_epsilon(0.005), snr_r_grid=(2.0,),
-                   alpha_grid=(0.95, 0.85))
+    assert seed > secondary_split_ceiling(d.lambda_s)
+    assert upper_bound_d1(d_r, "primary", seed) <= 0.005
+    assert (upper_bound_d1(d_r, "secondary", seed)
+            == upper_bound_d1(d_r, "secondary", 1.0))
+    res = allocate(params, snr_r_grid=(2.0,))
     assert res.feasible
-    assert res.alpha == 0.85
+    assert res.alpha == seed
 
 
 def test_allocate_tie_breaks_toward_smaller_snr_r(table1):
-    # both relay SNRs put every candidate in the flat zone, so the whole grid
-    # ties and the smaller relay SNR wins
+    # both relay SNRs put their closed-form splits in the flat zone, so the
+    # two tie and the smaller relay SNR wins
     d = derive(table1.with_epsilon(0.005))
     ceiling = secondary_split_ceiling(d.lambda_s)
     for snr_r in (2.0, 2.1):
         seed = alpha_for_primary_bound(d, 0.005, snr_r)
         assert seed > ceiling
-    res = allocate(table1.with_epsilon(0.005), snr_r_grid=(2.1, 2.0),
-                   alpha_grid=(0.9,))
+    res = allocate(table1.with_epsilon(0.005), snr_r_grid=(2.1, 2.0))
     assert res.feasible
     assert res.snr_r == 2.0
 
 
 def test_allocate_returns_nudged_twin_when_inverse_overshoots(table1):
     # at the Table 1 column the exact inverse lands a rounding step above
-    # epsilon, and no default grid point is closer to it than its nudged
-    # twin: the twin is the allocated split, which is why it stays
+    # epsilon: its nudged twin is the allocated split, which is why it stays
     d_r = derive(table1.with_snr_r(10.0))
     seed = alpha_for_primary_bound(d_r, table1.epsilon)
     twin = seed + 1e-9
@@ -188,17 +178,30 @@ def test_allocate_returns_nudged_twin_when_inverse_overshoots(table1):
     res = allocate(table1, snr_r_grid=(10.0,))
     assert res.alpha == twin
     assert res.u_p == upper_bound_d1(d_r, "primary", twin)
-    # a grid point between the inverse and its twin is feasible and smaller
-    between = math.nextafter(twin, 0.0)
-    res = allocate(table1, snr_r_grid=(10.0,), alpha_grid=(between, 1.0))
-    assert res.alpha == between
 
 
-# ---- bisection against the full grid scan -----------------------------------------
+# ---- closed form against the full grid scan ---------------------------------------
 
-def _grid_scan_allocate(params, snr_r_grid=None, alpha_grid=None):
-    """Reference allocator: evaluates both bounds at every candidate split of
-    every relay SNR, keeping the first strict improvement."""
+# The oracle's split grid: from the split floor up to 1 in steps of 0.005.
+_ALPHA_GRID_STEP = 0.005
+
+
+def _default_alpha_grid(lambda_p):
+    """The oracle's split grid from the primary split floor up to 1."""
+    floor = primary_split_floor(lambda_p)
+    pts = [floor]
+    k = 1
+    while floor + k * _ALPHA_GRID_STEP < 1.0:
+        pts.append(floor + k * _ALPHA_GRID_STEP)
+        k += 1
+    pts.append(1.0)
+    return tuple(pts)
+
+
+def _grid_scan_allocate(params, snr_r_grid=None):
+    """Reference allocator: evaluates both bounds at every split of the
+    oracle's grid, plus the closed-form split and its nudged twin, at every
+    relay SNR, keeping the first strict improvement."""
     epsilon = params.epsilon
     derived = derive(params)
     infeasible = AllocationResult(alpha=math.nan, snr_r=math.nan, u_p=math.nan,
@@ -207,25 +210,19 @@ def _grid_scan_allocate(params, snr_r_grid=None, alpha_grid=None):
         return infeasible
     if snr_r_grid is None:
         snr_r_grid = default_snr_r_grid()
-    if alpha_grid is None:
-        alpha_grid = default_alpha_grid(derived.lambda_p)
-    if len(snr_r_grid) == 0 or len(alpha_grid) == 0:
-        raise ValueError("grids must be nonempty")
+    if len(snr_r_grid) == 0:
+        raise ValueError("relay-SNR grid must be nonempty")
     w = prob_relay_active(derived)
     sec_d0 = cond_sec_outage_d0(derived)
-    grid = sorted(a for a in alpha_grid if 0.0 <= a <= 1.0)
-    if not grid:
-        raise ValueError("alpha grid has no points in [0, 1]")
-    lo, hi = grid[0], grid[-1]
+    grid = set(_default_alpha_grid(derived.lambda_p))
     best = None
     for snr_r in sorted(snr_r_grid):
         d_r = derive(derived.params.with_snr_r(snr_r))
         seed_alpha = alpha_for_primary_bound(d_r, epsilon)
-        candidates = list(grid)
+        candidates = grid
         if seed_alpha is not None:
-            extra = {seed_alpha, min(1.0, seed_alpha + 1e-9)}
-            candidates = sorted(set(grid) | {a for a in extra if lo <= a <= hi})
-        for alpha in candidates:
+            candidates = grid | {seed_alpha, min(1.0, seed_alpha + 1e-9)}
+        for alpha in sorted(candidates):
             u_p = upper_bound_d1(d_r, "primary", alpha)
             if u_p > epsilon:
                 continue
@@ -285,110 +282,60 @@ def test_allocate_matches_grid_scan_on_random_scenarios():
 
 def test_allocate_matches_grid_scan_on_restricted_grids():
     pytest.importorskip("hypothesis")
-    from hypothesis import assume, given, settings, strategies as st
+    from hypothesis import given, settings, strategies as st
     from test_properties import PROPERTY_SETTINGS, relay_snrs, scenarios
-
-    anywhere = st.one_of(st.floats(-0.5, 1.5),
-                         st.sampled_from((math.nan, -0.0, 0.0, 1.0)))
-
-    def split_grids(derived, epsilon, snr_r):
-        """Single points, points outside [0, 1], grids below the split
-        floor, grids whose hull excludes the exact inverse, and grids of the
-        floats around the inverse and its nudged twin."""
-        floor = primary_split_floor(derived.lambda_p)
-        families = [st.lists(anywhere, min_size=1, max_size=8),
-                    st.lists(st.floats(0.0, floor, exclude_max=True),
-                             min_size=1, max_size=5)]
-        seed = alpha_for_primary_bound(derived, epsilon, snr_r)
-        if seed is not None:
-            twin = min(1.0, seed + 1e-9)
-            near = st.sampled_from((
-                seed, twin, math.nextafter(seed, 0.0),
-                math.nextafter(seed, 1.0), math.nextafter(twin, 0.0),
-                min(1.0, math.nextafter(twin, 1.0))))
-            families += [
-                st.lists(st.floats(0.0, seed, exclude_max=True),
-                         min_size=1, max_size=5),
-                st.lists(near, min_size=1, max_size=4)
-                .map(lambda grid: grid + [1.0]),
-            ]
-            if twin < 1.0:
-                families.append(st.lists(
-                    st.floats(twin, 1.0, exclude_min=True),
-                    min_size=1, max_size=5))
-        return st.one_of(families)
 
     @settings(max_examples=200, **PROPERTY_SETTINGS)
     @given(params=scenarios(), epsilon=st.floats(1e-4, 0.5), data=st.data())
     def check(params, epsilon, data):
-        derived = derive(params.with_epsilon(epsilon))
-        # without secondary access allocate returns before reading a grid
-        assume(derived.snr_s > 0.0)
-        snr_r_grid = data.draw(st.lists(relay_snrs, min_size=1, max_size=3))
-        anchor = data.draw(st.sampled_from(snr_r_grid))
-        alpha_grid = data.draw(split_grids(derived, epsilon, anchor))
-        alpha_grid += data.draw(st.lists(st.sampled_from(alpha_grid),
-                                         max_size=3))
-        _assert_matches_grid_scan(params, epsilon, snr_r_grid=snr_r_grid,
-                                  alpha_grid=alpha_grid)
+        # one to three relay SNRs, silent relays and repeats included
+        pool = data.draw(st.lists(relay_snrs, min_size=1, max_size=3))
+        snr_r_grid = data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                                        max_size=3))
+        _assert_matches_grid_scan(params, epsilon, snr_r_grid=snr_r_grid)
 
     check()
 
 
-@pytest.mark.parametrize("case", ["seed_is_first", "below_seed_meets",
-                                  "seed_fails", "grid_below_seed",
-                                  "no_inverse"])
-def test_allocate_seeded_search_branches(table1, case):
-    # each case takes one path from the closed-form split to the grid's
-    # first feasible point.  On Table 1 the inverse and the float above it
-    # miss epsilon at relay SNR 10 (its twin meets it); at relay SNR 1.5 the
-    # two floats below the inverse still meet epsilon
-    d = derive(table1)
-    snr_r = {"below_seed_meets": 1.5, "no_inverse": 0.0}.get(case, 10.0)
-    seed = alpha_for_primary_bound(d, table1.epsilon, snr_r)
-    if case == "seed_is_first":         # the point above meets, below not
-        grid, expected = (seed - 0.01, seed + 1e-9, 1.0), seed + 1e-9
-    elif case == "below_seed_meets":    # the search continues downward
-        below = math.nextafter(seed, 0.0)
-        below2 = math.nextafter(below, 0.0)
-        assert upper_bound_d1(derive(d.params.with_snr_r(snr_r)), "primary",
-                              below2) <= table1.epsilon
-        grid, expected = (below2, below, seed, 1.0), below2
-    elif case == "seed_fails":          # the search continues upward
-        above = math.nextafter(seed, 1.0)
-        assert upper_bound_d1(derive(d.params.with_snr_r(snr_r)), "primary",
-                              above) > table1.epsilon
-        grid, expected = (seed, above, seed + 1e-9, 1.0), seed + 1e-9
-    elif case == "grid_below_seed":     # nothing at or above the inverse
-        grid, expected = (0.1, 0.2), math.nan
-    else:                               # a silent relay: taken as an
-        assert seed is None             # inverse above the grid
-        grid, expected = default_alpha_grid(d.lambda_p), math.nan
-    res = allocate(table1, snr_r_grid=(snr_r,), alpha_grid=grid)
+@pytest.mark.parametrize("case", ["no_inverse", "no_inverse_full_split_meets"])
+def test_allocate_seeded_search_branches(case):
+    # with no closed-form split only the full split remains a candidate.  A
+    # silent relay leaves it short of epsilon; at this corner of the Table 1
+    # scenario the inversion gives up while the full split meets epsilon
+    if case == "no_inverse":
+        params, snr_r, expected = table1_params(0.04), 0.0, math.nan
+    else:
+        params = table1_params(0.12276440752625793)
+        snr_r, expected = 1.0710656106257235, 1.0
+    assert alpha_for_primary_bound(derive(params), params.epsilon,
+                                   snr_r) is None
+    res = allocate(params, snr_r_grid=(snr_r,))
     assert repr(res.alpha) == repr(expected)
-    _assert_matches_grid_scan(table1, table1.epsilon, snr_r_grid=(snr_r,),
-                              alpha_grid=grid)
+    assert res.feasible == (case == "no_inverse_full_split_meets")
+    _assert_matches_grid_scan(params, params.epsilon, snr_r_grid=(snr_r,))
 
 
-def test_default_allocate_evaluates_555_bounds(monkeypatch):
+def test_default_allocate_evaluates_321_bounds(monkeypatch):
     # the deterministic record of the allocator's work: every bound it
-    # evaluates while searching goes through these two helpers
-    calls = []
+    # evaluates while searching goes through these two helpers.  Each of the
+    # 161 relay SNRs checks one split, the 43 whose inverse overshoots epsilon
+    # their nudged twin too, and the 117 feasible ones one secondary bound
+    calls = {}
     for name in ("_primary_bound", "_secondary_bound"):
         bound = getattr(crrelay.allocation, name)
 
-        def counted(*args, _bound=bound):
-            calls.append(args)
+        def counted(*args, _bound=bound, _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
             return _bound(*args)
         monkeypatch.setattr(crrelay.allocation, name, counted)
     assert allocate(default_params()).feasible
-    assert len(calls) == 555
+    assert calls == {"_primary_bound": 204, "_secondary_bound": 117}
 
 
 @pytest.mark.parametrize("grids", [
     dict(snr_r_grid=()),
-    dict(alpha_grid=()),
-    dict(alpha_grid=(-0.5, math.nan, 1.5)),
+    dict(snr_r_grid=(math.nan,)),
+    dict(snr_r_grid=(1.0, math.inf)),
     dict(snr_r_grid=(10.0, -1.0)),
 ])
 def test_allocate_rejects_grids_like_grid_scan(table1, grids):
@@ -396,7 +343,8 @@ def test_allocate_rejects_grids_like_grid_scan(table1, grids):
 
 
 def test_default_alpha_grid_covers_floor_to_one(table1_derived):
-    grid = default_alpha_grid(table1_derived.lambda_p)
+    # the oracle's split grid spans every split the allocator can pick
+    grid = _default_alpha_grid(table1_derived.lambda_p)
     assert grid[0] == primary_split_floor(table1_derived.lambda_p)
     assert grid[-1] == 1.0
     assert all(b > a for a, b in zip(grid, grid[1:]))

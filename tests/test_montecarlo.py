@@ -36,7 +36,7 @@ from conftest import link_draws, replay_counts, symmetric_relay_params
 # ---- estimates --------------------------------------------------------------
 
 def test_outage_estimate_fields():
-    est = OutageEstimate.from_counts(25, 1000, seed=3)
+    est = OutageEstimate.from_counts(25, 1000)
     assert est.p_hat == 0.025
     assert est.std_err == pytest.approx(math.sqrt(0.025 * 0.975 / 1000))
     lo, hi = est.wilson(z=3.0)
@@ -44,7 +44,7 @@ def test_outage_estimate_fields():
 
 
 def test_outage_estimate_degenerate_wilson():
-    est = OutageEstimate.from_counts(0, 100, seed=0)
+    est = OutageEstimate.from_counts(0, 100)
     lo, hi = est.wilson()
     assert lo == 0.0 and hi > 0.0
 

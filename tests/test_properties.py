@@ -82,7 +82,8 @@ def _split_pairs(d, a, b):
 @settings(max_examples=200, **PROPERTY_SETTINGS)
 @given(params=scenarios(), a=splits, b=splits)
 def test_bounds_monotone_in_split(params, a, b):
-    # exact, not within a tolerance: allocate bisects on these orders
+    # exact, not within a tolerance: allocate takes the smallest feasible
+    # split on these orders
     d = derive(params)
     assume(d.snr_s > 0.0)
     for lo, hi in _split_pairs(d, a, b):
