@@ -2,12 +2,13 @@
 the secondary outage bound subject to the primary outage staying within the
 admission threshold.
 
-The primary bound never increases with the split and the secondary bound
-never decreases with it, exactly in floating point: each is a chain of
-monotone operations.  So at each relay SNR the smallest feasible split is
-that SNR's best, and the primary bound gives it in closed form on its
-split-dependent branch.  Only the relay gains depend on the relay SNR; all
-else is computed once per scenario.
+Exactly in floating point, each a chain of monotone operations: the primary
+bound never rises with the split or the relay SNR, the secondary bound never
+falls with the split nor rises with the relay SNR, and the closed-form split
+never rises with the relay SNR.  So each relay SNR's best is its smallest
+feasible split, which the primary bound gives in closed form, and a walk down
+the relay-SNR grid stops once no smaller relay SNR can do better.  Only the
+relay gains depend on the relay SNR; all else is computed once per scenario.
 """
 
 import functools
@@ -140,9 +141,11 @@ def allocate(params: SystemParams, snr_r_grid=None) -> AllocationResult:
     the exact closed-form inverse of the primary bound, or its nudged twin
     when rounding leaves the inverse an ulp above epsilon; with no inverse,
     only the full split can still meet epsilon.  The first of these that
-    meets the primary bound is that relay SNR's best; the relay SNR is then
-    chosen over the grid, ties going to the smaller one.  Feasibility of the
-    winner is re-checked against the primary bound, never assumed.
+    meets the primary bound is that relay SNR's best.  The validated grid is
+    walked from its largest relay SNR down, ties going to the smaller one; it
+    stops once the objective at the first candidate (a floor for every
+    smaller relay SNR) exceeds the best, or the full split misses epsilon.
+    Feasibility of the winner is re-checked, never assumed.
     """
     epsilon = params.epsilon
     derived = derive(params)
@@ -161,19 +164,28 @@ def allocate(params: SystemParams, snr_r_grid=None) -> AllocationResult:
     lam_p, lam_s = derived.lambda_p, derived.lambda_s
     x = _ratio_outage(g.pp, g.sp, lam_p)     # the bounds without relay help
     y = _ratio_outage(g.ss, g.ps, lam_s)
-    best = None   # (u_s_total, snr_r, alpha)
-    for snr_r in sorted(snr_r_grid):
+    snr_r_grid = sorted(snr_r_grid)
+    for snr_r in snr_r_grid:
         if not 0.0 <= snr_r < math.inf:
             params.with_snr_r(snr_r)     # raises SystemParams' own message
+    best = None   # (u_s_total, snr_r, alpha)
+    for snr_r in reversed(snr_r_grid):
         g_rp, g_rs = snr_r * v.rp, snr_r * v.rs
         seed = alpha_for_primary_bound(derived, epsilon, snr_r)
         candidates = (1.0,) if seed is None else (seed, min(1.0, seed + 1e-9))
+        u_s = (1.0 - w) * sec_d0 + w * _secondary_bound(y, g_rs, candidates[0],
+                                                         lam_s)
+        if best is not None and u_s > best[0]:
+            break     # no smaller relay SNR reaches the best so far
         alpha = next((a for a in candidates
                       if _primary_bound(x, g_rp, a, lam_p) <= epsilon), None)
         if alpha is None:
+            if _primary_bound(x, g_rp, 1.0, lam_p) > epsilon:
+                break     # nor does any smaller relay SNR meet epsilon
             continue
-        u_s = (1.0 - w) * sec_d0 + w * _secondary_bound(y, g_rs, alpha, lam_s)
-        if best is None or u_s < best[0]:
+        if alpha != candidates[0]:
+            u_s = (1.0 - w) * sec_d0 + w * _secondary_bound(y, g_rs, alpha, lam_s)
+        if best is None or u_s <= best[0]:
             best = (u_s, snr_r, alpha)
 
     if best is None:

@@ -1,10 +1,13 @@
 import math
+import random
 from dataclasses import replace
 
 import pytest
 
 from crrelay import (
     AllocationResult,
+    LinkTable,
+    SystemParams,
     allocate,
     alpha_for_primary_bound,
     common_alpha_band,
@@ -21,9 +24,19 @@ from crrelay.allocation import (
     rate_p_at_split_floor,
     rate_s_at_split_ceiling,
 )
-from crrelay.analytic import primary_split_floor, secondary_split_ceiling
+from crrelay.analytic import (
+    _primary_bound,
+    _secondary_bound,
+    primary_split_floor,
+    secondary_split_ceiling,
+)
 from crrelay.harness import default_params
-from crrelay.system import db_to_linear, secondary_cutoff_snr, two_slot_threshold
+from crrelay.system import (
+    LINKS,
+    db_to_linear,
+    secondary_cutoff_snr,
+    two_slot_threshold,
+)
 
 FLOOR_04 = 0.4256508225014825          # split floor at rate_p = 0.4
 CEILING_02 = 0.7578582832551991        # split ceiling at rate_s = 0.2
@@ -99,6 +112,71 @@ def test_min_snr_r_rejects_floor(table1_derived):
     for alpha in (1.1, math.nan):
         with pytest.raises(ValueError, match="at most 1"):
             min_snr_r_for_epsilon(table1_derived, alpha, 0.04)
+
+
+# ---- the monotone lemmas the allocator's walk rests on ---------------------------
+
+def _ulp_ladder(*points):
+    """The nonnegative points with their neighbours one ulp either side,
+    ascending."""
+    ladder = set()
+    for p in points:
+        ladder |= {math.nextafter(p, -math.inf), p, math.nextafter(p, math.inf)}
+    return sorted(v for v in ladder if v >= 0.0)
+
+
+def _never_rises(values):
+    return all(b <= a for a, b in zip(values, values[1:]))
+
+
+def _never_falls(values):
+    return all(b >= a for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("lam", [two_slot_threshold(0.4),
+                                 two_slot_threshold(0.2), 1e-6, 3.0, 1e6])
+def test_scalar_bounds_are_exactly_monotone_across_branch_edges(lam):
+    # splits one ulp either side of the primary split floor and the
+    # secondary split ceiling, and relay gains from none through a product
+    # g*t that underflows to 0 up to 1e300: exact orders, no tolerance
+    floor, ceiling = primary_split_floor(lam), secondary_split_ceiling(lam)
+    splits = [a for a in _ulp_ladder(0.0, floor, ceiling, 0.5, 1.0) if a <= 1.0]
+    gains = _ulp_ladder(0.0, 5e-324, 1e-300, 1e-10, 1.0, 1e300)
+    # the ladders reach the underflow branch next to both edges
+    t_p = math.nextafter(floor, math.inf) * (1.0 + lam) - lam
+    t_s = 1.0 - math.nextafter(ceiling, -math.inf) * (1.0 + lam)
+    assert t_p > 0.0 and 5e-324 * t_p == 0.0
+    assert t_s > 0.0 and 5e-324 * t_s == 0.0
+    for v in (0.0, 1e-300, 0.3, 1.0):
+        for g in gains:
+            assert _never_rises([_primary_bound(v, g, a, lam) for a in splits])
+            assert _never_falls([_secondary_bound(v, g, a, lam)
+                                 for a in splits])
+        for a in splits:
+            assert _never_rises([_primary_bound(v, g, a, lam) for g in gains])
+            assert _never_rises([_secondary_bound(v, g, a, lam) for g in gains])
+
+
+@pytest.mark.parametrize("epsilon", [0.001, 0.04, 0.5])
+def test_closed_form_split_never_rises_with_relay_snr(table1, epsilon):
+    # relay SNRs one ulp either side of a silent relay, of a gain whose
+    # product with the log gap underflows, of the relay SNR at which the
+    # split reaches 1 (where "no inverse" begins) and of ordinary values.
+    # Splits never rise with the relay SNR, and once there is no inverse
+    # there is none at any smaller relay SNR
+    d = derive(table1)
+    reaches_one = min_snr_r_for_epsilon(d, 1.0, epsilon)
+    snrs = _ulp_ladder(0.0, 5e-324, 1e-300, reaches_one or 1.0, 1.0, 1000.0,
+                       1e300)
+    seeds = [alpha_for_primary_bound(d, epsilon, snr_r) for snr_r in snrs]
+    first = next((i for i, a in enumerate(seeds) if a is not None), len(seeds))
+    assert all(a is None for a in seeds[:first])
+    assert None not in seeds[first:]
+    assert _never_rises(seeds[first:])
+    if epsilon == 0.5:      # slack target: the split floor throughout
+        assert seeds == [primary_split_floor(d.lambda_p)] * len(seeds)
+    else:
+        assert seeds[0] is None and snrs[first - 1] < reaches_one
 
 
 # ---- allocation -------------------------------------------------------------------
@@ -297,6 +375,52 @@ def test_allocate_matches_grid_scan_on_restricted_grids():
     check()
 
 
+def _seeded_scenario(rng, family):
+    """A scenario as drawn (rates, SNRs and link variances over wide ranges),
+    with a weak relay-to-primary link, or 0.5-5 dB below the admission
+    cutoff, drawn from random.Random so that it needs no Hypothesis."""
+    params = SystemParams(
+        rate_p=rng.uniform(0.05, 1.5), rate_s=rng.uniform(0.05, 1.5),
+        snr_p=db_to_linear(rng.uniform(-10.0, 60.0)), snr_r=1.0,
+        epsilon=10.0 ** rng.uniform(-4.0, math.log10(0.5)),
+        link_vars=LinkTable.from_dict(
+            {name: 10.0 ** rng.uniform(-2.0, 2.0) for name in LINKS}))
+    if family == "weak_relay":
+        link_vars = replace(params.link_vars, rp=rng.uniform(1e-4, 1e-3))
+        params = replace(params, link_vars=link_vars)
+    elif family == "below_cutoff":
+        cutoff = secondary_cutoff_snr(params.rate_p, params.epsilon,
+                                      params.link_vars.pp)
+        params = replace(params, snr_p=cutoff * db_to_linear(
+            -rng.uniform(0.5, 5.0)))
+    return params
+
+
+def test_allocate_matches_grid_scan_on_seeded_scenarios(monkeypatch):
+    # 2,400 scenarios in the drawn, weak-relay and below-cutoff families,
+    # each on one to eight relay SNRs of the default grid (repeats and a
+    # silent relay included): the walk picks what the full scan picks, and
+    # it does stop early, at both of its rules
+    rng = random.Random(17)
+    pool = (0.0, *default_snr_r_grid())
+    families = ("drawn",) * 8 + ("weak_relay", "below_cutoff")
+    calls = _count_calls(monkeypatch, "alpha_for_primary_bound")
+    feasible, stops = 0, {"secondary": 0, "feasibility": 0}
+    for k in range(2400):
+        params = _seeded_scenario(rng, families[k % len(families)])
+        grid = [rng.choice(pool) for _ in range(rng.randint(1, 8))]
+        _assert_matches_grid_scan(params, params.epsilon, snr_r_grid=grid)
+        calls["alpha_for_primary_bound"] = 0
+        feasible += allocate(params, snr_r_grid=grid).feasible
+        visited = calls["alpha_for_primary_bound"]
+        if 0 < visited < len(grid):      # stopped at the last visited point
+            last = derive(params.with_snr_r(sorted(grid)[-visited]))
+            full_misses = upper_bound_d1(last, "primary", 1.0) > params.epsilon
+            stops["feasibility" if full_misses else "secondary"] += 1
+    assert feasible > 600
+    assert min(stops.values()) > 100
+
+
 @pytest.mark.parametrize("case", ["no_inverse", "no_inverse_full_split_meets"])
 def test_allocate_seeded_search_branches(case):
     # with no closed-form split only the full split remains a candidate.  A
@@ -315,21 +439,70 @@ def test_allocate_seeded_search_branches(case):
     _assert_matches_grid_scan(params, params.epsilon, snr_r_grid=(snr_r,))
 
 
-def test_default_allocate_evaluates_321_bounds(monkeypatch):
-    # the deterministic record of the allocator's work: every bound it
-    # evaluates while searching goes through these two helpers.  Each of the
-    # 161 relay SNRs checks one split, the 43 whose inverse overshoots epsilon
-    # their nudged twin too, and the 117 feasible ones one secondary bound
-    calls = {}
-    for name in ("_primary_bound", "_secondary_bound"):
-        bound = getattr(crrelay.allocation, name)
+def _count_calls(monkeypatch, *names):
+    """Count the allocator's calls of the named crrelay.allocation helpers."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        helper = getattr(crrelay.allocation, name)
 
-        def counted(*args, _bound=bound, _name=name):
-            calls[_name] = calls.get(_name, 0) + 1
-            return _bound(*args)
+        def counted(*args, _helper=helper, _name=name):
+            calls[_name] += 1
+            return _helper(*args)
         monkeypatch.setattr(crrelay.allocation, name, counted)
-    assert allocate(default_params()).feasible
-    assert calls == {"_primary_bound": 204, "_secondary_bound": 117}
+    return calls
+
+
+def test_default_allocate_evaluates_3_bounds(monkeypatch):
+    # the deterministic record of the allocator's work: every bound it
+    # evaluates while searching goes through these two helpers, and every
+    # relay SNR it visits asks for one closed-form split.  The walk visits
+    # the top two relay SNRs: the top one's inverse meets epsilon, and the
+    # next one's objective at its inverse already exceeds the top one's
+    calls = _count_calls(monkeypatch, "_primary_bound", "_secondary_bound",
+                         "alpha_for_primary_bound")
+    res = allocate(default_params())
+    assert res.feasible and res.snr_r == default_snr_r_grid()[-1]
+    assert calls == {"_primary_bound": 1, "_secondary_bound": 2,
+                     "alpha_for_primary_bound": 2}
+
+
+def test_allocate_stops_after_one_relay_snr_when_infeasible(monkeypatch,
+                                                            table1):
+    # with a weak relay-to-primary link even the full split at the top of
+    # the grid misses epsilon, so no smaller relay SNR can meet it
+    params = replace(table1, link_vars=replace(table1.link_vars, rp=1e-4))
+    top = derive(params.with_snr_r(default_snr_r_grid()[-1]))
+    assert upper_bound_d1(top, "primary", 1.0) > params.epsilon
+    calls = _count_calls(monkeypatch, "alpha_for_primary_bound")
+    assert not allocate(params).feasible
+    assert calls == {"alpha_for_primary_bound": 1}
+    _assert_matches_grid_scan(params, params.epsilon)
+
+
+def test_allocate_walks_a_flat_plateau_to_the_feasibility_edge(monkeypatch,
+                                                                table1):
+    # the flat zone of test_allocate_tie_breaks_toward_smaller_snr_r, with
+    # the relay links scaled so that the default grid's top relay SNR sits
+    # at 2.1 of the unscaled scenario: every feasible relay SNR puts its
+    # split above the secondary ceiling and ties, so the walk goes down to
+    # the first relay SNR where even the full split misses epsilon, and the
+    # smallest feasible relay SNR wins
+    scale = 2.1 / 1000.0
+    params = replace(table1.with_epsilon(0.005), link_vars=replace(
+        table1.link_vars, rp=table1.link_vars.rp * scale,
+        rs=table1.link_vars.rs * scale))
+    d, grid = derive(params), default_snr_r_grid()
+    ceiling = secondary_split_ceiling(d.lambda_s)
+    edge = next(i for i in range(len(grid) - 1, -1, -1) if upper_bound_d1(
+        derive(params.with_snr_r(grid[i])), "primary", 1.0) > 0.005)
+    assert all(alpha_for_primary_bound(d, 0.005, snr_r) > ceiling
+               for snr_r in grid[edge + 1:])
+    calls = _count_calls(monkeypatch, "alpha_for_primary_bound")
+    res = allocate(params)
+    assert res.feasible and res.snr_r == grid[edge + 1]
+    assert calls == {"alpha_for_primary_bound": len(grid) - edge}
+    assert len(grid) - edge == 10
+    _assert_matches_grid_scan(params, params.epsilon)
 
 
 @pytest.mark.parametrize("grids", [
@@ -337,6 +510,12 @@ def test_default_allocate_evaluates_321_bounds(monkeypatch):
     dict(snr_r_grid=(math.nan,)),
     dict(snr_r_grid=(1.0, math.inf)),
     dict(snr_r_grid=(10.0, -1.0)),
+    # the whole grid is validated before the walk starts, so a bad value is
+    # rejected even far below where the walk stops
+    dict(snr_r_grid=(-1.0, 1000.0)),
+    dict(snr_r_grid=(10.0, math.nan, 1000.0)),
+    dict(snr_r_grid=(1000.0, -1e-300)),
+    dict(snr_r_grid=(-math.inf, *default_snr_r_grid())),
 ])
 def test_allocate_rejects_grids_like_grid_scan(table1, grids):
     _assert_matches_grid_scan(table1, table1.epsilon, **grids)

@@ -17,7 +17,13 @@ from crrelay import (
     total_secondary_outage,
     upper_bound_d1,
 )
-from crrelay.analytic import primary_split_floor, secondary_split_ceiling
+from crrelay.allocation import alpha_for_primary_bound
+from crrelay.analytic import (
+    _primary_bound,
+    _secondary_bound,
+    primary_split_floor,
+    secondary_split_ceiling,
+)
 from crrelay.system import LINKS
 from conftest import replay_counts
 
@@ -104,6 +110,70 @@ def test_bounds_do_not_increase_with_relay_snr(params, alpha, r1, r2):
         for user in ("primary", "secondary"):
             assert (upper_bound_d1(d_x, user, alpha)
                     >= upper_bound_d1(d_y, user, alpha)), (user, x, y)
+
+
+# The scalar helpers' own arguments: a no-relay outage, a threshold, and a
+# relay gain anywhere from none through subnormal (where g*t underflows to 0)
+# up to 1e300.
+outages = st.floats(0.0, 1.0)
+thresholds = st.floats(1e-6, 1e6)
+relay_gains = st.one_of(st.sampled_from((0.0, 5e-324, 1e-320)),
+                        st.floats(0.0, 1e300))
+
+
+def _ulp_pairs(lo, hi, *edges):
+    """The ordered pair, and each point paired with the next float up."""
+    pairs = [(lo, hi)]
+    for edge in (lo, *edges):
+        for x in (math.nextafter(edge, -math.inf), edge):
+            if x >= 0.0:
+                pairs.append((x, math.nextafter(x, math.inf)))
+    return pairs
+
+
+@settings(max_examples=300, **PROPERTY_SETTINGS)
+@given(v=outages, lam=thresholds, g=relay_gains, a=splits, b=splits)
+def test_scalar_bounds_exactly_monotone_in_split(v, lam, g, a, b):
+    # the lemmas behind the allocator: the primary bound never rises and the
+    # secondary bound never falls as the split grows, exactly, right across
+    # the split floor and the split ceiling
+    lo, hi = sorted((a, b))
+    edges = (primary_split_floor(lam), secondary_split_ceiling(lam))
+    for x, y in _ulp_pairs(lo, hi, *edges):
+        if y <= 1.0:
+            assert _primary_bound(v, g, x, lam) >= _primary_bound(v, g, y, lam)
+            assert (_secondary_bound(v, g, x, lam)
+                    <= _secondary_bound(v, g, y, lam))
+
+
+@settings(max_examples=300, **PROPERTY_SETTINGS)
+@given(v=outages, lam=thresholds, alpha=splits, g1=relay_gains,
+       g2=relay_gains)
+def test_scalar_bounds_exactly_monotone_in_relay_gain(v, lam, alpha, g1, g2):
+    # neither bound ever rises as the relay gain grows
+    lo, hi = sorted((g1, g2))
+    for x, y in _ulp_pairs(lo, hi):
+        assert _primary_bound(v, x, alpha, lam) >= _primary_bound(v, y, alpha,
+                                                                  lam)
+        assert (_secondary_bound(v, x, alpha, lam)
+                >= _secondary_bound(v, y, alpha, lam))
+
+
+@settings(max_examples=300, **PROPERTY_SETTINGS)
+@given(params=scenarios(), epsilon=st.floats(1e-4, 0.5), r1=relay_snrs,
+       r2=relay_snrs)
+def test_closed_form_split_never_rises_with_relay_snr(params, epsilon, r1, r2):
+    # a smaller relay SNR never gets a smaller closed-form split, and once
+    # there is no inverse there is none at any smaller relay SNR
+    d = derive(params)
+    lo, hi = sorted((r1, r2))
+    for x, y in _ulp_pairs(lo, hi):
+        a_x = alpha_for_primary_bound(d, epsilon, x)
+        a_y = alpha_for_primary_bound(d, epsilon, y)
+        if a_y is None:
+            assert a_x is None, (x, y)
+        elif a_x is not None:
+            assert a_x >= a_y, (x, y)
 
 
 @st.composite
