@@ -79,8 +79,6 @@ def _ratio_outage(g_sig: float, g_cross: float, threshold: float) -> float:
     Averaging the exponential tail over the interfering gain gives
     1 - g_sig*exp(-threshold/g_sig) / (g_sig + threshold*g_cross).
     """
-    if threshold == 0.0:
-        return 0.0
     return _clamp01(
         1.0 - g_sig * math.exp(-threshold / g_sig) / (g_sig + threshold * g_cross)
     )
@@ -251,31 +249,24 @@ def cond_outage_d1_exact(derived: DerivedParams, user: str,
     """Exact conditional outage given an active relay, at an extreme split.
 
     alpha is the relay power fraction given to the primary signal and must be
-    exactly 0 or 1: the user holding no relay power sees a direct-copy-only
-    outage, the user holding all of it gets the direct-plus-relay form.
+    exactly 0 or 1.  The user holding all of the relay power (primary at 1,
+    secondary at 0) gets the direct-plus-relay form; the other user holds
+    none, so its exact value is the bound's split-independent branch.
     """
     if alpha not in (0.0, 1.0):
         raise ValueError("exact conditional forms exist only at alpha 0 or 1")
     g = derived.gain
-    if user == "primary":
-        if g.pp <= 0.0 or g.sp < 0.0:
-            raise ValueError("primary gains must be positive")
-        if alpha == 0.0:
-            return _ratio_outage(g.pp, g.sp, derived.lambda_p)
-        if g.sp == 0.0:
-            raise ValueError("full-power form needs a positive cross gain")
-        return _full_power_outage(g.pp, g.sp, g.rp, derived.lambda_p,
-                                  "primary")
-    if user == "secondary":
-        if g.ss <= 0.0:
-            raise ValueError("secondary gains must be positive")
-        if alpha == 1.0:
-            return _ratio_outage(g.ss, g.ps, derived.lambda_s)
-        if g.ps == 0.0:
-            raise ValueError("full-power form needs a positive cross gain")
-        return _full_power_outage(g.ss, g.ps, g.rs, derived.lambda_s,
-                                  "secondary")
-    raise ValueError("user must be 'primary' or 'secondary'")
+    if user == "primary" and alpha == 1.0:
+        g_sig, g_cross, g_relay, lam = g.pp, g.sp, g.rp, derived.lambda_p
+    elif user == "secondary" and alpha == 0.0:
+        g_sig, g_cross, g_relay, lam = g.ss, g.ps, g.rs, derived.lambda_s
+    else:
+        return upper_bound_d1(derived, user, alpha)
+    if g_sig <= 0.0:
+        raise ValueError(f"{user} direct gain must be positive")
+    if g_cross <= 0.0:
+        raise ValueError("full-power form needs a positive cross gain")
+    return _full_power_outage(g_sig, g_cross, g_relay, lam, user)
 
 
 def primary_split_floor(lambda_p: float) -> float:
@@ -340,15 +331,10 @@ def conditional_outages(derived: DerivedParams,
                         alpha: float) -> ConditionalOutage:
     """All four conditional outages at one split; exact where possible."""
     exact = alpha in (0.0, 1.0)
-    if exact:
-        pri_d1 = cond_outage_d1_exact(derived, "primary", alpha)
-        sec_d1 = cond_outage_d1_exact(derived, "secondary", alpha)
-    else:
-        pri_d1 = upper_bound_d1(derived, "primary", alpha)
-        sec_d1 = upper_bound_d1(derived, "secondary", alpha)
+    d1 = cond_outage_d1_exact if exact else upper_bound_d1
     return ConditionalOutage(
-        pri_d1=pri_d1,
-        sec_d1=sec_d1,
+        pri_d1=d1(derived, "primary", alpha),
+        sec_d1=d1(derived, "secondary", alpha),
         sec_d0=cond_sec_outage_d0(derived),
         pri_d0=cond_pri_outage_d0(derived),
         d1_exact=exact,

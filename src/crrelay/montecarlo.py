@@ -81,8 +81,6 @@ class SchemeEstimates:
     primary estimate is None when the primary events were not counted.
     """
 
-    scheme: str
-    alpha: float
     pri: OutageEstimate | None
     sec: OutageEstimate
     p_d1: OutageEstimate | None = None
@@ -307,8 +305,8 @@ def estimate_many(seed: int, trials: int, requests, workers: int = 1,
 
     totals = [[sum(counts, Counter()) for counts in zip(*group)]
               for group in zip(*partials)]
-    return [_scheme_estimates(scheme, alpha, trials, totals[i][j], primary)
-            for (_, alpha, scheme), (i, j) in zip(requests, slots)]
+    return [_scheme_estimates(scheme, trials, totals[i][j], primary)
+            for (_, _, scheme), (i, j) in zip(requests, slots)]
 
 
 def estimate(params: SystemParams, alpha: float, trials: int, seed: int,
@@ -321,8 +319,8 @@ def estimate(params: SystemParams, alpha: float, trials: int, seed: int,
     return estimate_many(seed, trials, [(params, alpha, scheme)], workers)[0]
 
 
-def _scheme_estimates(scheme: str, alpha: float, trials: int,
-                      totals: Counter, primary: bool) -> SchemeEstimates:
+def _scheme_estimates(scheme: str, trials: int, totals: Counter,
+                      primary: bool) -> SchemeEstimates:
     """Estimates of one request from its event counts over all trials."""
 
     def co(successes, n):
@@ -334,15 +332,12 @@ def _scheme_estimates(scheme: str, alpha: float, trials: int,
         return co(successes, n) if primary else None
 
     if scheme == "noncooperative":
-        return SchemeEstimates(
-            scheme=scheme, alpha=alpha,
-            pri=pri(totals["pri"], trials), sec=co(totals["sec"], trials),
-        )
+        return SchemeEstimates(pri=pri(totals["pri"], trials),
+                               sec=co(totals["sec"], trials))
 
     n_d1 = totals["d1"]
     n_d0 = trials - n_d1
     return SchemeEstimates(
-        scheme=scheme, alpha=alpha,
         pri=pri(totals["pri_d0"] + totals["pri_d1"], trials),
         sec=co(totals["sec_d0"] + totals["sec_d1"], trials),
         p_d1=co(n_d1, trials),

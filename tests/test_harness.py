@@ -111,6 +111,9 @@ def test_sweep_spec_validation():
                   schemes=("psychic",))
     with pytest.raises(ValueError):
         SweepSpec(scenario=params, axis="alpha", values=(0.5,), trials=0)
+    with pytest.raises(ValueError, match="snr_r_policy must be"):
+        SweepSpec(scenario=params, axis="alpha", values=(0.5,),
+                  snr_r_policy="bogus")
     with pytest.raises(ValueError):
         SweepSpec.from_range(params, "alpha", 0.5, 0.4, 0.1)
 
@@ -304,6 +307,30 @@ def test_reproduce_fig6(tmp_path):
     assert below and all(r["u_s_prime"] == "1" for r in below)
 
 
+def test_fig4_to_fig6_compute_each_curve_once(monkeypatch, tmp_path):
+    # fig4 and fig5 read the same five channel-condition curves, and fig6's
+    # alpha 0.5 curve is the (1, 1) one: 9 distinct minimum-relay sweeps
+    # instead of 15, and none when the targets run again in the process
+    import crrelay.harness as harness
+
+    specs = []
+    sweep = harness.run_sweep
+
+    def counted(spec, *args, **kwargs):
+        specs.append(spec)
+        return sweep(spec, *args, **kwargs)
+    monkeypatch.setattr(harness, "run_sweep", counted)
+    harness._min_relay_curve.cache_clear()
+    for target in ("fig4", "fig5", "fig6"):
+        reproduce(target, out_dir=tmp_path)
+    assert len(specs) == 9
+    assert len({(s.scenario, s.alpha, s.values) for s in specs}) == 9
+    specs.clear()
+    for target in ("fig4", "fig5", "fig6"):
+        reproduce(target, out_dir=tmp_path)
+    assert specs == []
+
+
 def test_reproduce_fig3_small(tmp_path):
     report = reproduce("fig3", out_dir=tmp_path, trials=20_000, seed=1)
     assert report.ok
@@ -358,8 +385,9 @@ def test_reproduce_target_report_bytes_pinned(tmp_path):
 
 # Standard output and exit code of verify runs covering both relay-active
 # row kinds (exact at splits 0 and 1, bounds inside), both total references
-# and the scenario without secondary access; and of sweeps moving each kind
-# of link axis and crossing the admission cutoff with every scheme.
+# and the scenario without secondary access; of sweeps moving each kind of
+# link axis, the relay SNR and both rates, and crossing the admission cutoff
+# with every scheme; and of allocate and region when nothing is feasible.
 _ALL_SCHEMES = "proposed,relay_assisted_secondary,noncooperative"
 _HARNESS_STDOUT_SHA256 = {
     "verify-alpha-0": (
@@ -403,6 +431,32 @@ _HARNESS_STDOUT_SHA256 = {
          "--start", "5", "--stop", "14", "--step", "1",
          "--schemes", _ALL_SCHEMES], 0,
         "af8100f53ae2fea88c13153ba79dae40c5013f1b58deb7b5e42995a5e1aa3dbe",
+    ),
+    "sweep-snr_r_db": (
+        ["--trials", "20000", "sweep", "--axis", "snr_r_db",
+         "--start", "-10", "--stop", "20", "--step", "10"], 0,
+        "e41a89ba11f9708f97ec642c6c47917b735b0fefe43162c13fbcf24952ec8d1e",
+    ),
+    "sweep-rate_p": (
+        ["sweep", "--mode", "analytic", "--axis", "rate_p",
+         "--start", "0.2", "--stop", "1", "--step", "0.2",
+         "--schemes", _ALL_SCHEMES], 0,
+        "fb2c27fe280e56ab64811e7f40812b9486483a9e38b0c012cb588021a9752227",
+    ),
+    "sweep-rate_s": (
+        ["--trials", "20000", "sweep", "--axis", "rate_s",
+         "--start", "0.1", "--stop", "0.7", "--step", "0.3"], 0,
+        "1bf0f40bcebbfe0ea51f3d3a80194c8a23504e62919e320c378f9634f32bfb67",
+    ),
+    # "infeasible: no grid point meets the primary bound (secondary outage 1)"
+    "allocate-infeasible": (
+        ["--set", "epsilon=1e-300", "allocate"], 0,
+        "d3f5046c7f7b4a548ac181c0d3bb0f36c9c36b52692b4a97369735e9112609b8",
+    ),
+    # "rates (0.9, 0.9): no common split band", then the region verdict
+    "region-no-common-band": (
+        ["--set", "rate_p=0.9", "--set", "rate_s=0.9", "region"], 0,
+        "23a0b349f2f7b8365fc476d4e91a5dbf1ced7824fa295c624999a28c839360e1",
     ),
 }
 
@@ -610,9 +664,14 @@ _SECONDARY_SNR_OVERFLOWS = ("admitted secondary SNR overflows: link variance "
      ["analytic", "--alpha", "0"],
      "full-power secondary outage does not converge: the mean gains of links "
      "ss, ps and rs are out of range"),
+    # just above the cutoff snr_s * var_ss rounds to 0: the exact forms and
+    # the bounds name it alike
+    *[(["link_vars.ss=5e-324", "snr_p_db=10.22"], ["analytic", "--alpha", a],
+       "secondary direct gain must be positive") for a in ("0", "0.5", "1")],
 ], ids=["sp-analytic", "sp-allocate", "sp-simulate", "ss-gain", "pr-gain",
         "nan-conditional", "full-power-secondary", "full-power-underflow",
-        "full-power-no-convergence"])
+        "full-power-no-convergence", "ss-underflow-alpha-0",
+        "ss-underflow-alpha-0.5", "ss-underflow-alpha-1"])
 def test_cli_rejects_overflowing_scenario(overrides, command, message, capsys):
     # an overflow is refused, never printed as a NaN outage or a 0 +- 0
     # estimate
