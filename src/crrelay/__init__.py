@@ -26,13 +26,13 @@ from .analytic import (
 )
 from .harness import (
     Report,
-    ResultTable,
     SweepSpec,
     compare_analytic_mc,
     default_params,
     load_config,
     reproduce,
     run_sweep,
+    sweep_csv,
     table1_params,
 )
 from .montecarlo import (

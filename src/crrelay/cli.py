@@ -23,6 +23,7 @@ from .harness import (
     reproduce,
     resolve_out_dir,
     run_sweep,
+    sweep_csv,
 )
 from .montecarlo import SCHEMES, check_run, estimate
 from .system import db_to_linear, derive, linear_to_db, secondary_cutoff_snr
@@ -162,7 +163,7 @@ def _cmd_sweep(params, args):
         schemes=schemes, mode=args.mode,
         trials=DEFAULT_SWEEP_TRIALS if args.trials is None else args.trials,
         seed=args.seed, alpha=args.alpha, snr_r_policy=args.snr_r_policy)
-    data = run_sweep(spec, workers=args.workers).to_csv_bytes()
+    data = sweep_csv(run_sweep(spec, workers=args.workers))
     if args.out is None:
         sys.stdout.write(data.decode("utf-8"))
     else:

@@ -19,6 +19,7 @@ import csv
 import functools
 import io
 import math
+import operator
 import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -202,6 +203,9 @@ class SweepSpec:
             raise ValueError("trials must be at least 1 when simulating")
         if self.snr_r_policy not in ("fixed", "min_for_epsilon"):
             raise ValueError("snr_r_policy must be 'fixed' or 'min_for_epsilon'")
+        if self.axis == "snr_r_db" and self.snr_r_policy == "min_for_epsilon":
+            raise ValueError("axis snr_r_db cannot be swept under snr_r_policy "
+                             "min_for_epsilon, which sets the relay SNR itself")
 
     @classmethod
     def from_range(cls, scenario, axis, start, stop, step, **kw):
@@ -233,6 +237,7 @@ class ResultRow:
 
 
 _CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
+_csv_row = operator.attrgetter(*_CSV_COLUMNS)   # a row's cells, in column order
 
 
 def _csv_cell(x) -> str:
@@ -254,16 +259,9 @@ def _csv_bytes(header, rows) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
-@dataclass(frozen=True)
-class ResultTable:
-    rows: tuple
-
-    def cells(self) -> list:
-        """Raw cell values, one list per row in _CSV_COLUMNS order."""
-        return [[getattr(row, col) for col in _CSV_COLUMNS] for row in self.rows]
-
-    def to_csv_bytes(self) -> bytes:
-        return _csv_bytes(_CSV_COLUMNS, self.cells())
+def sweep_csv(rows) -> bytes:
+    """CSV bytes of run_sweep's rows: one column per ResultRow field."""
+    return _csv_bytes(_CSV_COLUMNS, map(_csv_row, rows))
 
 
 def _with_links(scenario: SystemParams, **axes) -> SystemParams:
@@ -289,17 +287,8 @@ def _apply_axis(scenario: SystemParams, axis: str, value: float, alpha: float):
     return _with_links(scenario, **{axis: value}), alpha
 
 
-def _row_snr_r(params, derived, alpha, policy):
-    """Relay SNR in effect for a sweep row; None means infeasible."""
-    if policy == "fixed":
-        return params.snr_r
-    if derived.snr_s == 0.0:
-        return 0.0
-    return min_snr_r_for_epsilon(derived, alpha, params.epsilon)
-
-
-def run_sweep(spec: SweepSpec, workers: int = 1) -> ResultTable:
-    """Evaluate the requested schemes along the axis.
+def run_sweep(spec: SweepSpec, workers: int = 1) -> tuple[ResultRow, ...]:
+    """One row per axis value and requested scheme, in that order.
 
     Row errors are captured in the error column instead of aborting the
     sweep; rows without secondary access report secondary outage 1.  Every
@@ -314,18 +303,21 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> ResultTable:
             params, alpha = _apply_axis(spec.scenario, spec.axis, value,
                                         spec.alpha)
             derived = derive(params)
-            snr_r = _row_snr_r(params, derived, alpha, spec.snr_r_policy)
-            if snr_r is not None and snr_r != params.snr_r:
-                params = params.with_snr_r(snr_r)
-                derived = derive(params)
+            snr_r = params.snr_r
+            if spec.snr_r_policy == "min_for_epsilon":
+                snr_r = 0.0 if derived.snr_s == 0.0 else min_snr_r_for_epsilon(
+                    derived, alpha, params.epsilon)
+                if snr_r is not None and snr_r != params.snr_r:
+                    params = params.with_snr_r(snr_r)
+                    derived = derive(params)
         except ValueError as exc:
-            for scheme in spec.schemes:
-                rows.append(ResultRow(axis=spec.axis, value=value,
-                                      scheme=scheme, error=str(exc)))
+            rows += (ResultRow(axis=spec.axis, value=value, scheme=scheme,
+                               error=str(exc)) for scheme in spec.schemes)
             continue
         for scheme in spec.schemes:
             row = ResultRow(axis=spec.axis, value=value, scheme=scheme,
                             snr_s=derived.snr_s)
+            rows.append(row)
             if scheme != "noncooperative":
                 row.alpha = alpha
                 row.snr_r = snr_r
@@ -335,7 +327,6 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> ResultTable:
                     row.analytic_is_bound = False
                     row.error = ("infeasible: split at or below the "
                                  "primary-bound floor")
-                    rows.append(row)
                     continue
             try:
                 if spec.mode in ("analytic", "both"):
@@ -356,7 +347,6 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> ResultTable:
                     requests.append((params, alpha, scheme))
             except (ValueError, ArithmeticError) as exc:
                 row.error = str(exc)
-            rows.append(row)
     if requests:
         try:
             ests = estimate_many(spec.seed, spec.trials, requests, workers,
@@ -370,7 +360,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> ResultTable:
                 row.mc_sec_std_err = est.sec.std_err
                 if est.p_d1 is not None:
                     row.p_d1 = est.p_d1.p_hat
-    return ResultTable(rows=tuple(rows))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +518,7 @@ def _fig3(trials, seed, workers):
         schemes=SCHEMES, mode="both", trials=trials, seed=seed,
         alpha=0.5, snr_r_policy="min_for_epsilon",
     )
-    table = run_sweep(spec, workers=workers)
+    rows = run_sweep(spec, workers=workers)
     cutoff_db = linear_to_db(
         secondary_cutoff_snr(params.rate_p, params.epsilon, params.link_vars.pp)
     )
@@ -539,7 +529,7 @@ def _fig3(trials, seed, workers):
               f"published read-off is {_CUTOFF_PUBLISHED_DB} dB (documented, "
               "not asserted)"),
     ]
-    below = [r for r in table.rows if r.value < cutoff_db and not r.error]
+    below = [r for r in rows if r.value < cutoff_db and not r.error]
     ok_below = all(
         (r.analytic_sec is None or r.analytic_sec == 1.0)
         and (r.mc_sec is None or r.mc_sec == 1.0)
@@ -549,7 +539,7 @@ def _fig3(trials, seed, workers):
     checks.append(_check(
         "below cutoff: no secondary access, outage 1 in every scheme",
         ok_below and below, f"{len(below)} rows below {cutoff_db:.2f} dB"))
-    at20 = {r.scheme: r for r in table.rows if r.value == 20.0}
+    at20 = {r.scheme: r for r in rows if r.value == 20.0}
     prop, relay, nc = (at20["proposed"], at20["relay_assisted_secondary"],
                        at20["noncooperative"])
 
@@ -563,16 +553,16 @@ def _fig3(trials, seed, workers):
         "ordering at 20 dB: relay-assisted < non-cooperative",
         relay.mc_sec, nc.mc_sec, margin=3.0 * comb(relay, nc)))
     dominated = [
-        r for r in table.rows
+        r for r in rows
         if r.scheme == "proposed" and not r.error and r.snr_s > 0.0
         and r.mc_sec is not None and r.analytic_sec is not None
         and r.mc_sec > r.analytic_sec + 3.0 * r.mc_sec_std_err
     ]
     checks.append(_check(
         "proposed rows: simulation within bound + 3 std_err", not dominated,
-        f"{len(dominated)} violations over {len(table.rows)} rows"))
+        f"{len(dominated)} violations over {len(rows)} rows"))
     return ("fig3: secondary outage versus primary SNR", _CSV_COLUMNS,
-            table.cells(), checks)
+            list(map(_csv_row, rows)), checks)
 
 
 _MU_FAMILIES = ((1.0, 1.0), (0.5, 1.0), (0.1, 1.0), (1.0, 0.5), (1.0, 0.1))
@@ -592,7 +582,7 @@ def _min_relay_curve(mu1, mu2, alpha, start, stop) -> tuple:
     spec = SweepSpec.from_range(scenario, "snr_p_db", start, stop, 1.0,
                                 mode="analytic", alpha=alpha,
                                 snr_r_policy="min_for_epsilon")
-    return tuple(r for r in run_sweep(spec).rows if r.snr_s != 0.0)
+    return tuple(r for r in run_sweep(spec) if r.snr_s != 0.0)
 
 
 def _at_20db(curve):

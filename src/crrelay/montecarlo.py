@@ -263,35 +263,30 @@ def estimate_many(seed: int, trials: int, requests, workers: int = 1,
     estimate is None.
     """
     check_run(trials, seed, workers)
-    for _, alpha, scheme in requests:
-        check_request(alpha, scheme)
-
-    groups = {}   # (params, alpha) -> (its index, its distinct schemes)
-    slots = []    # (group index, scheme index) of each request
+    groups = {}   # (params, alpha) -> its distinct schemes, in request order
     for params, alpha, scheme in requests:
-        i, schemes = groups.setdefault((params, alpha), (len(groups), []))
-        if scheme not in schemes:
-            schemes.append(scheme)
-        slots.append((i, schemes.index(scheme)))
-    jobs = [(derive(params), alpha, tuple(schemes))
-            for (params, alpha), (_, schemes) in groups.items()]
+        check_request(alpha, scheme)
+        groups.setdefault((params, alpha), {})[scheme] = None
+    jobs = [(params, alpha, derive(params), tuple(schemes))
+            for (params, alpha), schemes in groups.items()]
     chunks = [(start, min(_CHUNK_TRIALS, trials - start))
               for start in range(0, trials, _CHUNK_TRIALS)]
     workers = min(workers, len(chunks))
 
     def run(part):
-        """Summed counts over a worker's chunks, on one reused draw buffer."""
+        """Summed counts per request over a worker's chunks, in one buffer."""
         import numpy as np
 
         buf = np.empty(_DOUBLES_PER_TRIAL * min(_CHUNK_TRIALS, trials))
-        totals = [[Counter() for _ in schemes] for _, _, schemes in jobs]
+        totals = {(params, alpha, scheme): Counter()
+                  for params, alpha, _, schemes in jobs for scheme in schemes}
         for start, n in part:
             e = _unit_block(seed, start, n,
                             out=buf[:_DOUBLES_PER_TRIAL * n].reshape(-1, n))
-            for total, (derived, alpha, schemes) in zip(totals, jobs):
-                for count, more in zip(total, _count_group(
+            for params, alpha, derived, schemes in jobs:
+                for scheme, counts in zip(schemes, _count_group(
                         derived, alpha, schemes, e, primary)):
-                    count.update(more)
+                    totals[params, alpha, scheme].update(counts)
         return totals
 
     if workers == 1:
@@ -303,10 +298,11 @@ def estimate_many(seed: int, trials: int, requests, workers: int = 1,
             partials = list(pool.map(run, [chunks[w::workers]
                                            for w in range(workers)]))
 
-    totals = [[sum(counts, Counter()) for counts in zip(*group)]
-              for group in zip(*partials)]
-    return [_scheme_estimates(scheme, trials, totals[i][j], primary)
-            for (_, _, scheme), (i, j) in zip(requests, slots)]
+    totals = {key: sum((part[key] for part in partials), Counter())
+              for key in partials[0]}
+    return [_scheme_estimates(scheme, trials, totals[params, alpha, scheme],
+                              primary)
+            for params, alpha, scheme in requests]
 
 
 def estimate(params: SystemParams, alpha: float, trials: int, seed: int,

@@ -44,6 +44,7 @@ from crrelay import (
     reproduce,
     run_sweep,
     secondary_cutoff_snr,
+    sweep_csv,
     table1_params,
     total_secondary_outage,
     upper_bound_d1,
@@ -354,7 +355,7 @@ def test_c8_trends():
     floor = primary_split_floor(derive(base).lambda_p)
     (row,) = run_sweep(SweepSpec(
         scenario=base, axis="alpha", values=(0.42,), mode="analytic",
-        snr_r_policy="min_for_epsilon")).rows
+        snr_r_policy="min_for_epsilon"))
     ok = (ok and 0.42 < floor and row.analytic_sec == 1.0
           and row.error.startswith("infeasible: "))
     assert _line(
@@ -407,8 +408,8 @@ def test_c10_deterministic_csv():
         values=(16.0, 18.0, 20.0, 22.0, 24.0),
         schemes=("proposed", "noncooperative", "relay_assisted_secondary"),
         mode="both", trials=20_000, seed=9)
-    outputs = [run_sweep(spec, workers=w).to_csv_bytes() for w in (1, 4, 8)]
-    rerun = run_sweep(spec, workers=1).to_csv_bytes()
+    outputs = [sweep_csv(run_sweep(spec, workers=w)) for w in (1, 4, 8)]
+    rerun = sweep_csv(run_sweep(spec, workers=1))
     ok = outputs[0] == outputs[1] == outputs[2] == rerun
     assert _line("C10 deterministic CSV", ok,
                  f"{len(outputs[0])} bytes identical at 1/4/8 workers and "

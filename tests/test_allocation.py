@@ -26,6 +26,7 @@ from crrelay.allocation import (
 )
 from crrelay.analytic import (
     _primary_bound,
+    _ratio_outage,
     _secondary_bound,
     primary_split_floor,
     secondary_split_ceiling,
@@ -177,6 +178,45 @@ def test_closed_form_split_never_rises_with_relay_snr(table1, epsilon):
         assert seeds == [primary_split_floor(d.lambda_p)] * len(seeds)
     else:
         assert seeds[0] is None and snrs[first - 1] < reaches_one
+
+
+def test_split_or_its_twin_meets_epsilon_whenever_the_full_split_does():
+    # the allocator skips a relay SNR only when the closed-form split and its
+    # nudged twin both miss epsilon while the full split meets it.  No
+    # seeded draw with secondary access reaches that branch; this pins the
+    # search that found none (a search is not a proof, so the allocator
+    # keeps the branch).  Without access the allocator never walks, and
+    # there an epsilon far below the no-relay bound can leave both splits
+    # up to a few parts in 1e5 above it
+    rng = random.Random(23)
+
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    checked = 0
+    for _ in range(20_000):
+        try:
+            d = derive(SystemParams(
+                rate_p=log_uniform(1e-3, 16.0), rate_s=log_uniform(1e-3, 16.0),
+                snr_p=log_uniform(1e-2, 1e8), snr_r=0.0,
+                epsilon=log_uniform(1e-12, 0.98),
+                link_vars=LinkTable.from_dict(
+                    {l: log_uniform(1e-6, 1e6) for l in LINKS})))
+        except ValueError:
+            continue
+        if d.snr_s == 0.0:
+            continue
+        eps, lam = d.params.epsilon, d.lambda_p
+        snr_r = log_uniform(1e-30, 1e30)
+        g_rp = snr_r * d.params.link_vars.rp
+        x = _ratio_outage(d.gain.pp, d.gain.sp, lam)
+        a = alpha_for_primary_bound(d, eps, snr_r)
+        if a is None or _primary_bound(x, g_rp, 1.0, lam) > eps:
+            continue
+        checked += 1
+        assert any(_primary_bound(x, g_rp, c, lam) <= eps
+                   for c in (a, min(1.0, a + 1e-9))), (d.params, snr_r)
+    assert checked > 3_000
 
 
 # ---- allocation -------------------------------------------------------------------
@@ -549,6 +589,23 @@ def test_rate_implied_by_split():
     # and the boundary functions invert the threshold maps
     assert rate_p_at_split_floor(FLOOR_04) == pytest.approx(0.4, rel=1e-12)
     assert rate_s_at_split_ceiling(CEILING_02) == pytest.approx(0.2, rel=1e-12)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda d: rate_p_at_split_floor(0.0), "strictly between 0 and 1"),
+    (lambda d: rate_p_at_split_floor(1.0), "strictly between 0 and 1"),
+    (lambda d: rate_s_at_split_ceiling(0.0), "strictly between 0 and 1"),
+    (lambda d: rate_s_at_split_ceiling(1.0), "strictly between 0 and 1"),
+    (lambda d: alpha_for_primary_bound(d, 0.0), "epsilon must lie"),
+    (lambda d: alpha_for_primary_bound(d, 1.0), "epsilon must lie"),
+    (lambda d: min_snr_r_for_epsilon(d, 0.5, 0.0), "epsilon must lie"),
+    (lambda d: min_snr_r_for_epsilon(d, 0.5, 1.0), "epsilon must lie"),
+], ids=["floor_0", "floor_1", "ceiling_0", "ceiling_1", "alpha_eps_0",
+        "alpha_eps_1", "min_snr_r_eps_0", "min_snr_r_eps_1"])
+def test_closed_forms_reject_values_outside_unit_interval(table1_derived, call,
+                                                          match):
+    with pytest.raises(ValueError, match=match):
+        call(table1_derived)
 
 
 def test_band_empty_iff_threshold_product_exceeds_one():

@@ -220,6 +220,9 @@ def test_d1_exact_rejects_interior_split(table1_derived):
     for alpha in (0.5, -0.1, 1.1):
         with pytest.raises(ValueError):
             cond_outage_d1_exact(table1_derived, "primary", alpha)
+    # the full-power form divides by the interference link's gain
+    with pytest.raises(ValueError, match="positive cross gain"):
+        cond_outage_d1_exact(synth_derived(sp=0.0), "primary", 1.0)
 
 
 def test_d1_exact_no_relay_share_is_direct_form(table1_derived):
@@ -372,6 +375,10 @@ def test_bound_rejects_out_of_range(table1_derived):
     for alpha in (-0.01, 1.01):
         with pytest.raises(ValueError):
             upper_bound_d1(table1_derived, "primary", alpha)
+    with pytest.raises(ValueError, match="primary direct gain"):
+        upper_bound_d1(synth_derived(pp=0.0), "primary", 0.5)
+    with pytest.raises(ValueError, match="user must be"):
+        upper_bound_d1(table1_derived, "relay", 0.5)
 
 
 # ---- totals -----------------------------------------------------------------
@@ -446,6 +453,8 @@ def test_noncoop_limits():
     assert noncoop_secondary_outage(synth_derived(rate_s=1e-12)) < 1e-10
     with pytest.raises(ValueError):
         noncoop_secondary_outage(synth_derived(ss=0.0))
+    with pytest.raises(ValueError, match="positive primary direct-link"):
+        noncoop_primary_outage(synth_derived(pp=0.0))
 
 
 # ---- global sanity -----------------------------------------------------------

@@ -22,6 +22,7 @@ from crrelay import (
     min_snr_r_for_epsilon,
     reproduce,
     run_sweep,
+    sweep_csv,
     table1_params,
 )
 from crrelay.cli import main as cli_main
@@ -87,8 +88,8 @@ def test_sweep_shape_and_columns():
                      values=(18.0, 20.0, 22.0),
                      schemes=("proposed", "noncooperative"), mode="analytic")
     table = run_sweep(spec)
-    assert len(table.rows) == 6
-    text = table.to_csv_bytes().decode("utf-8")
+    assert len(table) == 6
+    text = sweep_csv(table).decode("utf-8")
     rows = rows_from_csv(text)
     assert tuple(rows[0].keys()) == _CSV_COLUMNS
     assert text.count("\r\n") == 7
@@ -114,6 +115,11 @@ def test_sweep_spec_validation():
     with pytest.raises(ValueError, match="snr_r_policy must be"):
         SweepSpec(scenario=params, axis="alpha", values=(0.5,),
                   snr_r_policy="bogus")
+    # the policy would overwrite every relay SNR the axis sets
+    with pytest.raises(ValueError,
+                       match="axis snr_r_db .* snr_r_policy min_for_epsilon"):
+        SweepSpec(scenario=params, axis="snr_r_db", values=(0.0, 10.0),
+                  snr_r_policy="min_for_epsilon")
     with pytest.raises(ValueError):
         SweepSpec.from_range(params, "alpha", 0.5, 0.4, 0.1)
 
@@ -144,8 +150,8 @@ def test_sweep_error_rows_do_not_abort():
     spec = SweepSpec(scenario=default_params(), axis="epsilon",
                      values=(0.05, 1.5), mode="analytic")
     table = run_sweep(spec)
-    good = [r for r in table.rows if r.value == 0.05]
-    bad = [r for r in table.rows if r.value == 1.5]
+    good = [r for r in table if r.value == 0.05]
+    bad = [r for r in table if r.value == 1.5]
     assert all(not r.error for r in good)
     assert all("epsilon" in r.error for r in bad)
     assert all(r.analytic_sec is None for r in bad)
@@ -157,7 +163,7 @@ def test_sweep_simulation_errors_stay_per_row():
     spec = SweepSpec(scenario=default_params(), axis="alpha",
                      values=(0.5, 1.5), schemes=("proposed",), mode="both",
                      trials=1000)
-    ok, bad = run_sweep(spec, workers=0).rows
+    ok, bad = run_sweep(spec, workers=0)
     assert ok.error == "workers must be at least 1"
     assert ok.analytic_sec is not None and ok.mc_sec is None
     assert bad.error == "alpha must lie in [0, 1]"
@@ -168,7 +174,7 @@ def test_sweep_below_cutoff_reports_certain_outage():
                      values=(6.0, 8.0), schemes=("proposed", "noncooperative"),
                      mode="both", trials=2000)
     table = run_sweep(spec)
-    for row in table.rows:
+    for row in table:
         assert row.snr_s == 0.0
         assert row.analytic_sec == 1.0
         assert row.mc_sec == 1.0
@@ -179,7 +185,7 @@ def test_sweep_alpha_axis_and_min_policy():
                      values=(0.3, 0.5, 1.0), mode="analytic",
                      snr_r_policy="min_for_epsilon")
     table = run_sweep(spec)
-    by_alpha = {r.value: r for r in table.rows}
+    by_alpha = {r.value: r for r in table}
     derived = derive(default_params())
     assert by_alpha[0.5].snr_r == pytest.approx(
         min_snr_r_for_epsilon(derived, 0.5, 0.03), rel=1e-12)
@@ -206,9 +212,9 @@ def test_sweep_csv_byte_stable_across_runs_and_workers():
     spec = SweepSpec(scenario=default_params(), axis="snr_p_db",
                      values=(15.0, 20.0), schemes=("proposed",), mode="both",
                      trials=20_000, seed=3)
-    ref = run_sweep(spec, workers=1).to_csv_bytes()
-    assert run_sweep(spec, workers=1).to_csv_bytes() == ref
-    assert run_sweep(spec, workers=4).to_csv_bytes() == ref
+    ref = sweep_csv(run_sweep(spec, workers=1))
+    assert sweep_csv(run_sweep(spec, workers=1)) == ref
+    assert sweep_csv(run_sweep(spec, workers=4)) == ref
 
 
 # Standard output of CLI sweeps, with the set of row errors each must show.
@@ -760,6 +766,16 @@ def test_cli_sweep_rejects_oversized_axis(capsys):
                    "--stop", "30", "--step", "1e-9", "--mode", "analytic"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_sweep_rejects_relay_axis_under_min_policy(capsys):
+    rc = cli_main(["sweep", "--mode", "analytic", "--axis", "snr_r_db",
+                   "--start", "0", "--stop", "20", "--step", "10",
+                   "--snr-r-policy", "min_for_epsilon"])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert err.startswith("error: axis snr_r_db ")
+    assert "snr_r_policy min_for_epsilon" in err
 
 
 @pytest.mark.parametrize("snr_r_db", ["-90", "-140", "-200", "-300", "-1000",
