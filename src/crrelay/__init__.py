@@ -9,13 +9,11 @@ from .allocation import (
     min_snr_r_for_epsilon,
 )
 from .analytic import (
-    ConditionalOutage,
     NoSecondaryAccessError,
     OutageSummary,
     cond_outage_d1_exact,
     cond_pri_outage_d0,
     cond_sec_outage_d0,
-    conditional_outages,
     noncoop_primary_outage,
     noncoop_secondary_outage,
     prob_decode_order,

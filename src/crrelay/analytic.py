@@ -29,29 +29,14 @@ class NoSecondaryAccessError(ValueError):
 
 
 @dataclass(frozen=True)
-class ConditionalOutage:
-    """The four conditional outage probabilities at one power split.
-
-    d1_exact marks whether the D=1 entries are exact closed forms (power split
-    exactly 0 or 1) or upper bounds (interior split).  The D=0 entries are
-    always exact.
-    """
-
-    pri_d1: float
-    sec_d1: float
-    sec_d0: float
-    pri_d0: float
-    d1_exact: bool
-
-
-@dataclass(frozen=True)
 class OutageSummary:
-    """Activation-weighted total outage probabilities.
+    """Activation-weighted total outage probabilities and their conditionals.
 
-    cond holds the conditionals the totals mix; it is None without secondary
-    access, where nothing is mixed.  bound is True when total_sec is the
-    upper-bound mixture (interior power split).  At a split of exactly 0 or 1
-    both totals mix exact conditionals, but under the paper's approximate
+    pri_d0/sec_d0 are the exact relay-silent conditionals and pri_d1/sec_d1
+    the relay-active ones, all None without secondary access, where nothing
+    is mixed.  bound is True at an interior power split, where pri_d1, sec_d1
+    and so the totals are upper bounds.  At a split of exactly 0 or 1 both
+    totals mix exact conditionals, but under the paper's approximate
     activation weight p_d1 (see prob_relay_active), so they are not exact
     totals either.  total_pri is the symmetric primary mixture; it is a
     derived quantity, not a published closed form.
@@ -60,11 +45,11 @@ class OutageSummary:
     p_d1: float
     total_sec: float
     total_pri: float
-    cond: ConditionalOutage | None
-
-    @property
-    def bound(self) -> bool:
-        return self.cond is not None and not self.cond.d1_exact
+    pri_d0: float | None = None
+    sec_d0: float | None = None
+    pri_d1: float | None = None
+    sec_d1: float | None = None
+    bound: bool = False
 
 
 def _clamp01(x: float) -> float:
@@ -327,20 +312,6 @@ def upper_bound_d1(derived: DerivedParams, user: str, alpha: float) -> float:
     raise ValueError("user must be 'primary' or 'secondary'")
 
 
-def conditional_outages(derived: DerivedParams,
-                        alpha: float) -> ConditionalOutage:
-    """All four conditional outages at one split; exact where possible."""
-    exact = alpha in (0.0, 1.0)
-    d1 = cond_outage_d1_exact if exact else upper_bound_d1
-    return ConditionalOutage(
-        pri_d1=d1(derived, "primary", alpha),
-        sec_d1=d1(derived, "secondary", alpha),
-        sec_d0=cond_sec_outage_d0(derived),
-        pri_d0=cond_pri_outage_d0(derived),
-        d1_exact=exact,
-    )
-
-
 def total_secondary_outage(derived: DerivedParams,
                            alpha: float) -> OutageSummary:
     """Activation-weighted totals for both users at the given split.
@@ -357,14 +328,19 @@ def total_secondary_outage(derived: DerivedParams,
     g = derived.gain
     if derived.snr_s == 0.0:
         pri = 1.0 - math.exp(-derived.lambda_p / (2.0 * g.pp))
-        return OutageSummary(p_d1=0.0, total_sec=1.0, total_pri=pri, cond=None)
+        return OutageSummary(p_d1=0.0, total_sec=1.0, total_pri=pri)
     w = prob_relay_active(derived)
-    cond = conditional_outages(derived, alpha)
+    bound = alpha not in (0.0, 1.0)
+    d1 = upper_bound_d1 if bound else cond_outage_d1_exact
+    pri_d1, sec_d1 = (d1(derived, u, alpha) for u in ("primary", "secondary"))
+    sec_d0 = cond_sec_outage_d0(derived)
+    pri_d0 = cond_pri_outage_d0(derived)
     return OutageSummary(
         p_d1=w,
-        total_sec=_clamp01((1.0 - w) * cond.sec_d0 + w * cond.sec_d1),
-        total_pri=_clamp01((1.0 - w) * cond.pri_d0 + w * cond.pri_d1),
-        cond=cond,
+        total_sec=_clamp01((1.0 - w) * sec_d0 + w * sec_d1),
+        total_pri=_clamp01((1.0 - w) * pri_d0 + w * pri_d1),
+        pri_d0=pri_d0, sec_d0=sec_d0, pri_d1=pri_d1, sec_d1=sec_d1,
+        bound=bound,
     )
 
 

@@ -6,6 +6,7 @@ a verification or reproduction check fails.
 
 import argparse
 import functools
+import math
 import sys
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from .harness import (
     sweep_csv,
 )
 from .montecarlo import SCHEMES, check_run, estimate
-from .system import db_to_linear, derive, linear_to_db, secondary_cutoff_snr
+from .system import db_to_linear, derive, linear_to_db
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,20 +101,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_analytic(params, args):
     derived = derive(params)
-    cutoff = secondary_cutoff_snr(params.rate_p, params.epsilon,
-                                  params.link_vars.pp)
+    # summed in dB: the linear cutoff overflows for a tiny epsilon or pp
+    cutoff_db = 10.0 * (math.log10(derived.theta_p)
+                        - math.log10(params.link_vars.pp)
+                        - math.log10(-math.log1p(-params.epsilon)))
     summary = total_secondary_outage(derived, args.alpha)
     print(f"secondary snr: {derived.snr_s:.6g} "
-          f"(admission cutoff {linear_to_db(cutoff):.4g} dB)")
+          f"(admission cutoff {cutoff_db:.4g} dB)")
     kind = "bound" if summary.bound else "exact"
     print(f"relay activation: {summary.p_d1:.6g}")
     print(f"total secondary outage ({kind}): {summary.total_sec:.6g}")
     print(f"total primary outage ({kind}):   {summary.total_pri:.6g}")
-    cond = summary.cond
-    if cond is not None:
-        print(f"conditionals: pri_d0={cond.pri_d0:.6g} sec_d0={cond.sec_d0:.6g} "
-              f"pri_d1={cond.pri_d1:.6g} sec_d1={cond.sec_d1:.6g} "
-              f"(d1 {'exact' if cond.d1_exact else 'bounds'})")
+    if summary.pri_d0 is not None:
+        print(f"conditionals: pri_d0={summary.pri_d0:.6g} "
+              f"sec_d0={summary.sec_d0:.6g} pri_d1={summary.pri_d1:.6g} "
+              f"sec_d1={summary.sec_d1:.6g} "
+              f"(d1 {'bounds' if summary.bound else 'exact'})")
     return 0
 
 

@@ -422,8 +422,8 @@ def _z_check(name, est: OutageEstimate, analytic: float, note="") -> Check:
     ok = abs(z) <= 3.0
     detail = (f"mc={est.p_hat:.6g} analytic={analytic:.6g} "
               f"std_err={est.std_err:.3g} z={z:+.2f}")
-    if est.p_hat < 10.0 / est.trials:
-        # rare event: the normal approximation is shaky, show Wilson too
+    if min(est.p_hat, 1.0 - est.p_hat) < 10.0 / est.trials:
+        # p_hat near 0 or 1: the normal approximation is shaky, show Wilson too
         lo, hi = est.wilson()
         detail += f" wilson3=[{lo:.3g}, {hi:.3g}]"
         ok = ok or lo <= analytic <= hi
@@ -731,7 +731,6 @@ def compare_analytic_mc(params: SystemParams, alpha: float,
                                            (params, alpha, "noncooperative")],
                             workers)
     summary = total_secondary_outage(derived, alpha)
-    cond = summary.cond
     checks = [
         _z_check("relay activation frequency", est.p_d1, summary.p_d1,
                  note="closed form factorizes correlated order/threshold "
@@ -739,20 +738,21 @@ def compare_analytic_mc(params: SystemParams, alpha: float,
         _z_check("SIC order: primary decoded first", est.order_p,
                  prob_decode_order(derived, "p")),
     ]
-    active, active_check = (("relay active (exact)", _z_check)
-                            if cond.d1_exact else
-                            ("relay active within bound", _bound_check))
-    total, note = (("bound", "") if summary.bound else
-                   ("exact-conditional mixture",
-                    "mixture weight inherits the activation closed form"))
+    active, active_check, total, note = (
+        ("relay active within bound", _bound_check, "bound", "")
+        if summary.bound else
+        ("relay active (exact)", _z_check, "exact-conditional mixture",
+         "mixture weight inherits the activation closed form"))
     if est.sec_d0 is not None:
         checks += [_z_check(f"{user} outage | relay silent", mc, ref)
-                   for user, mc, ref in (("secondary", est.sec_d0, cond.sec_d0),
-                                         ("primary", est.pri_d0, cond.pri_d0))]
+                   for user, mc, ref in (
+                       ("secondary", est.sec_d0, summary.sec_d0),
+                       ("primary", est.pri_d0, summary.pri_d0))]
     if est.sec_d1 is not None:
         checks += [active_check(f"{user} outage | {active}", mc, ref)
-                   for user, mc, ref in (("primary", est.pri_d1, cond.pri_d1),
-                                         ("secondary", est.sec_d1, cond.sec_d1))]
+                   for user, mc, ref in (
+                       ("primary", est.pri_d1, summary.pri_d1),
+                       ("secondary", est.sec_d1, summary.sec_d1))]
     checks += [_bound_check(f"total {user} outage within {total}", mc, ref,
                             note=note)
                for user, mc, ref in (("secondary", est.sec, summary.total_sec),

@@ -81,8 +81,8 @@ class SchemeEstimates:
     primary estimate is None when the primary events were not counted.
     """
 
-    pri: OutageEstimate | None
-    sec: OutageEstimate
+    pri: OutageEstimate | None = None
+    sec: OutageEstimate | None = None
     p_d1: OutageEstimate | None = None
     order_p: OutageEstimate | None = None
     pri_d0: OutageEstimate | None = None
@@ -142,9 +142,10 @@ def _count_group(derived: DerivedParams, alpha: float, schemes, e,
     (the relay's x and y, the direct v and u and their parts, the
     silent-relay events) are computed once, each by the same operations as a
     scheme's own printed expression.  Row k of `e` holds link LINKS[k]'s unit
-    draws.  Secondary events are always counted, primary ones when
-    `primary`.  Each scaled link and temporary is dropped after its last
-    use, so a group adds a few trial vectors to the chunk's working set.
+    draws.  Each count is keyed by the SchemeEstimates field it fills;
+    secondary events are always counted, primary ones when `primary`.  Each
+    scaled link and temporary is dropped after its last use, so a group adds
+    a few trial vectors to the chunk's working set.
     """
     import numpy as np
 
@@ -184,12 +185,14 @@ def _count_group(derived: DerivedParams, alpha: float, schemes, e,
         del x, y, s_first
     silent = {scheme: ~d1 for scheme, d1 in active.items()}
     for scheme, d1 in active.items():
-        counts[scheme]["d1"] = n(d1)
+        counts[scheme]["p_d1"] = n(d1)
 
     def tally(user, relayed, repeated):
         for scheme, d1 in active.items():
-            counts[scheme][f"{user}_d1"] = n(d1 & relayed[scheme])
-            counts[scheme][f"{user}_d0"] = n(silent[scheme] & repeated)
+            c = counts[scheme]
+            c[f"{user}_d1"] = n(d1 & relayed[scheme])
+            c[f"{user}_d0"] = n(silent[scheme] & repeated)
+            c[user] = c[f"{user}_d1"] + c[f"{user}_d0"]
 
     if primary:
         v_num = snr_p * g("pp")
@@ -298,11 +301,12 @@ def estimate_many(seed: int, trials: int, requests, workers: int = 1,
             partials = list(pool.map(run, [chunks[w::workers]
                                            for w in range(workers)]))
 
-    totals = {key: sum((part[key] for part in partials), Counter())
-              for key in partials[0]}
-    return [_scheme_estimates(scheme, trials, totals[params, alpha, scheme],
-                              primary)
-            for params, alpha, scheme in requests]
+    # update keeps zero counts, which `+` drops: a 0.0 estimate stays 0.0
+    totals = partials[0]
+    for part in partials[1:]:
+        for key, counts in part.items():
+            totals[key].update(counts)
+    return [_scheme_estimates(trials, totals[request]) for request in requests]
 
 
 def estimate(params: SystemParams, alpha: float, trials: int, seed: int,
@@ -315,31 +319,13 @@ def estimate(params: SystemParams, alpha: float, trials: int, seed: int,
     return estimate_many(seed, trials, [(params, alpha, scheme)], workers)[0]
 
 
-def _scheme_estimates(scheme: str, trials: int, totals: Counter,
-                      primary: bool) -> SchemeEstimates:
-    """Estimates of one request from its event counts over all trials."""
-
-    def co(successes, n):
-        if n == 0:
-            return None
-        return OutageEstimate.from_counts(successes, n)
-
-    def pri(successes, n):
-        return co(successes, n) if primary else None
-
-    if scheme == "noncooperative":
-        return SchemeEstimates(pri=pri(totals["pri"], trials),
-                               sec=co(totals["sec"], trials))
-
-    n_d1 = totals["d1"]
-    n_d0 = trials - n_d1
-    return SchemeEstimates(
-        pri=pri(totals["pri_d0"] + totals["pri_d1"], trials),
-        sec=co(totals["sec_d0"] + totals["sec_d1"], trials),
-        p_d1=co(n_d1, trials),
-        order_p=co(totals["order_p"], trials) if scheme == "proposed" else None,
-        pri_d0=pri(totals["pri_d0"], n_d0),
-        pri_d1=pri(totals["pri_d1"], n_d1),
-        sec_d0=co(totals["sec_d0"], n_d0),
-        sec_d1=co(totals["sec_d1"], n_d1),
-    )
+def _scheme_estimates(trials: int, counts: Counter) -> SchemeEstimates:
+    """Estimates of one request, each count filling the field of its name: a
+    conditional one over the trials in its relay state (None when there were
+    none), every other one over all trials."""
+    n_d1 = counts["p_d1"]
+    conditioned = {"pri_d0": trials - n_d1, "sec_d0": trials - n_d1,
+                   "pri_d1": n_d1, "sec_d1": n_d1}
+    return SchemeEstimates(**{
+        name: OutageEstimate.from_counts(k, n) for name, k in counts.items()
+        if (n := conditioned.get(name, trials))})

@@ -12,7 +12,6 @@ from crrelay import (
     cond_outage_d1_exact,
     cond_pri_outage_d0,
     cond_sec_outage_d0,
-    conditional_outages,
     db_to_linear,
     default_params,
     derive,
@@ -388,11 +387,15 @@ def test_total_mixture_consistency(table1_derived):
     w = prob_relay_active(d)
     for alpha in (0.0, 0.5, 1.0):
         summary = total_secondary_outage(d, alpha)
-        cond = conditional_outages(d, alpha)
+        d1 = upper_bound_d1 if alpha == 0.5 else cond_outage_d1_exact
+        pri_d0, sec_d0 = cond_pri_outage_d0(d), cond_sec_outage_d0(d)
+        pri_d1, sec_d1 = d1(d, "primary", alpha), d1(d, "secondary", alpha)
+        assert (summary.pri_d0, summary.sec_d0, summary.pri_d1,
+                summary.sec_d1) == (pri_d0, sec_d0, pri_d1, sec_d1)
         assert summary.total_sec == pytest.approx(
-            (1.0 - w) * cond.sec_d0 + w * cond.sec_d1, abs=1e-12)
+            (1.0 - w) * sec_d0 + w * sec_d1, abs=1e-12)
         assert summary.total_pri == pytest.approx(
-            (1.0 - w) * cond.pri_d0 + w * cond.pri_d1, abs=1e-12)
+            (1.0 - w) * pri_d0 + w * pri_d1, abs=1e-12)
         assert summary.p_d1 == w
         assert summary.bound == (alpha == 0.5)
 

@@ -13,6 +13,7 @@ import pytest
 import crrelay.analytic
 import crrelay.cli
 from crrelay import (
+    OutageEstimate,
     QuadratureError,
     SweepSpec,
     compare_analytic_mc,
@@ -29,6 +30,7 @@ from crrelay.cli import main as cli_main
 from crrelay.harness import (
     _CSV_COLUMNS,
     REPRODUCE_TARGETS,
+    _z_check,
     config_text,
     parse_config_text,
 )
@@ -538,6 +540,36 @@ def test_exact_conditionals_integrate_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_z_check_judges_certain_outage_by_wilson():
+    # all 2,180 trials in outage: std_err is 0, so z is infinite, yet the
+    # closed form lies inside the Wilson interval
+    check = _z_check("x", OutageEstimate.from_counts(2180, 2180), 0.99999989)
+    assert check.verdict == "PASS"
+    assert "z=+inf wilson3=[0.996, 1]" in check.detail
+
+
+def test_cli_verify_passes_certain_conditional_outage(tmp_path, capsys):
+    # every relay-active trial of this scenario is a secondary outage
+    overrides = dict(
+        rate_p=0.20994967710899204, rate_s=0.16072225539892548,
+        snr_p_db=6.183593457198696, snr_r_db=25.57029811654023,
+        epsilon=0.05328928619259792, **{
+            "link_vars.pp": 0.7358494975479906,
+            "link_vars.sp": 5.048382754785598,
+            "link_vars.ps": 1.0838830593529263,
+            "link_vars.ss": 1.531981849920055,
+            "link_vars.pr": 1.4012541358395767,
+            "link_vars.sr": 3.022178098845876,
+            "link_vars.rp": 0.6180445744159848,
+            "link_vars.rs": 0.15631386548309636})
+    argv = [arg for key, value in overrides.items()
+            for arg in ("--set", f"{key}={value}")]
+    assert cli_main(["--out-dir", str(tmp_path), *argv, "--seed", "11",
+                     "verify", "--alpha", "1"]) == 0
+    assert ("PASS secondary outage | relay active (exact): mc=1 analytic=1 "
+            "std_err=0 z=+inf wilson3=[0.996, 1]") in capsys.readouterr().out
+
+
 def test_compare_analytic_mc_no_secondary(table1):
     report = compare_analytic_mc(table1.with_epsilon(1e-9), 0.5,
                                  trials=5_000, seed=5)
@@ -719,6 +751,16 @@ def test_cli_analytic_converges_on_wide_quadrature_interval(capsys):
             "analytic", "--alpha", "0"]
     assert cli_main(argv) == 0
     assert "nan" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("override, cutoff", [
+    ("epsilon=5e-324", "3228"),
+    ("link_vars.pp=2.2250738585072014e-308", "3087"),
+])
+def test_cli_analytic_cutoff_beyond_double_range(override, cutoff, capsys):
+    # the linear cutoff overflows; its dB value is finite
+    assert cli_main(["--set", override, "analytic"]) == 0
+    assert f"(admission cutoff {cutoff} dB)" in capsys.readouterr().out
 
 
 def test_cli_accepts_silent_relay(capsys):
@@ -949,3 +991,13 @@ def test_front_ends_import_no_private_names(module):
         for alias in node.names if alias.name.startswith("_")
     ]
     assert private == []
+
+
+# ---- documentation -------------------------------------------------------------
+
+def test_readme_quick_start_runs():
+    # the README's Quick start block, run as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Quick start", 1)[1]
+    code = block.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})

@@ -201,14 +201,14 @@ def unit_column(params, **draw):
 def test_relay_decision_no_signal(table1, table1_derived):
     e = unit_column(table1, pp=1, sp=1, ps=1, ss=1, pr=0.0, sr=0.0, rp=1, rs=1)
     counts = _count_group(table1_derived, 0.5, ("proposed",), e)[0]
-    assert counts["d1"] == 0 and counts["order_p"] == 0
+    assert counts["p_d1"] == 0 and counts["order_p"] == 0
 
 
 def test_relay_decision_strong_signals(table1, table1_derived):
     e = unit_column(table1, pp=1, sp=1, ps=1, ss=1, pr=100.0, sr=50.0,
                     rp=1, rs=1)
     counts = _count_group(table1_derived, 0.5, ("proposed",), e)[0]
-    assert counts["d1"] == 1 and counts["order_p"] == 1
+    assert counts["p_d1"] == 1 and counts["order_p"] == 1
 
 
 def test_relay_decision_orders_are_exclusive(table1, table1_derived):
@@ -224,7 +224,7 @@ def test_relay_decision_orders_are_exclusive(table1, table1_derived):
         s_branch = y > x and y >= d.lambda_s * (1 + x) and x >= d.lambda_p
         assert not (p_branch and s_branch)
         counts = _count_group(d, 0.5, ("proposed",), e[:, i:i + 1])[0]
-        assert counts["d1"] == (p_branch or s_branch)
+        assert counts["p_d1"] == (p_branch or s_branch)
         assert counts["order_p"] == (x > y)
 
 
@@ -258,11 +258,11 @@ def test_simulate_slot_alpha_one_relay_term(table1, table1_derived):
     draw = dict(pp=1e-9, sp=1, ps=1, ss=1, pr=100.0, sr=50.0, rp=1e9, rs=1e9)
     counts = _count_group(table1_derived, 1.0, ("proposed",),
                           unit_column(table1, **draw))[0]
-    assert counts["d1"] == 1 and counts["pri_d1"] == 0
+    assert counts["p_d1"] == 1 and counts["pri_d1"] == 0
     # and the secondary gets nothing from the relay
     counts2 = _count_group(table1_derived, 1.0, ("proposed",),
                            unit_column(table1, **{**draw, "ss": 1e-9}))[0]
-    assert counts2["d1"] == 1 and counts2["sec_d1"] == 1
+    assert counts2["p_d1"] == 1 and counts2["sec_d1"] == 1
 
 
 def test_simulate_slot_interior_alpha_saturates(table1, table1_derived):
@@ -273,7 +273,7 @@ def test_simulate_slot_interior_alpha_saturates(table1, table1_derived):
                     rp=1e12, rs=1e12)
     counts = _count_group(table1_derived, alpha, ("proposed",), e)[0]
     # alpha/(1-alpha) = 0.4286 < lambda_p = 0.7411: outage despite the relay
-    assert counts["d1"] == 1 and counts["pri_d1"] == 1
+    assert counts["p_d1"] == 1 and counts["pri_d1"] == 1
 
 
 # ---- activation frequency ----------------------------------------------------
@@ -342,6 +342,17 @@ def test_no_secondary_access_means_certain_outage(table1):
         est = estimate(params, 0.5, 20_000, seed=7, scheme=scheme)
         assert est.sec.p_hat == 1.0
         assert est.sec.std_err == 0.0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_zero_counts_survive_the_worker_merge(table1, workers):
+    # without secondary access the relay never activates: a zero activation
+    # count is a 0.0 estimate after the chunks are merged, and the estimates
+    # conditioned on activation stay None
+    params = table1.with_epsilon(1e-9)
+    est = estimate(params, 0.5, 2 * _CHUNK_TRIALS, seed=7, workers=workers)
+    assert est.p_d1.p_hat == 0.0
+    assert est.pri_d1 is None and est.sec_d1 is None
 
 
 # ---- reproducibility ----------------------------------------------------------

@@ -207,10 +207,9 @@ def test_extreme_scenarios_raise_or_give_no_nan(params, alpha):
     except (ValueError, ArithmeticError):
         pass
     else:
-        cond = () if s.cond is None else (s.cond.pri_d0, s.cond.sec_d0,
-                                          s.cond.pri_d1, s.cond.sec_d1)
-        assert not any(map(math.isnan, (s.p_d1, s.total_sec, s.total_pri,
-                                        *cond))), s
+        values = (s.p_d1, s.total_sec, s.total_pri,
+                  s.pri_d0, s.sec_d0, s.pri_d1, s.sec_d1)
+        assert not any(v is not None and math.isnan(v) for v in values), s
     try:
         res = allocate(params)
     except (ValueError, ArithmeticError):
