@@ -50,7 +50,7 @@ from .system import (
     db_to_linear,
     derive,
     linear_to_db,
-    secondary_cutoff_snr,
+    secondary_cutoff_db,
 )
 
 __version__ = "0.1.0"

@@ -6,7 +6,6 @@ a verification or reproduction check fails.
 
 import argparse
 import functools
-import math
 import sys
 from pathlib import Path
 
@@ -27,7 +26,7 @@ from .harness import (
     sweep_csv,
 )
 from .montecarlo import SCHEMES, check_run, estimate
-from .system import db_to_linear, derive, linear_to_db
+from .system import db_to_linear, derive, linear_to_db, secondary_cutoff_db
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,10 +100,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_analytic(params, args):
     derived = derive(params)
-    # summed in dB: the linear cutoff overflows for a tiny epsilon or pp
-    cutoff_db = 10.0 * (math.log10(derived.theta_p)
-                        - math.log10(params.link_vars.pp)
-                        - math.log10(-math.log1p(-params.epsilon)))
+    cutoff_db = secondary_cutoff_db(params.rate_p, params.epsilon,
+                                    params.link_vars.pp)
     summary = total_secondary_outage(derived, args.alpha)
     print(f"secondary snr: {derived.snr_s:.6g} "
           f"(admission cutoff {cutoff_db:.4g} dB)")

@@ -47,12 +47,19 @@ from .system import (
     db_to_linear,
     derive,
     linear_to_db,
-    secondary_cutoff_snr,
+    secondary_cutoff_db,
 )
 
 OUT_DIR_ENV = "CRRELAY_OUT_DIR"
 
-_SCALAR_KEYS = ("rate_p", "rate_s", "snr_p_db", "snr_r_db", "epsilon")
+# Baseline scenario of the comparison figures: 20 dB primary, 10 dB relay,
+# unit variances except weak cross links, 3% primary threshold.  Its keys are
+# exactly the config keys.
+_DEFAULT_CONFIG = {
+    "rate_p": "0.4", "rate_s": "0.2", "snr_p_db": "20", "snr_r_db": "10",
+    "epsilon": "0.03",
+    **{f"link_vars.{l}": "0.1" if l in ("sp", "ps") else "1.0" for l in LINKS},
+}
 
 # The links each channel-variance axis sets: the relay's link pair toward the
 # primary (mu1) or the secondary (mu2), or one link.
@@ -86,12 +93,8 @@ _CUTOFF_PUBLISHED_DB = 12.0
 
 
 def default_params() -> SystemParams:
-    """Baseline scenario of the comparison figures: 20 dB primary, 10 dB
-    relay, unit variances except weak cross links, 3% primary threshold."""
-    return SystemParams.from_db(
-        rate_p=0.4, rate_s=0.2, snr_p_db=20.0, snr_r_db=10.0, epsilon=0.03,
-        link_vars=LinkTable.uniform(1.0, ps=0.1, sp=0.1),
-    )
+    """Baseline scenario of the comparison figures (the default config)."""
+    return _params_from_dict(_DEFAULT_CONFIG)
 
 
 def table1_params(epsilon: float) -> SystemParams:
@@ -117,18 +120,25 @@ def parse_config_text(text: str) -> dict:
 
 
 def _params_from_dict(values: dict) -> SystemParams:
-    known = set(_SCALAR_KEYS) | {f"link_vars.{l}" for l in LINKS}
-    unknown = set(values) - known
+    """The scenario of a complete config-key mapping; SNRs are read in dB."""
+    unknown = values.keys() - _DEFAULT_CONFIG.keys()
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    missing = known - set(values)
+    missing = _DEFAULT_CONFIG.keys() - values.keys()
     if missing:
         raise ValueError(f"missing config keys: {sorted(missing)}")
-    scal = {k: float(values[k]) for k in _SCALAR_KEYS}
-    link_vars = LinkTable.from_dict(
-        {l: float(values[f"link_vars.{l}"]) for l in LINKS}
-    )
-    return SystemParams.from_db(link_vars=link_vars, **scal)
+
+    def num(key):
+        try:
+            return float(values[key])
+        except ValueError as exc:
+            raise ValueError(f"config key {key}: {exc}") from None
+
+    return SystemParams(
+        rate_p=num("rate_p"), rate_s=num("rate_s"),
+        snr_p=db_to_linear(num("snr_p_db")),
+        snr_r=db_to_linear(num("snr_r_db")), epsilon=num("epsilon"),
+        link_vars=LinkTable(**{l: num(f"link_vars.{l}") for l in LINKS}))
 
 
 def load_config(path=None, overrides=()) -> SystemParams:
@@ -137,7 +147,7 @@ def load_config(path=None, overrides=()) -> SystemParams:
     overrides are 'key=value' strings in the config key syntax and win over
     file values.
     """
-    values = config_dict(default_params()) if path is None else \
+    values = dict(_DEFAULT_CONFIG) if path is None else \
         parse_config_text(Path(path).read_text())
     for item in overrides:
         if "=" not in item:
@@ -145,23 +155,6 @@ def load_config(path=None, overrides=()) -> SystemParams:
         key, _, val = item.partition("=")
         values[key.strip()] = val.strip()
     return _params_from_dict(values)
-
-
-def config_dict(params: SystemParams) -> dict:
-    values = {
-        "rate_p": repr(params.rate_p),
-        "rate_s": repr(params.rate_s),
-        "snr_p_db": repr(linear_to_db(params.snr_p)),
-        "snr_r_db": repr(linear_to_db(params.snr_r)) if params.snr_r > 0 else "-inf",
-        "epsilon": repr(params.epsilon),
-    }
-    for l in LINKS:
-        values[f"link_vars.{l}"] = repr(getattr(params.link_vars, l))
-    return values
-
-
-def config_text(params: SystemParams) -> str:
-    return "".join(f"{k} = {v}\n" for k, v in config_dict(params).items())
 
 
 # ---------------------------------------------------------------------------
@@ -519,9 +512,8 @@ def _fig3(trials, seed, workers):
         alpha=0.5, snr_r_policy="min_for_epsilon",
     )
     rows = run_sweep(spec, workers=workers)
-    cutoff_db = linear_to_db(
-        secondary_cutoff_snr(params.rate_p, params.epsilon, params.link_vars.pp)
-    )
+    cutoff_db = secondary_cutoff_db(params.rate_p, params.epsilon,
+                                    params.link_vars.pp)
     checks = [
         _value_check("secondary-admission cutoff (dB)", cutoff_db,
                      _CUTOFF_REF_DB, 0.1),

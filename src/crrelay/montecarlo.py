@@ -100,23 +100,16 @@ def _philox(seed: int, start: int):
     return bit
 
 
-def _uniform_block(seed: int, start: int, n: int) -> "np.ndarray":
-    """Uniform doubles for trials [start, start+n), shape (n, 8)."""
-    import numpy as np
-
-    u = np.random.Generator(_philox(seed, start)).random(n * _DOUBLES_PER_TRIAL)
-    return u.reshape(n, _DOUBLES_PER_TRIAL)
-
-
 def _unit_block(seed: int, start: int, n: int, out=None) -> "np.ndarray":
     """Unit-mean exponentials -log1p(-u) for trials [start, start+n).
 
     Shape (8, n), row k holding link LINKS[k]; a link's channel draws are its
-    variance times its row.  Equal to -log1p(-u).T for u =
-    _uniform_block(seed, start, n), read in cache-sized sub-blocks and
-    written into `out` when given, else into a new C-contiguous array.  Each
-    raw 64-bit draw becomes -u as its top 53 bits times -2**-53, the
-    generator's own uniform double with its sign flipped, both steps exact.
+    variance times its row.  Equal to -log1p(-u).T for u the (n, 8) doubles
+    that numpy's Generator draws from _philox(seed, start) (the tests' oracle
+    _uniform_block), read in cache-sized sub-blocks and written into `out`
+    when given, else into a new C-contiguous array.  Each raw 64-bit draw
+    becomes -u as its top 53 bits times -2**-53, the generator's own uniform
+    double with its sign flipped, both steps exact.
     """
     import numpy as np
 

@@ -105,18 +105,6 @@ class SystemParams:
             if not var > 0.0 or not math.isfinite(var):
                 raise ValueError(f"link variance {name} must be positive and finite")
 
-    @classmethod
-    def from_db(cls, rate_p, rate_s, snr_p_db, snr_r_db, epsilon, link_vars):
-        """Build from SNRs quoted in dB (the CLI/config convention)."""
-        return cls(
-            rate_p=rate_p,
-            rate_s=rate_s,
-            snr_p=db_to_linear(snr_p_db),
-            snr_r=db_to_linear(snr_r_db),
-            epsilon=epsilon,
-            link_vars=link_vars,
-        )
-
     def with_epsilon(self, epsilon: float) -> "SystemParams":
         return replace(self, epsilon=epsilon)
 
@@ -199,14 +187,17 @@ def derive(params: SystemParams) -> DerivedParams:
     )
 
 
-def secondary_cutoff_snr(rate_p: float, epsilon: float, var_pp: float) -> float:
-    """Primary SNR below which no secondary transmission is admitted.
+def secondary_cutoff_db(rate_p: float, epsilon: float, var_pp: float) -> float:
+    """Primary SNR, in dB, below which no secondary transmission is admitted.
 
     Root of the admission margin: below this value the primary cannot meet
     epsilon even without interference, so the admitted secondary SNR is 0.
+    Summed in log space: finite even where the linear cutoff overflows.
     """
-    if not (rate_p > 0.0 and var_pp > 0.0):
-        raise ValueError("rate_p and var_pp must be positive")
+    theta_p = one_slot_threshold(rate_p)
+    if not (theta_p > 0.0 and var_pp > 0.0):
+        raise ValueError("2^rate_p - 1 and var_pp must be positive")
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie strictly between 0 and 1")
-    return one_slot_threshold(rate_p) / (-var_pp * math.log1p(-epsilon))
+    return 10.0 * (math.log10(theta_p) - math.log10(var_pp)
+                   - math.log10(-math.log1p(-epsilon)))

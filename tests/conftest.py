@@ -4,7 +4,7 @@ from decimal import Decimal, localcontext
 import pytest
 
 from crrelay import LinkTable, SystemParams, derive, table1_params
-from crrelay.montecarlo import _unit_block
+from crrelay.montecarlo import _DOUBLES_PER_TRIAL, _philox, _unit_block
 from crrelay.system import (
     LINKS,
     DerivedParams,
@@ -67,6 +67,15 @@ def symmetric_relay_params():
                           link_vars=LinkTable.uniform(1.0, sp=var_sp))
     assert derive(params).snr_s == pytest.approx(10.0, rel=1e-12)
     return params
+
+
+def _uniform_block(seed: int, start: int, n: int):
+    """Uniform doubles for trials [start, start+n), shape (n, 8): numpy's own
+    uniforms from the trial's stream position, the oracle for _unit_block."""
+    import numpy as np
+
+    u = np.random.Generator(_philox(seed, start)).random(n * _DOUBLES_PER_TRIAL)
+    return u.reshape(n, _DOUBLES_PER_TRIAL)
 
 
 def link_draws(params, seed, start, n):

@@ -35,7 +35,6 @@ from crrelay import (
     estimate,
     estimate_many,
     integrate_exp_over_x,
-    linear_to_db,
     min_snr_r_for_epsilon,
     noncoop_secondary_outage,
     prob_decode_order,
@@ -43,7 +42,7 @@ from crrelay import (
     prob_relay_active_exact,
     reproduce,
     run_sweep,
-    secondary_cutoff_snr,
+    secondary_cutoff_db,
     sweep_csv,
     table1_params,
     total_secondary_outage,
@@ -306,8 +305,8 @@ def test_c6_scheme_ordering():
 
 def test_c7_cutoff_behavior(tmp_path):
     params = default_params()
-    cutoff_db = linear_to_db(secondary_cutoff_snr(
-        params.rate_p, params.epsilon, params.link_vars.pp))
+    cutoff_db = secondary_cutoff_db(params.rate_p, params.epsilon,
+                                    params.link_vars.pp)
     ok = abs(cutoff_db - 10.2) <= 0.1
     below = replace(params, snr_p=10.0 ** (9.5 / 10.0))
     ok = ok and derive(below).snr_s == 0.0

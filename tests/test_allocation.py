@@ -35,7 +35,7 @@ from crrelay.harness import default_params
 from crrelay.system import (
     LINKS,
     db_to_linear,
-    secondary_cutoff_snr,
+    secondary_cutoff_db,
     two_slot_threshold,
 )
 
@@ -384,10 +384,10 @@ def test_allocate_matches_grid_scan_on_random_scenarios():
                                 rp=draw(st.floats(1e-4, 1e-3)))
             params = replace(params, link_vars=link_vars)
         elif family == "below_cutoff":
-            cutoff = secondary_cutoff_snr(params.rate_p, params.epsilon,
-                                          params.link_vars.pp)
-            params = replace(params, snr_p=cutoff * db_to_linear(
-                -draw(st.floats(0.5, 5.0))))
+            cutoff_db = secondary_cutoff_db(params.rate_p, params.epsilon,
+                                            params.link_vars.pp)
+            params = replace(params, snr_p=db_to_linear(
+                cutoff_db - draw(st.floats(0.5, 5.0))))
         return params
 
     @settings(max_examples=90, **PROPERTY_SETTINGS)
@@ -429,10 +429,10 @@ def _seeded_scenario(rng, family):
         link_vars = replace(params.link_vars, rp=rng.uniform(1e-4, 1e-3))
         params = replace(params, link_vars=link_vars)
     elif family == "below_cutoff":
-        cutoff = secondary_cutoff_snr(params.rate_p, params.epsilon,
-                                      params.link_vars.pp)
-        params = replace(params, snr_p=cutoff * db_to_linear(
-            -rng.uniform(0.5, 5.0)))
+        cutoff_db = secondary_cutoff_db(params.rate_p, params.epsilon,
+                                        params.link_vars.pp)
+        params = replace(params, snr_p=db_to_linear(
+            cutoff_db - rng.uniform(0.5, 5.0)))
     return params
 
 

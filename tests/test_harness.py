@@ -13,9 +13,11 @@ import pytest
 import crrelay.analytic
 import crrelay.cli
 from crrelay import (
+    LinkTable,
     OutageEstimate,
     QuadratureError,
     SweepSpec,
+    SystemParams,
     compare_analytic_mc,
     default_params,
     derive,
@@ -31,7 +33,6 @@ from crrelay.harness import (
     _CSV_COLUMNS,
     REPRODUCE_TARGETS,
     _z_check,
-    config_text,
     parse_config_text,
 )
 
@@ -42,23 +43,42 @@ def rows_from_csv(text):
 
 # ---- config -----------------------------------------------------------------
 
+# The default scenario, written out key by key.
+BASELINE_TEXT = """\
+rate_p = 0.4
+rate_s = 0.2
+snr_p_db = 20
+snr_r_db = 10
+epsilon = 0.03
+link_vars.pp = 1.0
+link_vars.sp = 0.1
+link_vars.ps = 0.1
+link_vars.ss = 1.0
+link_vars.pr = 1.0
+link_vars.sr = 1.0
+link_vars.rp = 1.0
+link_vars.rs = 1.0
+"""
+
+
 def test_config_round_trip(tmp_path):
+    # a scenario written as config text reads back as that scenario
     params = table1_params(0.07)
     path = tmp_path / "scenario.cfg"
-    path.write_text(config_text(params))
+    path.write_text(BASELINE_TEXT.replace("epsilon = 0.03", "epsilon = 0.07"))
     assert load_config(path) == params
 
 
 def test_config_comments_and_blanks(tmp_path):
-    text = config_text(default_params())
     path = tmp_path / "scenario.cfg"
-    path.write_text("# scenario\n\n" + text + "\nepsilon = 0.05  # override\n")
+    path.write_text("# scenario\n\n" + BASELINE_TEXT
+                    + "\nepsilon = 0.05  # override\n")
     assert load_config(path).epsilon == 0.05
 
 
 def test_config_overrides_win(tmp_path):
     path = tmp_path / "scenario.cfg"
-    path.write_text(config_text(default_params()))
+    path.write_text(BASELINE_TEXT)
     params = load_config(path, overrides=("epsilon=0.08", "link_vars.sp=0.2"))
     assert params.epsilon == 0.08
     assert params.link_vars.sp == 0.2
@@ -72,7 +92,7 @@ def test_config_errors(tmp_path):
     with pytest.raises(ValueError):
         load_config(missing)
     unknown = tmp_path / "unknown.cfg"
-    unknown.write_text(config_text(default_params()) + "bogus_key = 1\n")
+    unknown.write_text(BASELINE_TEXT + "bogus_key = 1\n")
     with pytest.raises(ValueError):
         load_config(unknown)
     with pytest.raises(ValueError):
@@ -81,6 +101,14 @@ def test_config_errors(tmp_path):
 
 def test_default_config_is_baseline():
     assert load_config(None) == default_params()
+
+
+def test_default_params_are_the_literal_baseline():
+    expected = SystemParams(rate_p=0.4, rate_s=0.2, snr_p=100.0, snr_r=10.0,
+                            epsilon=0.03,
+                            link_vars=LinkTable.uniform(1.0, ps=0.1, sp=0.1))
+    assert default_params() == expected
+    assert repr(default_params()) == repr(expected)
 
 
 # ---- sweeps -----------------------------------------------------------------
@@ -636,6 +664,23 @@ def test_cli_verify_flags_activation_gap(tmp_path):
     assert (tmp_path / "verify_report.txt").exists()
 
 
+@pytest.mark.parametrize("source, key", [
+    (["--set", "epsilon=abc"], "epsilon"),
+    (["--set", "link_vars.sp=0.1x"], "link_vars.sp"),
+    (["--set", "snr_r_db="], "snr_r_db"),
+    ("file", "rate_s"),
+])
+def test_cli_names_the_malformed_config_key(source, key, tmp_path, capsys):
+    if source == "file":
+        path = tmp_path / "scenario.cfg"
+        path.write_text(BASELINE_TEXT.replace("rate_s = 0.2", "rate_s = 0,2"))
+        source = ["--config", str(path)]
+    assert cli_main([*source, "analytic"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: config key {key}: could not convert ")
+
+
 def test_cli_config_errors(tmp_path):
     assert cli_main(["--config", str(tmp_path / "nope.cfg"), "analytic"]) == 1
     bad = tmp_path / "bad.cfg"
@@ -978,6 +1023,45 @@ def test_traced_bindings_exist(monkeypatch):
         assert layer in tracing.LAYERS and layer != caller, (caller, name, layer)
 
 
+def _defined_names(stmt):
+    """Names a top-level statement defines (imports excluded)."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+
+def _referenced_names(stmt):
+    """Names a statement reads, as a bare name, an attribute or an import."""
+    names = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_package_defines_no_unused_names():
+    # every top-level name of a package module is read by some other
+    # top-level statement of the package (a re-export in __init__ included)
+    package = Path(crrelay.__file__).parent
+    statements = [(path.stem, stmt)
+                  for path in sorted(package.glob("*.py"))
+                  for stmt in ast.parse(path.read_text()).body]
+    refs = [_referenced_names(stmt) for _, stmt in statements]
+    unused = sorted(
+        f"{module}.{name}"
+        for k, (module, stmt) in enumerate(statements)
+        for name in _defined_names(stmt)
+        if not (name.startswith("__") and name.endswith("__"))
+        and not any(name in r for j, r in enumerate(refs) if j != k))
+    assert unused == []
+
+
 @pytest.mark.parametrize("module", ["harness", "cli"])
 def test_front_ends_import_no_private_names(module):
     # the harness and the CLI use the layers below them only through their
@@ -1001,3 +1085,13 @@ def test_readme_quick_start_runs():
     block = readme.split("## Quick start", 1)[1]
     code = block.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md", "exec"), {})
+
+
+def test_readme_scenario_config_is_the_default(tmp_path):
+    # the README's Scenario config block, read as a config file, is the
+    # complete built-in default
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Scenario config", 1)[1]
+    path = tmp_path / "scenario.cfg"
+    path.write_text(block.split("```\n", 1)[1].split("```", 1)[0])
+    assert load_config(path) == default_params()

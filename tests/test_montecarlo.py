@@ -26,11 +26,11 @@ from crrelay.montecarlo import (
     SCHEMES,
     OutageEstimate,
     _count_group,
-    _uniform_block,
     _unit_block,
 )
 from crrelay.system import LINKS
-from conftest import link_draws, replay_counts, symmetric_relay_params
+from conftest import (_uniform_block, link_draws, replay_counts,
+                      symmetric_relay_params)
 
 
 # ---- estimates --------------------------------------------------------------

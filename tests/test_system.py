@@ -11,7 +11,8 @@ from crrelay import (
     derive,
     estimate,
     linear_to_db,
-    secondary_cutoff_snr,
+    load_config,
+    secondary_cutoff_db,
 )
 from crrelay.system import LINKS, one_slot_threshold, two_slot_threshold
 
@@ -87,18 +88,19 @@ def test_secondary_snr_monotone_in_epsilon(table1):
 
 
 def test_cutoff_reference_value():
-    cutoff = secondary_cutoff_snr(0.4, 0.03, 1.0)
-    assert cutoff == pytest.approx(10.48969875310436, rel=1e-12)
-    assert linear_to_db(cutoff) == pytest.approx(10.20763016149415, abs=1e-9)
+    cutoff_db = secondary_cutoff_db(0.4, 0.03, 1.0)
+    assert db_to_linear(cutoff_db) == pytest.approx(10.48969875310436,
+                                                    rel=1e-12)
+    assert cutoff_db == pytest.approx(10.20763016149415, abs=1e-9)
 
 
 def test_cutoff_vanishes_as_epsilon_opens():
-    assert secondary_cutoff_snr(0.4, 1.0 - 1e-12, 1.0) < 0.02
+    assert db_to_linear(secondary_cutoff_db(0.4, 1.0 - 1e-12, 1.0)) < 0.02
 
 
 def test_cutoff_is_the_admission_root(table1):
     params = table1.with_epsilon(0.03)
-    cutoff = secondary_cutoff_snr(0.4, 0.03, 1.0)
+    cutoff = db_to_linear(secondary_cutoff_db(0.4, 0.03, 1.0))
     from dataclasses import replace
     below = derive(replace(params, snr_p=cutoff * (1.0 - 1e-9)))
     above = derive(replace(params, snr_p=cutoff * (1.0 + 1e-9)))
@@ -108,9 +110,32 @@ def test_cutoff_is_the_admission_root(table1):
 
 def test_cutoff_validation():
     with pytest.raises(ValueError):
-        secondary_cutoff_snr(0.0, 0.03, 1.0)
+        secondary_cutoff_db(0.0, 0.03, 1.0)
+    with pytest.raises(ValueError, match="2\\^rate_p - 1"):
+        secondary_cutoff_db(1e-20, 0.03, 1.0)    # 2^R - 1 rounds to 0
     with pytest.raises(ValueError):
-        secondary_cutoff_snr(0.4, 1.0, 1.0)
+        secondary_cutoff_db(0.4, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("rate_p, epsilon, var_pp, cutoff_db", [
+    (0.4, 5e-324, 1.0, 3228.1069695854444),
+    (0.4, 0.03, 2.2250738585072014e-308, 3086.734185847382),
+])
+def test_cutoff_beyond_double_range(rate_p, epsilon, var_pp, cutoff_db):
+    # the linear cutoff overflows to inf here; its dB value is finite
+    assert secondary_cutoff_db(rate_p, epsilon, var_pp) == cutoff_db
+
+
+def test_cutoff_matches_the_linear_form():
+    # on ordinary inputs the log-space sum is the dB value of the linear root
+    rng = np.random.default_rng(22)
+    for _ in range(2_000):
+        rate_p = rng.uniform(0.01, 10.0)
+        epsilon = 10.0 ** rng.uniform(-8.0, math.log10(0.99))
+        var_pp = 10.0 ** rng.uniform(-6.0, 6.0)
+        linear = one_slot_threshold(rate_p) / (-var_pp * math.log1p(-epsilon))
+        assert secondary_cutoff_db(rate_p, epsilon, var_pp) == pytest.approx(
+            linear_to_db(linear), abs=1e-12)
 
 
 @pytest.mark.parametrize("field,value", [
@@ -132,12 +157,10 @@ def test_invalid_params_rejected(field, value):
 def test_db_scenario_edges():
     # a silent relay (-inf dB) is a valid scenario; a dB value whose linear
     # power overflows is rejected like any other non-finite value
-    silent = SystemParams.from_db(0.4, 0.2, 20.0, -math.inf, 0.04,
-                                  LinkTable.uniform(1.0))
+    silent = load_config(None, ("snr_r_db=-inf",))
     assert silent.snr_r == 0.0
     with pytest.raises(ValueError, match="finite"):
-        SystemParams.from_db(0.4, 0.2, 4000.0, 10.0, 0.04,
-                             LinkTable.uniform(1.0))
+        load_config(None, ("snr_p_db=4000",))
 
 
 def test_largest_rates_keep_finite_thresholds():
