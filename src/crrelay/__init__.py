@@ -11,11 +11,9 @@ from .allocation import (
 from .analytic import (
     NoSecondaryAccessError,
     OutageSummary,
+    cond_outage_d0,
     cond_outage_d1_exact,
-    cond_pri_outage_d0,
-    cond_sec_outage_d0,
-    noncoop_primary_outage,
-    noncoop_secondary_outage,
+    noncoop_outage,
     prob_decode_order,
     prob_relay_active,
     prob_relay_active_exact,
@@ -44,6 +42,7 @@ from .quadrature import (
     integrate_exp_over_x,
 )
 from .system import (
+    USER_LINKS,
     DerivedParams,
     LinkTable,
     SystemParams,

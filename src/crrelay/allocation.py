@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .analytic import (
-    cond_sec_outage_d0,
+    cond_outage_d0,
     primary_split_floor,
     prob_relay_active,
     secondary_split_ceiling,
@@ -158,7 +158,7 @@ def allocate(params: SystemParams, snr_r_grid=None) -> AllocationResult:
         raise ValueError("relay-SNR grid must be nonempty")
 
     w = prob_relay_active(derived)     # independent of the relay SNR
-    sec_d0 = cond_sec_outage_d0(derived)
+    sec_d0 = cond_outage_d0(derived, "secondary")
 
     g, v = derived.gain, params.link_vars
     lam_p, lam_s = derived.lambda_p, derived.lambda_s

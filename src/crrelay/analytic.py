@@ -8,6 +8,10 @@ indicator D.  Exact forms exist for D=0 and for the relay spending all of its
 power on one user (power split alpha at 0 or 1); interior splits only admit
 upper bounds.
 
+The paper derives each quantity for the primary and mirrors it for the
+secondary.  Here each is one function of the user ("primary" or "secondary"),
+reading that user's direct, cross and relay links from system.USER_LINKS.
+
 The activation probability P(D=1) has two forms.  prob_relay_active is the
 paper's two-branch form; it treats the decode order as independent of the
 threshold events, so it only approximates the per-draw decision, yet it stays
@@ -21,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .quadrature import QuadratureError, integrate_exp_over_x
-from .system import DerivedParams
+from .system import USER_LINKS, DerivedParams
 
 
 class NoSecondaryAccessError(ValueError):
@@ -160,33 +164,35 @@ def prob_relay_active_exact(derived: DerivedParams) -> float:
                     + _first_decoded_active(g.sr, g.pr, ls, lp))
 
 
-def cond_sec_outage_d0(derived: DerivedParams) -> float:
-    """Secondary outage when both transmitters repeat (relay silent).
+def _user_gains(derived: DerivedParams, user: str) -> tuple:
+    """A user's (g_sig, g_cross, g_relay, lambda, theta): the mean gains of
+    its direct, cross and relay links (system.USER_LINKS) and its two-sub-slot
+    and one-slot thresholds."""
+    if user not in USER_LINKS:
+        raise ValueError("user must be 'primary' or 'secondary'")
+    g_sig, g_cross, g_relay = (getattr(derived.gain, name)
+                               for name in USER_LINKS[user])
+    if g_sig <= 0.0:
+        raise ValueError(f"{user} direct gain must be positive")
+    if user == "primary":
+        return g_sig, g_cross, g_relay, derived.lambda_p, derived.theta_p
+    return g_sig, g_cross, g_relay, derived.lambda_s, derived.theta_s
+
+
+def cond_outage_d0(derived: DerivedParams, user: str) -> float:
+    """A user's outage when both transmitters repeat (relay silent).
 
     Combining the two identical copies doubles the effective signal gain, so
-    this is the ratio outage at 2*gain_ss against the two-sub-slot threshold.
+    this is the ratio outage at twice the direct gain against the two-sub-slot
+    threshold.
     """
-    g = derived.gain
-    if g.ss <= 0.0:
-        raise ValueError("needs a positive secondary direct-link gain")
-    return _ratio_outage(2.0 * g.ss, g.ps, derived.lambda_s)
-
-
-def cond_pri_outage_d0(derived: DerivedParams) -> float:
-    """Primary outage when both transmitters repeat; mirror of the secondary."""
-    g = derived.gain
-    if g.pp <= 0.0:
-        raise ValueError("needs a positive primary direct-link gain")
-    return _ratio_outage(2.0 * g.pp, g.sp, derived.lambda_p)
-
-
-# the direct, cross and relay links of each user's full-power form
-_FULL_POWER_LINKS = {"primary": "pp, sp and rp", "secondary": "ss, ps and rs"}
+    g_sig, g_cross, _, lam, _ = _user_gains(derived, user)
+    return _ratio_outage(2.0 * g_sig, g_cross, lam)
 
 
 def _full_power_message(user, failure) -> str:
     return (f"full-power {user} outage {failure}: the mean gains of links "
-            f"{_FULL_POWER_LINKS[user]} are out of range")
+            "{}, {} and {} are out of range".format(*USER_LINKS[user]))
 
 
 def _full_power_outage(g_sig, g_cross, g_relay, threshold, user) -> float:
@@ -240,15 +246,9 @@ def cond_outage_d1_exact(derived: DerivedParams, user: str,
     """
     if alpha not in (0.0, 1.0):
         raise ValueError("exact conditional forms exist only at alpha 0 or 1")
-    g = derived.gain
-    if user == "primary" and alpha == 1.0:
-        g_sig, g_cross, g_relay, lam = g.pp, g.sp, g.rp, derived.lambda_p
-    elif user == "secondary" and alpha == 0.0:
-        g_sig, g_cross, g_relay, lam = g.ss, g.ps, g.rs, derived.lambda_s
-    else:
+    g_sig, g_cross, g_relay, lam, _ = _user_gains(derived, user)
+    if alpha != (1.0 if user == "primary" else 0.0):
         return upper_bound_d1(derived, user, alpha)
-    if g_sig <= 0.0:
-        raise ValueError(f"{user} direct gain must be positive")
     if g_cross <= 0.0:
         raise ValueError("full-power form needs a positive cross gain")
     return _full_power_outage(g_sig, g_cross, g_relay, lam, user)
@@ -298,18 +298,9 @@ def upper_bound_d1(derived: DerivedParams, user: str, alpha: float) -> float:
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    g = derived.gain
-    if user == "primary":
-        if g.pp <= 0.0:
-            raise ValueError("primary direct gain must be positive")
-        x = _ratio_outage(g.pp, g.sp, derived.lambda_p)
-        return _primary_bound(x, g.rp, alpha, derived.lambda_p)
-    if user == "secondary":
-        if g.ss <= 0.0:
-            raise ValueError("secondary direct gain must be positive")
-        y = _ratio_outage(g.ss, g.ps, derived.lambda_s)
-        return _secondary_bound(y, g.rs, alpha, derived.lambda_s)
-    raise ValueError("user must be 'primary' or 'secondary'")
+    g_sig, g_cross, g_relay, lam, _ = _user_gains(derived, user)
+    bound = _primary_bound if user == "primary" else _secondary_bound
+    return bound(_ratio_outage(g_sig, g_cross, lam), g_relay, alpha, lam)
 
 
 def total_secondary_outage(derived: DerivedParams,
@@ -325,16 +316,14 @@ def total_secondary_outage(derived: DerivedParams,
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    g = derived.gain
     if derived.snr_s == 0.0:
-        pri = 1.0 - math.exp(-derived.lambda_p / (2.0 * g.pp))
+        pri = 1.0 - math.exp(-derived.lambda_p / (2.0 * derived.gain.pp))
         return OutageSummary(p_d1=0.0, total_sec=1.0, total_pri=pri)
     w = prob_relay_active(derived)
     bound = alpha not in (0.0, 1.0)
     d1 = upper_bound_d1 if bound else cond_outage_d1_exact
-    pri_d1, sec_d1 = (d1(derived, u, alpha) for u in ("primary", "secondary"))
-    sec_d0 = cond_sec_outage_d0(derived)
-    pri_d0 = cond_pri_outage_d0(derived)
+    pri_d1, sec_d1 = (d1(derived, u, alpha) for u in USER_LINKS)
+    pri_d0, sec_d0 = (cond_outage_d0(derived, u) for u in USER_LINKS)
     return OutageSummary(
         p_d1=w,
         total_sec=_clamp01((1.0 - w) * sec_d0 + w * sec_d1),
@@ -344,21 +333,11 @@ def total_secondary_outage(derived: DerivedParams,
     )
 
 
-def noncoop_secondary_outage(derived: DerivedParams) -> float:
-    """Secondary outage of the single-slot baseline without any relay."""
-    g = derived.gain
-    if g.ss <= 0.0:
-        raise ValueError("needs a positive secondary direct-link gain")
-    return _ratio_outage(g.ss, g.ps, derived.theta_s)
+def noncoop_outage(derived: DerivedParams, user: str) -> float:
+    """A user's outage in the single-slot baseline without any relay.
 
-
-def noncoop_primary_outage(derived: DerivedParams) -> float:
-    """Primary outage of the single-slot baseline.
-
-    Equals the admission threshold epsilon by construction whenever the
-    secondary is admitted with a positive SNR.
+    The primary's equals the admission threshold epsilon by construction
+    whenever the secondary is admitted with a positive SNR.
     """
-    g = derived.gain
-    if g.pp <= 0.0:
-        raise ValueError("needs a positive primary direct-link gain")
-    return _ratio_outage(g.pp, g.sp, derived.theta_p)
+    g_sig, g_cross, _, _, theta = _user_gains(derived, user)
+    return _ratio_outage(g_sig, g_cross, theta)

@@ -32,8 +32,7 @@ from .allocation import (
     rate_s_at_split_ceiling,
 )
 from .analytic import (
-    noncoop_primary_outage,
-    noncoop_secondary_outage,
+    noncoop_outage,
     primary_split_floor,
     prob_decode_order,
     total_secondary_outage,
@@ -332,7 +331,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> tuple[ResultRow, ...]:
                         # no closed form for the relay-assisted baseline
                         row.analytic_sec = (
                             1.0 if derived.snr_s == 0.0
-                            else noncoop_secondary_outage(derived))
+                            else noncoop_outage(derived, "secondary"))
                         row.analytic_is_bound = False
                 if spec.mode in ("montecarlo", "both"):
                     check_request(alpha, scheme)
@@ -407,6 +406,15 @@ def _less_check(name, smaller, larger, margin=0.0, strict=True) -> Check:
                   + (f" (margin {margin:.3g})" if margin else ""))
 
 
+def _edge_wilson(est: OutageEstimate):
+    """The Wilson 3-sigma interval where p_hat lies within 10 trials of 0 or
+    1 and the normal approximation is shaky; None elsewhere.  A check judged
+    by std_err also passes when this interval agrees with its reference."""
+    if min(est.p_hat, 1.0 - est.p_hat) < 10.0 / est.trials:
+        return est.wilson()
+    return None
+
+
 def _z_check(name, est: OutageEstimate, analytic: float, note="") -> Check:
     if est.std_err == 0.0:
         z = 0.0 if est.p_hat == analytic else math.inf
@@ -415,22 +423,24 @@ def _z_check(name, est: OutageEstimate, analytic: float, note="") -> Check:
     ok = abs(z) <= 3.0
     detail = (f"mc={est.p_hat:.6g} analytic={analytic:.6g} "
               f"std_err={est.std_err:.3g} z={z:+.2f}")
-    if min(est.p_hat, 1.0 - est.p_hat) < 10.0 / est.trials:
-        # p_hat near 0 or 1: the normal approximation is shaky, show Wilson too
-        lo, hi = est.wilson()
-        detail += f" wilson3=[{lo:.3g}, {hi:.3g}]"
-        ok = ok or lo <= analytic <= hi
+    if wilson := _edge_wilson(est):
+        detail += " wilson3=[{:.3g}, {:.3g}]".format(*wilson)
+        ok = ok or wilson[0] <= analytic <= wilson[1]
     if note:
         detail += f" [{note}]"
     return _check(name, ok, detail)
 
 
 def _bound_check(name, est: OutageEstimate, bound: float, note="") -> Check:
+    ok = est.p_hat <= bound + 3.0 * est.std_err
     detail = (f"mc={est.p_hat:.6g} bound={bound:.6g} "
               f"slack={bound + 3.0 * est.std_err - est.p_hat:+.3g}")
+    if wilson := _edge_wilson(est):
+        detail += " wilson3=[{:.3g}, {:.3g}]".format(*wilson)
+        ok = ok or wilson[0] <= bound
     if note:
         detail += f" [{note}]"
-    return _check(name, est.p_hat <= bound + 3.0 * est.std_err, detail)
+    return _check(name, ok, detail)
 
 
 def _note(name, text) -> Check:
@@ -750,9 +760,9 @@ def compare_analytic_mc(params: SystemParams, alpha: float,
                for user, mc, ref in (("secondary", est.sec, summary.total_sec),
                                      ("primary", est.pri, summary.total_pri))]
     checks.append(_z_check("non-cooperative secondary outage", nc.sec,
-                           noncoop_secondary_outage(derived)))
+                           noncoop_outage(derived, "secondary")))
     checks.append(_z_check(
         "non-cooperative primary outage at the admission threshold", nc.pri,
-        noncoop_primary_outage(derived),
+        noncoop_outage(derived, "primary"),
         note=f"equals epsilon={params.epsilon} by construction"))
     return Report(title, tuple(checks))

@@ -32,7 +32,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .system import LINKS, DerivedParams, SystemParams, derive
+from .system import LINKS, USER_LINKS, DerivedParams, SystemParams, derive
 
 SCHEMES = ("proposed", "noncooperative", "relay_assisted_secondary")
 
@@ -132,10 +132,11 @@ def _count_group(derived: DerivedParams, alpha: float, schemes, e,
     """Integer event counts of each scheme in `schemes` over a chunk of draws.
 
     All schemes run on one scenario and split, so the SINR terms they share
-    (the relay's x and y, the direct v and u and their parts, the
+    (the relay's x and y, each user's direct SINR and its parts, the
     silent-relay events) are computed once, each by the same operations as a
-    scheme's own printed expression.  Row k of `e` holds link LINKS[k]'s unit
-    draws.  Each count is keyed by the SchemeEstimates field it fills;
+    scheme's own printed expression.  One loop runs over the users, each
+    reading its links from USER_LINKS.  Row k of `e` holds link LINKS[k]'s
+    unit draws.  Each count is keyed by the SchemeEstimates field it fills;
     secondary events are always counted, primary ones when `primary`.  Each
     scaled link and temporary is dropped after its last use, so a group adds
     a few trial vectors to the chunk's working set.
@@ -180,46 +181,40 @@ def _count_group(derived: DerivedParams, alpha: float, schemes, e,
     for scheme, d1 in active.items():
         counts[scheme]["p_d1"] = n(d1)
 
-    def tally(user, relayed, repeated):
-        for scheme, d1 in active.items():
-            c = counts[scheme]
-            c[f"{user}_d1"] = n(d1 & relayed[scheme])
-            c[f"{user}_d0"] = n(silent[scheme] & repeated)
-            c[user] = c[f"{user}_d1"] + c[f"{user}_d0"]
-
-    if primary:
-        v_num = snr_p * g("pp")
-        v = v_num / (snr_s * g("sp") + 1.0)
+    # per user: SNR, interfering SNR, theta, lambda, relay share and the rest
+    rows = {
+        "primary": (snr_p, snr_s, derived.theta_p, lp, alpha, 1.0 - alpha),
+        "secondary": (snr_s, snr_p, derived.theta_s, ls, 1.0 - alpha, alpha)}
+    for user, (sig, cross, relay) in USER_LINKS.items():
+        if user == "primary" and not primary:
+            continue
+        snr, snr_i, theta, lam, share, rest = rows[user]
+        key = user[:3]   # the SchemeEstimates fields pri* or sec*
+        num = snr * g(sig)
+        den = snr_i * g(cross) + 1.0
+        sinr = num / den
+        if user == "primary" or not surrogate:
+            del den   # only the secondary's surrogate SINR reads it again
         if "noncooperative" in counts:
-            counts["noncooperative"]["pri"] = n(v < derived.theta_p)
+            counts["noncooperative"][key] = n(sinr < theta)
         if active:
-            rp, relayed = g("rp"), {}
+            r, relayed = g(relay), {}
             if proposed:
-                w_p = alpha * snr_r * rp / ((1.0 - alpha) * snr_r * rp + 1.0)
-                relayed["proposed"] = v + w_p < lp
-                del w_p
+                relayed["proposed"] = (
+                    sinr + share * snr_r * r / (rest * snr_r * r + 1.0) < lam)
             if surrogate:
                 relayed["relay_assisted_secondary"] = (
-                    v + v_num / (snr_r * rp + 1.0) < lp)
-            del rp
-            tally("pri", relayed, 2.0 * v < lp)
-        del v_num, v
-    u_num = snr_s * g("ss")
-    u_den = snr_p * g("ps") + 1.0
-    u = u_num / u_den
-    if "noncooperative" in counts:
-        counts["noncooperative"]["sec"] = n(u < derived.theta_s)
-    if active:
-        rs, relayed = g("rs"), {}
-        if proposed:
-            w_s = (1.0 - alpha) * snr_r * rs / (alpha * snr_r * rs + 1.0)
-            relayed["proposed"] = u + w_s < ls
-            del w_s
-        if surrogate:
-            relayed["relay_assisted_secondary"] = (
-                (u_num + snr_r * rs) / u_den < ls)
-        del rs
-        tally("sec", relayed, 2.0 * u < ls)
+                    sinr + num / (snr_r * r + 1.0) if user == "primary"
+                    else (num + snr_r * r) / den) < lam
+            del r
+            repeated = 2.0 * sinr < lam
+            for scheme, d1 in active.items():
+                c = counts[scheme]
+                c[f"{key}_d1"] = n(d1 & relayed[scheme])
+                c[f"{key}_d0"] = n(silent[scheme] & repeated)
+                c[key] = c[f"{key}_d1"] + c[f"{key}_d0"]
+            del relayed, repeated
+        del num, sinr
     return [counts[scheme] for scheme in schemes]
 
 

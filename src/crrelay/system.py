@@ -13,6 +13,9 @@ from dataclasses import dataclass, replace
 # Directed links a->b with a,b in {p: primary, s: secondary, r: relay}.
 LINKS = ("pp", "sp", "ps", "ss", "pr", "sr", "rp", "rs")
 
+# Each user's direct link, cross (interfering) link and relay link.
+USER_LINKS = {"primary": ("pp", "sp", "rp"), "secondary": ("ss", "ps", "rs")}
+
 # From this rate on the two-sub-slot threshold 2^(2R) - 1 overflows a double.
 MAX_RATE = 512.0
 

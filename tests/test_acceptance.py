@@ -30,13 +30,13 @@ from crrelay import (
     allocate,
     common_alpha_band,
     cond_outage_d1_exact,
-    cond_sec_outage_d0,
+    cond_outage_d0,
     derive,
     estimate,
     estimate_many,
     integrate_exp_over_x,
     min_snr_r_for_epsilon,
-    noncoop_secondary_outage,
+    noncoop_outage,
     prob_decode_order,
     prob_relay_active,
     prob_relay_active_exact,
@@ -196,7 +196,7 @@ def test_c3a_oracle_equivalence_closed_forms(oracle_runs):
         d = run["derived"]
         e0, e1, nc = run["alpha0"], run["alpha1"], run["noncoop"]
         zs[f"s{k} order_p"] = _z(e1.order_p, prob_decode_order(d, "p"))
-        zs[f"s{k} sec_d0"] = _z(e1.sec_d0, cond_sec_outage_d0(d))
+        zs[f"s{k} sec_d0"] = _z(e1.sec_d0, cond_outage_d0(d, "secondary"))
         zs[f"s{k} pri_d1 a0"] = _z(e0.pri_d1,
                                    cond_outage_d1_exact(d, "primary", 0.0))
         zs[f"s{k} sec_d1 a0"] = _z(e0.sec_d1,
@@ -205,7 +205,7 @@ def test_c3a_oracle_equivalence_closed_forms(oracle_runs):
                                    cond_outage_d1_exact(d, "primary", 1.0))
         zs[f"s{k} sec_d1 a1"] = _z(e1.sec_d1,
                                    cond_outage_d1_exact(d, "secondary", 1.0))
-        zs[f"s{k} noncoop sec"] = _z(nc.sec, noncoop_secondary_outage(d))
+        zs[f"s{k} noncoop sec"] = _z(nc.sec, noncoop_outage(d, "secondary"))
     worst = max(zs, key=lambda k: abs(zs[k]))
     ok = all(abs(z) <= 3.0 for z in zs.values()) and elapsed < 60.0
     assert _line("C3a oracle equivalence (closed forms)", ok,

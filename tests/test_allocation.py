@@ -11,7 +11,7 @@ from crrelay import (
     allocate,
     alpha_for_primary_bound,
     common_alpha_band,
-    cond_sec_outage_d0,
+    cond_outage_d0,
     derive,
     min_snr_r_for_epsilon,
     prob_relay_active,
@@ -331,7 +331,7 @@ def _grid_scan_allocate(params, snr_r_grid=None):
     if len(snr_r_grid) == 0:
         raise ValueError("relay-SNR grid must be nonempty")
     w = prob_relay_active(derived)
-    sec_d0 = cond_sec_outage_d0(derived)
+    sec_d0 = cond_outage_d0(derived, "secondary")
     grid = set(_default_alpha_grid(derived.lambda_p))
     best = None
     for snr_r in sorted(snr_r_grid):

@@ -6,18 +6,17 @@ import pytest
 
 from conftest import symmetric_relay_params, synth_derived
 from crrelay import (
+    USER_LINKS,
     LinkTable,
     NoSecondaryAccessError,
     SystemParams,
+    cond_outage_d0,
     cond_outage_d1_exact,
-    cond_pri_outage_d0,
-    cond_sec_outage_d0,
     db_to_linear,
     default_params,
     derive,
     load_config,
-    noncoop_primary_outage,
-    noncoop_secondary_outage,
+    noncoop_outage,
     prob_decode_order,
     prob_relay_active,
     prob_relay_active_exact,
@@ -184,33 +183,56 @@ def test_exact_activation_validates_inputs():
 
 def test_sec_d0_no_interference_limit():
     d = synth_derived(ss=120.0, ps=0.0)
-    assert cond_sec_outage_d0(d) == pytest.approx(
+    assert cond_outage_d0(d, "secondary") == pytest.approx(
         1.0 - math.exp(-d.lambda_s / 240.0), rel=1e-12)
 
 
 def test_sec_d0_table1(table1_derived):
-    assert cond_sec_outage_d0(table1_derived) == pytest.approx(
+    assert cond_outage_d0(table1_derived, "secondary") == pytest.approx(
         T1_SEC_D0, rel=1e-10)
 
 
 def test_sec_d0_zero_rate_never_outages():
     d = synth_derived(rate_s=1e-12)
-    assert cond_sec_outage_d0(d) < 1e-10
+    assert cond_outage_d0(d, "secondary") < 1e-10
 
 
-def test_pri_d0_role_swap_symmetry():
-    d = synth_derived(rate_p=0.4, rate_s=0.2, pp=80.0, sp=3.0, ss=50.0, ps=7.0)
-    swapped = synth_derived(rate_p=0.2, rate_s=0.4, ss=80.0, ps=3.0, pp=50.0,
-                            sp=7.0)
-    assert cond_pri_outage_d0(d) == pytest.approx(
-        cond_sec_outage_d0(swapped), rel=1e-14)
+def test_user_forms_role_swap_symmetry():
+    # trading the users' rates and their direct, cross and relay links turns
+    # each user's form into the other's, bit for bit: one formula serves both
+    pri, sec = USER_LINKS.values()
+    swap = dict(zip(pri + sec, sec + pri))
+    rng = np.random.default_rng(24)
+    cases = [(0.4, 0.2, dict(pp=80.0, sp=3.0, ss=50.0, ps=7.0))] + [
+        (*rng.uniform(0.05, 1.5, 2),
+         dict(zip(pri + sec, 10.0 ** rng.uniform(-2.0, 3.0, 6))))
+        for _ in range(200)]
+    for rate_p, rate_s, gains in cases:
+        d = synth_derived(rate_p, rate_s, **gains)
+        twin = synth_derived(rate_s, rate_p,
+                             **{swap[k]: v for k, v in gains.items()})
+        for f in (cond_outage_d0, noncoop_outage):
+            assert f(d, "primary") == f(twin, "secondary")
+            assert f(d, "secondary") == f(twin, "primary")
+        # the user holding all of the relay power, then the one holding none
+        assert (cond_outage_d1_exact(d, "primary", 1.0)
+                == cond_outage_d1_exact(twin, "secondary", 0.0))
+        assert (upper_bound_d1(d, "primary", 0.0)
+                == upper_bound_d1(twin, "secondary", 1.0))
 
 
 def test_d0_rejects_zero_direct_gain():
-    with pytest.raises(ValueError):
-        cond_sec_outage_d0(synth_derived(ss=0.0))
-    with pytest.raises(ValueError):
-        cond_pri_outage_d0(synth_derived(pp=0.0))
+    with pytest.raises(ValueError, match="secondary direct gain must be"):
+        cond_outage_d0(synth_derived(ss=0.0), "secondary")
+    with pytest.raises(ValueError, match="primary direct gain must be"):
+        cond_outage_d0(synth_derived(pp=0.0), "primary")
+
+
+@pytest.mark.parametrize("form", [cond_outage_d0, noncoop_outage])
+def test_user_forms_reject_unknown_user(table1_derived, form):
+    with pytest.raises(ValueError, match="user must be 'primary' or "
+                                         "'secondary'"):
+        form(table1_derived, "relay")
 
 
 # ---- relay-active exact forms ----------------------------------------------
@@ -388,7 +410,8 @@ def test_total_mixture_consistency(table1_derived):
     for alpha in (0.0, 0.5, 1.0):
         summary = total_secondary_outage(d, alpha)
         d1 = upper_bound_d1 if alpha == 0.5 else cond_outage_d1_exact
-        pri_d0, sec_d0 = cond_pri_outage_d0(d), cond_sec_outage_d0(d)
+        pri_d0, sec_d0 = (cond_outage_d0(d, "primary"),
+                          cond_outage_d0(d, "secondary"))
         pri_d1, sec_d1 = d1(d, "primary", alpha), d1(d, "secondary", alpha)
         assert (summary.pri_d0, summary.sec_d0, summary.pri_d1,
                 summary.sec_d1) == (pri_d0, sec_d0, pri_d1, sec_d1)
@@ -407,7 +430,8 @@ def test_total_degenerate_mixture_without_relay_links(table1):
     d = derive(replace(table1, link_vars=lv))
     summary = total_secondary_outage(d, 0.5)
     assert summary.p_d1 < 1e-10
-    assert summary.total_sec == pytest.approx(cond_sec_outage_d0(d), abs=1e-9)
+    assert summary.total_sec == pytest.approx(cond_outage_d0(d, "secondary"),
+                                              abs=1e-9)
 
 
 def test_total_full_primary_split_is_worst_for_secondary(table1_derived):
@@ -444,20 +468,21 @@ def test_noncoop_forms(table1_derived):
     d = table1_derived
     expected = 1.0 - d.gain.ss * math.exp(-d.theta_s / d.gain.ss) / (
         d.gain.ss + d.theta_s * d.gain.ps)
-    assert noncoop_secondary_outage(d) == pytest.approx(expected, rel=1e-14)
+    assert noncoop_outage(d, "secondary") == pytest.approx(expected, rel=1e-14)
     # the admission rule pins the primary baseline at epsilon
-    assert noncoop_primary_outage(d) == pytest.approx(0.04, abs=1e-12)
+    assert noncoop_outage(d, "primary") == pytest.approx(0.04, abs=1e-12)
 
 
 def test_noncoop_limits():
     d = synth_derived(ps=0.0, ss=40.0)
-    assert noncoop_secondary_outage(d) == pytest.approx(
+    assert noncoop_outage(d, "secondary") == pytest.approx(
         1.0 - math.exp(-d.theta_s / 40.0), rel=1e-12)
-    assert noncoop_secondary_outage(synth_derived(rate_s=1e-12)) < 1e-10
+    assert noncoop_outage(synth_derived(rate_s=1e-12), "secondary") < 1e-10
     with pytest.raises(ValueError):
-        noncoop_secondary_outage(synth_derived(ss=0.0))
-    with pytest.raises(ValueError, match="positive primary direct-link"):
-        noncoop_primary_outage(synth_derived(pp=0.0))
+        noncoop_outage(synth_derived(ss=0.0), "secondary")
+    with pytest.raises(ValueError,
+                       match="primary direct gain must be positive"):
+        noncoop_outage(synth_derived(pp=0.0), "primary")
 
 
 # ---- global sanity -----------------------------------------------------------
@@ -485,8 +510,8 @@ def test_probabilities_stay_in_unit_interval():
                 values += [upper_bound_d1(d, "primary", alpha),
                            upper_bound_d1(d, "secondary", alpha)]
         if d.snr_s > 0.0:
-            values += [noncoop_secondary_outage(d), noncoop_primary_outage(d),
-                       cond_sec_outage_d0(d), cond_pri_outage_d0(d)]
+            values += [f(d, user) for f in (noncoop_outage, cond_outage_d0)
+                       for user in ("secondary", "primary")]
         assert all(0.0 <= v <= 1.0 for v in values)
 
 

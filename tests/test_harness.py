@@ -32,6 +32,7 @@ from crrelay.cli import main as cli_main
 from crrelay.harness import (
     _CSV_COLUMNS,
     REPRODUCE_TARGETS,
+    _bound_check,
     _z_check,
     parse_config_text,
 )
@@ -576,26 +577,45 @@ def test_z_check_judges_certain_outage_by_wilson():
     assert "z=+inf wilson3=[0.996, 1]" in check.detail
 
 
+def test_bound_check_judges_certain_outage_by_wilson():
+    # all 2,180 trials in outage, a bound 1.1e-7 below 1: the estimate has
+    # no spread, yet the bound lies above the Wilson interval's lower end
+    certain = OutageEstimate.from_counts(2180, 2180)
+    check = _bound_check("x", certain, 1.0 - 1.1e-7)
+    assert check.verdict == "PASS"
+    assert "slack=-1.1e-07 wilson3=[0.996, 1]" in check.detail
+    assert _bound_check("x", certain, 0.99).verdict == "FAIL"
+
+
+# every relay-active trial of this scenario is a secondary outage
+CERTAIN_OUTAGE_SETS = [arg for key, value in dict(
+    rate_p=0.20994967710899204, rate_s=0.16072225539892548,
+    snr_p_db=6.183593457198696, snr_r_db=25.57029811654023,
+    epsilon=0.05328928619259792, **{
+        "link_vars.pp": 0.7358494975479906,
+        "link_vars.sp": 5.048382754785598,
+        "link_vars.ps": 1.0838830593529263,
+        "link_vars.ss": 1.531981849920055,
+        "link_vars.pr": 1.4012541358395767,
+        "link_vars.sr": 3.022178098845876,
+        "link_vars.rp": 0.6180445744159848,
+        "link_vars.rs": 0.15631386548309636}).items()
+    for arg in ("--set", f"{key}={value}")]
+
+
 def test_cli_verify_passes_certain_conditional_outage(tmp_path, capsys):
-    # every relay-active trial of this scenario is a secondary outage
-    overrides = dict(
-        rate_p=0.20994967710899204, rate_s=0.16072225539892548,
-        snr_p_db=6.183593457198696, snr_r_db=25.57029811654023,
-        epsilon=0.05328928619259792, **{
-            "link_vars.pp": 0.7358494975479906,
-            "link_vars.sp": 5.048382754785598,
-            "link_vars.ps": 1.0838830593529263,
-            "link_vars.ss": 1.531981849920055,
-            "link_vars.pr": 1.4012541358395767,
-            "link_vars.sr": 3.022178098845876,
-            "link_vars.rp": 0.6180445744159848,
-            "link_vars.rs": 0.15631386548309636})
-    argv = [arg for key, value in overrides.items()
-            for arg in ("--set", f"{key}={value}")]
-    assert cli_main(["--out-dir", str(tmp_path), *argv, "--seed", "11",
-                     "verify", "--alpha", "1"]) == 0
+    assert cli_main(["--out-dir", str(tmp_path), *CERTAIN_OUTAGE_SETS,
+                     "--seed", "11", "verify", "--alpha", "1"]) == 0
     assert ("PASS secondary outage | relay active (exact): mc=1 analytic=1 "
             "std_err=0 z=+inf wilson3=[0.996, 1]") in capsys.readouterr().out
+
+
+def test_cli_verify_passes_certain_outage_within_bound(tmp_path, capsys):
+    # at an interior split the same certain outage meets a bound just below 1
+    assert cli_main(["--out-dir", str(tmp_path), *CERTAIN_OUTAGE_SETS,
+                     "--seed", "11", "verify", "--alpha", "0.9"]) == 0
+    assert ("PASS secondary outage | relay active within bound: mc=1 bound=1 "
+            "slack=-1.1e-07 wilson3=[0.996, 1]") in capsys.readouterr().out
 
 
 def test_compare_analytic_mc_no_secondary(table1):

@@ -10,13 +10,12 @@ import pytest
 
 import crrelay
 from crrelay import (
+    cond_outage_d0,
     cond_outage_d1_exact,
-    cond_pri_outage_d0,
-    cond_sec_outage_d0,
     derive,
     estimate,
     estimate_many,
-    noncoop_secondary_outage,
+    noncoop_outage,
     prob_decode_order,
     prob_relay_active,
 )
@@ -302,8 +301,8 @@ def test_estimates_match_closed_forms(table1):
 
     est1 = estimate(table1, 1.0, n, seed)
     assert z(est1.order_p, prob_decode_order(d, "p")) <= 3.0
-    assert z(est1.sec_d0, cond_sec_outage_d0(d)) <= 3.0
-    assert z(est1.pri_d0, cond_pri_outage_d0(d)) <= 3.0
+    assert z(est1.sec_d0, cond_outage_d0(d, "secondary")) <= 3.0
+    assert z(est1.pri_d0, cond_outage_d0(d, "primary")) <= 3.0
     assert z(est1.pri_d1, cond_outage_d1_exact(d, "primary", 1.0)) <= 3.0
     assert z(est1.sec_d1, cond_outage_d1_exact(d, "secondary", 1.0)) <= 3.0
 
@@ -312,7 +311,7 @@ def test_estimates_match_closed_forms(table1):
     assert z(est0.sec_d1, cond_outage_d1_exact(d, "secondary", 0.0)) <= 3.0
 
     nc = estimate(table1, 0.5, n, seed, scheme="noncooperative")
-    assert z(nc.sec, noncoop_secondary_outage(d)) <= 3.0
+    assert z(nc.sec, noncoop_outage(d, "secondary")) <= 3.0
     assert z(nc.pri, table1.epsilon) <= 3.0
 
 
@@ -333,7 +332,8 @@ def test_relayless_limit_reduces_to_silent_mixture(table1):
     d = derive(params)
     est = estimate(params, 0.5, 300_000, seed=19)
     assert est.p_d1.p_hat == 0.0
-    assert abs(est.sec.p_hat - cond_sec_outage_d0(d)) <= 3.0 * est.sec.std_err
+    assert (abs(est.sec.p_hat - cond_outage_d0(d, "secondary"))
+            <= 3.0 * est.sec.std_err)
 
 
 def test_no_secondary_access_means_certain_outage(table1):
