@@ -417,7 +417,8 @@ def _edge_wilson(est: OutageEstimate):
 
 def _z_check(name, est: OutageEstimate, analytic: float, note="") -> Check:
     if est.std_err == 0.0:
-        z = 0.0 if est.p_hat == analytic else math.inf
+        z = (0.0 if est.p_hat == analytic
+             else math.copysign(math.inf, est.p_hat - analytic))
     else:
         z = (est.p_hat - analytic) / est.std_err
     ok = abs(z) <= 3.0

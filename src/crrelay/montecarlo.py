@@ -61,12 +61,15 @@ class OutageEstimate:
                    trials=trials)
 
     def wilson(self, z: float = 3.0) -> tuple:
-        """Wilson score interval; preferred over +-z*std_err for rare events."""
+        """Wilson score interval; preferred over +-z*std_err for rare events.
+        Its end at an estimate of exactly 0 or 1 is that value, not the
+        rounded difference of two equal terms."""
         n, p = self.trials, self.p_hat
         denom = 1.0 + z * z / n
         center = (p + z * z / (2.0 * n)) / denom
         half = (z / denom) * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n))
-        return (max(0.0, center - half), min(1.0, center + half))
+        return (0.0 if p == 0.0 else max(0.0, center - half),
+                1.0 if p == 1.0 else min(1.0, center + half))
 
 
 @dataclass(frozen=True)

@@ -48,26 +48,6 @@ class LinkTable:
     rp: float
     rs: float
 
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in LINKS}
-
-    @classmethod
-    def from_dict(cls, values: dict) -> "LinkTable":
-        extra = set(values) - set(LINKS)
-        missing = set(LINKS) - set(values)
-        if extra or missing:
-            raise ValueError(
-                f"link table needs exactly the keys {LINKS}; "
-                f"missing={sorted(missing)} unknown={sorted(extra)}"
-            )
-        return cls(**{k: float(v) for k, v in values.items()})
-
-    @classmethod
-    def uniform(cls, value: float = 1.0, **overrides: float) -> "LinkTable":
-        vals = {name: float(value) for name in LINKS}
-        vals.update({k: float(v) for k, v in overrides.items()})
-        return cls.from_dict(vals)
-
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -104,7 +84,8 @@ class SystemParams:
                                  "bits/s/Hz (2^(2R) overflows)")
             if one_slot_threshold(getattr(self, name)) == 0.0:
                 raise ValueError(f"{name} is too small (2^R - 1 rounds to 0)")
-        for name, var in self.link_vars.as_dict().items():
+        for name in LINKS:
+            var = getattr(self.link_vars, name)
             if not var > 0.0 or not math.isfinite(var):
                 raise ValueError(f"link variance {name} must be positive and finite")
 
@@ -165,19 +146,12 @@ def derive(params: SystemParams) -> DerivedParams:
     if not math.isfinite(snr_s):
         raise ValueError("admitted secondary SNR overflows: link variance pp "
                          "is too large or sp too small")
-    v = params.link_vars
-    gain = LinkTable(
-        pp=params.snr_p * v.pp,
-        ps=params.snr_p * v.ps,
-        pr=params.snr_p * v.pr,
-        sp=snr_s * v.sp,
-        ss=snr_s * v.ss,
-        sr=snr_s * v.sr,
-        rp=params.snr_r * v.rp,
-        rs=params.snr_r * v.rs,
-    )
-    for name, g in gain.as_dict().items():
-        if not math.isfinite(g):
+    # a link's first letter names its transmitter, whose SNR scales it
+    snr = {"p": params.snr_p, "s": snr_s, "r": params.snr_r}
+    gain = LinkTable(**{name: snr[name[0]] * getattr(params.link_vars, name)
+                        for name in LINKS})
+    for name in LINKS:
+        if not math.isfinite(getattr(gain, name)):
             raise ValueError(f"mean gain of link {name} overflows")
     return DerivedParams(
         theta_p=one_slot_threshold(params.rate_p),

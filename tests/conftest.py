@@ -13,23 +13,26 @@ from crrelay.system import (
 )
 
 
+def link_table(value=1.0, **overrides) -> LinkTable:
+    """Every link at one value, save the named overrides."""
+    table = dict.fromkeys(LINKS, value) | overrides
+    return LinkTable(**{name: float(v) for name, v in table.items()})
+
+
 def synth_derived(rate_p=0.4, rate_s=0.2, snr_p=100.0, snr_s=100.0,
                   snr_r=10.0, **gains) -> DerivedParams:
     """Derived-parameter table with hand-picked mean gains, for formula-level
     tests that do not need the admission chain."""
-    table = {name: 1.0 for name in
-             ("pp", "sp", "ps", "ss", "pr", "sr", "rp", "rs")}
-    table.update(gains)
     params = SystemParams(rate_p=rate_p, rate_s=rate_s, snr_p=snr_p,
                           snr_r=snr_r, epsilon=0.05,
-                          link_vars=LinkTable.uniform(1.0))
+                          link_vars=link_table())
     return DerivedParams(
         theta_p=one_slot_threshold(rate_p),
         theta_s=one_slot_threshold(rate_s),
         lambda_p=two_slot_threshold(rate_p),
         lambda_s=two_slot_threshold(rate_s),
         snr_s=snr_s,
-        gain=LinkTable.from_dict(table),
+        gain=link_table(**gains),
         params=params,
     )
 
@@ -64,7 +67,7 @@ def symmetric_relay_params():
     var_sp = snr_p * rho / (theta * 10.0)   # puts the admitted SNR at 10
     params = SystemParams(rate_p=rate, rate_s=rate, snr_p=snr_p, snr_r=10.0,
                           epsilon=eps,
-                          link_vars=LinkTable.uniform(1.0, sp=var_sp))
+                          link_vars=link_table(sp=var_sp))
     assert derive(params).snr_s == pytest.approx(10.0, rel=1e-12)
     return params
 

@@ -76,7 +76,7 @@ def _random_scenario(rng) -> SystemParams:
             snr_p=float(10.0 ** (rng.uniform(14.0, 24.0) / 10.0)),
             snr_r=float(10.0 ** (rng.uniform(6.0, 14.0) / 10.0)),
             epsilon=float(rng.uniform(0.03, 0.09)),
-            link_vars=LinkTable.from_dict({
+            link_vars=LinkTable(**{
                 "pp": float(rng.uniform(0.5, 1.5)),
                 "ss": float(rng.uniform(0.5, 1.5)),
                 "ps": float(rng.uniform(0.05, 0.3)),

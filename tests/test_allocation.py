@@ -200,8 +200,8 @@ def test_split_or_its_twin_meets_epsilon_whenever_the_full_split_does():
                 rate_p=log_uniform(1e-3, 16.0), rate_s=log_uniform(1e-3, 16.0),
                 snr_p=log_uniform(1e-2, 1e8), snr_r=0.0,
                 epsilon=log_uniform(1e-12, 0.98),
-                link_vars=LinkTable.from_dict(
-                    {l: log_uniform(1e-6, 1e6) for l in LINKS})))
+                link_vars=LinkTable(
+                    **{l: log_uniform(1e-6, 1e6) for l in LINKS})))
         except ValueError:
             continue
         if d.snr_s == 0.0:
@@ -423,8 +423,8 @@ def _seeded_scenario(rng, family):
         rate_p=rng.uniform(0.05, 1.5), rate_s=rng.uniform(0.05, 1.5),
         snr_p=db_to_linear(rng.uniform(-10.0, 60.0)), snr_r=1.0,
         epsilon=10.0 ** rng.uniform(-4.0, math.log10(0.5)),
-        link_vars=LinkTable.from_dict(
-            {name: 10.0 ** rng.uniform(-2.0, 2.0) for name in LINKS}))
+        link_vars=LinkTable(
+            **{name: 10.0 ** rng.uniform(-2.0, 2.0) for name in LINKS}))
     if family == "weak_relay":
         link_vars = replace(params.link_vars, rp=rng.uniform(1e-4, 1e-3))
         params = replace(params, link_vars=link_vars)

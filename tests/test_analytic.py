@@ -496,8 +496,8 @@ def test_probabilities_stay_in_unit_interval():
             snr_p=rng.uniform(2.0, 500.0),
             snr_r=rng.uniform(0.0, 50.0),
             epsilon=rng.uniform(0.01, 0.3),
-            link_vars=LinkTable.from_dict({
-                l: rng.uniform(0.05, 2.0)
+            link_vars=LinkTable(**{
+                l: float(rng.uniform(0.05, 2.0))
                 for l in ("pp", "sp", "ps", "ss", "pr", "sr", "rp", "rs")
             }),
         )

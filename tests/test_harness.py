@@ -13,7 +13,6 @@ import pytest
 import crrelay.analytic
 import crrelay.cli
 from crrelay import (
-    LinkTable,
     OutageEstimate,
     QuadratureError,
     SweepSpec,
@@ -36,6 +35,7 @@ from crrelay.harness import (
     _z_check,
     parse_config_text,
 )
+from conftest import link_table
 
 
 def rows_from_csv(text):
@@ -107,7 +107,7 @@ def test_default_config_is_baseline():
 def test_default_params_are_the_literal_baseline():
     expected = SystemParams(rate_p=0.4, rate_s=0.2, snr_p=100.0, snr_r=10.0,
                             epsilon=0.03,
-                            link_vars=LinkTable.uniform(1.0, ps=0.1, sp=0.1))
+                            link_vars=link_table(ps=0.1, sp=0.1))
     assert default_params() == expected
     assert repr(default_params()) == repr(expected)
 
@@ -577,6 +577,13 @@ def test_z_check_judges_certain_outage_by_wilson():
     assert "z=+inf wilson3=[0.996, 1]" in check.detail
 
 
+def test_z_check_signs_an_infinite_z():
+    # no spread and an estimate below the closed form: z is -inf, not +inf
+    check = _z_check("x", OutageEstimate.from_counts(0, 10), 0.02)
+    assert check.verdict == "PASS"
+    assert "z=-inf wilson3=[0, 0.474]" in check.detail
+
+
 def test_bound_check_judges_certain_outage_by_wilson():
     # all 2,180 trials in outage, a bound 1.1e-7 below 1: the estimate has
     # no spread, yet the bound lies above the Wilson interval's lower end
@@ -616,6 +623,15 @@ def test_cli_verify_passes_certain_outage_within_bound(tmp_path, capsys):
                      "--seed", "11", "verify", "--alpha", "0.9"]) == 0
     assert ("PASS secondary outage | relay active within bound: mc=1 bound=1 "
             "slack=-1.1e-07 wilson3=[0.996, 1]") in capsys.readouterr().out
+
+
+def test_cli_verify_passes_an_unseen_rare_event(tmp_path, capsys):
+    # 10 trials never see the primary decoded first (closed form 1.2e-18);
+    # the Wilson interval from exactly 0 holds it
+    assert cli_main(["--out-dir", str(tmp_path), "--set", "link_vars.pr=1e-18",
+                     "--trials", "10", "verify"]) == 0
+    assert ("PASS SIC order: primary decoded first: mc=0 analytic=1.156e-18 "
+            "std_err=0 z=-inf wilson3=[0, 0.474]") in capsys.readouterr().out
 
 
 def test_compare_analytic_mc_no_secondary(table1):
@@ -1065,21 +1081,43 @@ def _referenced_names(stmt):
     return names
 
 
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def test_package_defines_no_unused_names():
     # every top-level name of a package module is read by some other
-    # top-level statement of the package (a re-export in __init__ included)
+    # top-level statement of the package (a re-export in __init__ included),
+    # and every method of a package class by some package statement outside
+    # its own def, save dunders and overrides of a base-class method
     package = Path(crrelay.__file__).parent
     statements = [(path.stem, stmt)
                   for path in sorted(package.glob("*.py"))
                   for stmt in ast.parse(path.read_text()).body]
     refs = [_referenced_names(stmt) for _, stmt in statements]
-    unused = sorted(
+    unused = [
         f"{module}.{name}"
         for k, (module, stmt) in enumerate(statements)
         for name in _defined_names(stmt)
-        if not (name.startswith("__") and name.endswith("__"))
-        and not any(name in r for j, r in enumerate(refs) if j != k))
-    assert unused == []
+        if not _is_dunder(name)
+        and not any(name in r for j, r in enumerate(refs) if j != k)]
+    # a class body's statements stand apart, so a method read only inside
+    # its own def counts as unused
+    units = [unit for _, stmt in statements for unit in
+             (stmt.body if isinstance(stmt, ast.ClassDef) else [stmt])]
+    unit_refs = [(unit, _referenced_names(unit)) for unit in units]
+    for module, stmt in statements:
+        if not isinstance(stmt, ast.ClassDef):
+            continue
+        cls = getattr(importlib.import_module(f"crrelay.{module}"), stmt.name)
+        unused += [
+            f"{module}.{stmt.name}.{method.name}" for method in stmt.body
+            if isinstance(method, ast.FunctionDef)
+            and not _is_dunder(method.name)
+            and not any(hasattr(base, method.name) for base in cls.__mro__[1:])
+            and not any(method.name in r
+                        for unit, r in unit_refs if unit is not method)]
+    assert sorted(unused) == []
 
 
 @pytest.mark.parametrize("module", ["harness", "cli"])

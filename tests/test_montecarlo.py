@@ -1,4 +1,5 @@
 import math
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -10,14 +11,20 @@ import pytest
 
 import crrelay
 from crrelay import (
+    LinkTable,
+    SystemParams,
+    allocate,
     cond_outage_d0,
     cond_outage_d1_exact,
+    db_to_linear,
+    default_params,
     derive,
     estimate,
     estimate_many,
     noncoop_outage,
     prob_decode_order,
     prob_relay_active,
+    prob_relay_active_exact,
 )
 from crrelay.montecarlo import (
     _CHUNK_TRIALS,
@@ -46,6 +53,12 @@ def test_outage_estimate_degenerate_wilson():
     est = OutageEstimate.from_counts(0, 100)
     lo, hi = est.wilson()
     assert lo == 0.0 and hi > 0.0
+    # at p_hat 0 the lower end is exactly 0 and at p_hat 1 the upper end is
+    # exactly 1, not the rounded difference of two equal terms (5.55e-17 at
+    # n = 1, 0.9999999999999999 at n = 21)
+    for n in range(1, 2001):
+        assert OutageEstimate.from_counts(0, n).wilson()[0] == 0.0
+        assert OutageEstimate.from_counts(n, n).wilson()[1] == 1.0
 
 
 # ---- channel sampling --------------------------------------------------------
@@ -71,6 +84,21 @@ def test_unit_block_matches_uniforms_across_sub_blocks(n):
     e = _unit_block(3, start, n)
     assert e.shape == (8, n) and e.flags["C_CONTIGUOUS"]
     assert np.array_equal(e, -np.log1p(-_uniform_block(3, start, n)).T)
+
+
+def test_counts_do_not_depend_on_numpys_log1p(table1):
+    # numpy's vectorized log1p may differ from the C library's in the last
+    # bit; chunk 0 of seed 0 rebuilt with math.log1p counts the same events
+    # for every scheme
+    u = _uniform_block(0, 0, _CHUNK_TRIALS)
+    e_libm = np.array([-math.log1p(-x) for x in u.ravel().tolist()])
+    e_libm = e_libm.reshape(u.shape).T
+    e = _unit_block(0, 0, _CHUNK_TRIALS)
+    for params, alpha in ((default_params(), 0.5), (default_params(), 1.0),
+                          (table1, allocate(table1).alpha)):
+        d = derive(params)
+        assert (_count_group(d, alpha, SCHEMES, e_libm)
+                == _count_group(d, alpha, SCHEMES, e))
 
 
 def test_unit_block_peak_memory_stays_near_its_output():
@@ -313,6 +341,73 @@ def test_estimates_match_closed_forms(table1):
     nc = estimate(table1, 0.5, n, seed, scheme="noncooperative")
     assert z(nc.sec, noncoop_outage(d, "secondary")) <= 3.0
     assert z(nc.pri, table1.epsilon) <= 3.0
+
+
+def _wide_scenarios(rng, count):
+    """Admitted scenarios with link variances log-uniform in 10^(+-1), snr_p
+    in 5-35 dB, snr_r in -10-30 dB, epsilon in 0.01-0.1, rates in 0.1-0.5."""
+    scenarios = []
+    while len(scenarios) < count:
+        params = SystemParams(
+            rate_p=rng.uniform(0.1, 0.5), rate_s=rng.uniform(0.1, 0.5),
+            snr_p=db_to_linear(rng.uniform(5.0, 35.0)),
+            snr_r=db_to_linear(rng.uniform(-10.0, 30.0)),
+            epsilon=rng.uniform(0.01, 0.1),
+            link_vars=LinkTable(
+                **{name: 10.0 ** rng.uniform(-1.0, 1.0) for name in LINKS}))
+        if derive(params).snr_s > 0.0:
+            scenarios.append(params)
+    return scenarios
+
+
+def _two_sided_z(est, reference, z_max):
+    """|z| of an estimate against its reference by _z_check's rule at z_max:
+    0 where p_hat lies within 10 trials of 0 or 1 and the Wilson z_max
+    interval holds the reference."""
+    if min(est.p_hat, 1.0 - est.p_hat) < 10.0 / est.trials:
+        lo, hi = est.wilson(z_max)
+        if lo <= reference <= hi:
+            return 0.0
+    if est.std_err == 0.0:
+        return 0.0 if est.p_hat == reference else math.inf
+    return abs(est.p_hat - reference) / est.std_err
+
+
+def test_wide_oracle_over_random_scenarios():
+    # ten closed forms on each of 100 random admitted scenarios against one
+    # simulation, two-sided at the Bonferroni threshold for 1,000
+    # comparisons at family-wise level 1e-3; a conditional whose event
+    # never occurred is skipped
+    seed, z_max = 26, 4.89
+    scenarios = _wide_scenarios(random.Random(seed), 100)
+    requests = [(params, alpha, scheme) for params in scenarios
+                for alpha, scheme in ((0.0, "proposed"), (1.0, "proposed"),
+                                      (0.0, "noncooperative"))]
+    estimates = iter(estimate_many(seed, 200_000, requests))
+    comparisons = []
+    for k, (at0, at1, nc) in enumerate(zip(estimates, estimates, estimates)):
+        d = derive(scenarios[k])
+        forms = [
+            ("decode order", at1.order_p, prob_decode_order(d, "p")),
+            ("exact activation", at1.p_d1, prob_relay_active_exact(d))]
+        for user in ("primary", "secondary"):
+            key = user[:3]   # the SchemeEstimates fields pri* or sec*
+            forms += [
+                (f"{user} | relay silent", getattr(at1, f"{key}_d0"),
+                 cond_outage_d0(d, user)),
+                (f"non-cooperative {user}", getattr(nc, key),
+                 noncoop_outage(d, user))]
+            forms += [(f"{user} | relay active at alpha {alpha:g}",
+                       getattr(est, f"{key}_d1"),
+                       cond_outage_d1_exact(d, user, alpha))
+                      for alpha, est in ((0.0, at0), (1.0, at1))]
+        comparisons += [(_two_sided_z(est, ref, z_max), k, name, est.p_hat,
+                         ref) for name, est, ref in forms if est is not None]
+    worst = max(comparisons)
+    print(f"wide oracle: {len(comparisons)} comparisons, worst "
+          f"|z|={worst[0]:.2f} (scenario {worst[1]}, {worst[2]}: "
+          f"mc={worst[3]:.6g} closed form={worst[4]:.6g})")
+    assert worst[0] <= z_max
 
 
 def test_relay_assisted_activation_matches_closed_form(table1):

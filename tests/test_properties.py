@@ -41,8 +41,8 @@ def scenarios(draw):
         snr_r=draw(st.one_of(st.just(0.0),
                              st.floats(-20.0, 50.0).map(db_to_linear))),
         epsilon=draw(st.floats(1e-4, 0.5)),
-        link_vars=LinkTable.from_dict(
-            {name: draw(st.floats(0.01, 10.0)) for name in LINKS}),
+        link_vars=LinkTable(
+            **{name: draw(st.floats(0.01, 10.0)) for name in LINKS}),
     )
 
 
@@ -188,8 +188,8 @@ def extreme_scenarios(draw):
             snr_p=db_to_linear(draw(st.floats(-50.0, 3000.0))),
             snr_r=db_to_linear(draw(st.floats(-3300.0, 3000.0))),
             epsilon=draw(st.floats(1e-12, 0.5)),
-            link_vars=LinkTable.from_dict(
-                {name: 10.0 ** draw(exponent) for name in LINKS}),
+            link_vars=LinkTable(
+                **{name: 10.0 ** draw(exponent) for name in LINKS}),
         )
     except ValueError:
         return None

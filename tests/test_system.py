@@ -15,6 +15,7 @@ from crrelay import (
     secondary_cutoff_db,
 )
 from crrelay.system import LINKS, one_slot_threshold, two_slot_threshold
+from conftest import link_table
 
 
 def test_db_scale_anchors():
@@ -58,9 +59,13 @@ def test_derive_gain_table_wiring(table1):
     assert d.gain.pr == table1.snr_p * v.pr
     assert d.gain.rp == table1.snr_r * v.rp
     assert d.gain.rs == table1.snr_r * v.rs
-    assert d.gain.sp == pytest.approx(d.snr_s * v.sp, rel=1e-15)
-    assert d.gain.ss == pytest.approx(d.snr_s * v.ss, rel=1e-15)
-    assert d.gain.sr == pytest.approx(d.snr_s * v.sr, rel=1e-15)
+    assert d.gain.sp == d.snr_s * v.sp
+    assert d.gain.ss == d.snr_s * v.ss
+    assert d.gain.sr == d.snr_s * v.sr
+    # without access the secondary's links carry no gain, the rest as above
+    denied = derive(table1.with_epsilon(1e-12))
+    assert denied.snr_s == 0.0
+    assert denied.gain == replace(d.gain, sp=0.0, ss=0.0, sr=0.0)
 
 
 def test_with_snr_r_rescales_only_relay_gains(table1):
@@ -148,7 +153,7 @@ def test_cutoff_matches_the_linear_form():
 ])
 def test_invalid_params_rejected(field, value):
     good = dict(rate_p=0.4, rate_s=0.2, snr_p=100.0, snr_r=10.0, epsilon=0.04,
-                link_vars=LinkTable.uniform(1.0))
+                link_vars=link_table())
     good[field] = value
     with pytest.raises(ValueError):
         SystemParams(**good)
@@ -167,7 +172,7 @@ def test_largest_rates_keep_finite_thresholds():
     # 2^(2R) overflows a double from R = 512 on; just below, every threshold
     # is finite, so derive() never raises OverflowError on a valid scenario
     params = SystemParams(rate_p=511.9, rate_s=511.9, snr_p=100.0, snr_r=10.0,
-                          epsilon=0.04, link_vars=LinkTable.uniform(1.0))
+                          epsilon=0.04, link_vars=link_table())
     d = derive(params)
     assert all(math.isfinite(x) for x in
                (d.theta_p, d.theta_s, d.lambda_p, d.lambda_s))
@@ -176,13 +181,13 @@ def test_largest_rates_keep_finite_thresholds():
 
 
 def test_link_table_requires_all_links():
-    with pytest.raises(ValueError):
-        LinkTable.from_dict({l: 1.0 for l in LINKS[:-1]})
-    with pytest.raises(ValueError):
-        LinkTable.from_dict({**{l: 1.0 for l in LINKS}, "xx": 1.0})
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError, match="missing 1 required"):
+        LinkTable(**{l: 1.0 for l in LINKS[:-1]})
+    with pytest.raises(TypeError, match="unexpected keyword argument 'xx'"):
+        LinkTable(**{l: 1.0 for l in LINKS}, xx=1.0)
+    with pytest.raises(ValueError, match="link variance sp"):
         SystemParams(rate_p=0.4, rate_s=0.2, snr_p=100.0, snr_r=10.0,
-                     epsilon=0.04, link_vars=LinkTable.uniform(1.0, sp=0.0))
+                     epsilon=0.04, link_vars=link_table(sp=0.0))
 
 
 def test_admitted_snr_pins_single_slot_primary_outage(table1):
