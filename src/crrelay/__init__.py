@@ -22,7 +22,7 @@ from .analytic import (
 )
 from .harness import (
     Report,
-    SweepSpec,
+    axis_values,
     compare_analytic_mc,
     default_params,
     load_config,

@@ -103,12 +103,12 @@ def min_snr_r_for_epsilon(derived: DerivedParams, alpha: float,
     Inverts the split-dependent branch of the primary bound for the relay
     gain.  Returns 0 when the bound holds without relay help; returns None
     when it does not and the split is at or below the split floor, where
-    relay power cannot help.  Splits above 1 (or NaN) are rejected.
+    relay power cannot help.  Splits outside [0, 1] (or NaN) are rejected.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie strictly between 0 and 1")
-    if not alpha <= 1.0:
-        raise ValueError("alpha must be at most 1")
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
     lam = derived.lambda_p
     x = _ratio_outage(derived.gain.pp, derived.gain.sp, lam)
     if epsilon >= x:

@@ -17,7 +17,7 @@ from .harness import (
     MODES,
     REPRODUCE_TARGETS,
     SWEEP_AXES,
-    SweepSpec,
+    axis_values,
     compare_analytic_mc,
     load_config,
     reproduce,
@@ -158,12 +158,12 @@ def _cmd_region(params, args):
 
 def _cmd_sweep(params, args):
     schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
-    spec = SweepSpec.from_range(
-        params, args.axis, args.start, args.stop, args.step,
+    data = sweep_csv(run_sweep(
+        params, args.axis, axis_values(args.start, args.stop, args.step),
         schemes=schemes, mode=args.mode,
         trials=DEFAULT_SWEEP_TRIALS if args.trials is None else args.trials,
-        seed=args.seed, alpha=args.alpha, snr_r_policy=args.snr_r_policy)
-    data = sweep_csv(run_sweep(spec, workers=args.workers))
+        seed=args.seed, alpha=args.alpha, snr_r_policy=args.snr_r_policy,
+        workers=args.workers))
     if args.out is None:
         sys.stdout.write(data.decode("utf-8"))
     else:

@@ -70,8 +70,8 @@ SWEEP_AXES = ("snr_p_db", "snr_r_db", "epsilon", "alpha", "rate_p",
 
 MODES = ("analytic", "montecarlo", "both")
 
-# Longest axis SweepSpec.from_range builds; a finer step is refused before
-# any value is allocated.
+# Longest axis axis_values builds; a finer step is refused before any value
+# is allocated.
 MAX_SWEEP_POINTS = 10_000
 
 # Default Monte Carlo trials: one simulate or verify run, and each point of a
@@ -160,59 +160,20 @@ def load_config(path=None, overrides=()) -> SystemParams:
 # sweeps
 
 
+def axis_values(start, stop, step) -> tuple:
+    """The axis points start, start + step, ... through stop; a point within
+    1e-9 of a step past stop still counts, so rounding keeps the end."""
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise ValueError("range start, stop and step must be finite")
+    if step <= 0 or stop < start:
+        raise ValueError("need step > 0 and stop >= start")
+    span = (stop - start) / step + 1e-9
+    if not span < MAX_SWEEP_POINTS:
+        raise ValueError(f"axis range exceeds {MAX_SWEEP_POINTS} points")
+    return tuple(start + k * step for k in range(math.floor(span) + 1))
+
+
 @dataclass(frozen=True)
-class SweepSpec:
-    """One sweep: an axis of scenario values, schemes to run and how.
-
-    snr_r_policy "fixed" uses the scenario relay SNR as is;
-    "min_for_epsilon" replaces it per point by the smallest relay SNR keeping
-    the primary bound within epsilon at the row's split (the power actually
-    consumed by the relay).  Splits at or below the split floor cannot meet
-    the bound that way and the row reports outage 1.
-    """
-
-    scenario: SystemParams
-    axis: str
-    values: tuple
-    schemes: tuple = ("proposed",)
-    mode: str = "both"
-    trials: int = DEFAULT_SWEEP_TRIALS
-    seed: int = 0
-    alpha: float = 0.5
-    snr_r_policy: str = "fixed"
-
-    def __post_init__(self):
-        if self.axis not in SWEEP_AXES:
-            raise ValueError(f"axis must be one of {SWEEP_AXES}")
-        if len(self.values) == 0:
-            raise ValueError("axis range must be nonempty")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
-        bad = set(self.schemes) - set(SCHEMES)
-        if bad or not self.schemes:
-            raise ValueError(f"schemes must be a nonempty subset of {SCHEMES}")
-        if self.mode != "analytic" and self.trials < 1:
-            raise ValueError("trials must be at least 1 when simulating")
-        if self.snr_r_policy not in ("fixed", "min_for_epsilon"):
-            raise ValueError("snr_r_policy must be 'fixed' or 'min_for_epsilon'")
-        if self.axis == "snr_r_db" and self.snr_r_policy == "min_for_epsilon":
-            raise ValueError("axis snr_r_db cannot be swept under snr_r_policy "
-                             "min_for_epsilon, which sets the relay SNR itself")
-
-    @classmethod
-    def from_range(cls, scenario, axis, start, stop, step, **kw):
-        if not all(math.isfinite(x) for x in (start, stop, step)):
-            raise ValueError("range start, stop and step must be finite")
-        if step <= 0 or stop < start:
-            raise ValueError("need step > 0 and stop >= start")
-        span = (stop - start) / step + 1e-9
-        if not span < MAX_SWEEP_POINTS:
-            raise ValueError(f"axis range exceeds {MAX_SWEEP_POINTS} points")
-        values = tuple(start + k * step for k in range(math.floor(span) + 1))
-        return cls(scenario=scenario, axis=axis, values=values, **kw)
-
-
-@dataclass
 class ResultRow:
     axis: str
     value: float
@@ -279,8 +240,33 @@ def _apply_axis(scenario: SystemParams, axis: str, value: float, alpha: float):
     return _with_links(scenario, **{axis: value}), alpha
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1) -> tuple[ResultRow, ...]:
+def _analytic_cells(derived, alpha: float, scheme: str) -> dict:
+    """A row's closed-form cells; none for the relay-assisted baseline,
+    which has no closed form, unless it lacks secondary access."""
+    if scheme == "proposed":
+        summary = total_secondary_outage(derived, alpha)
+        return {"analytic_sec": summary.total_sec,
+                "analytic_is_bound": summary.bound, "p_d1": summary.p_d1}
+    if derived.snr_s == 0.0:
+        return {"analytic_sec": 1.0, "analytic_is_bound": False}
+    if scheme == "noncooperative":
+        return {"analytic_sec": noncoop_outage(derived, "secondary"),
+                "analytic_is_bound": False}
+    return {}
+
+
+def run_sweep(scenario: SystemParams, axis: str, values, *,
+              schemes=("proposed",), mode: str = "both",
+              trials: int = DEFAULT_SWEEP_TRIALS, seed: int = 0,
+              alpha: float = 0.5, snr_r_policy: str = "fixed",
+              workers: int = 1) -> tuple[ResultRow, ...]:
     """One row per axis value and requested scheme, in that order.
+
+    snr_r_policy "fixed" uses the scenario relay SNR as is;
+    "min_for_epsilon" replaces it per point by the smallest relay SNR keeping
+    the primary bound within epsilon at the row's split (the power actually
+    consumed by the relay).  Splits at or below the split floor cannot meet
+    the bound that way and the row reports outage 1.
 
     Row errors are captured in the error column instead of aborting the
     sweep; rows without secondary access report secondary outage 1.  Every
@@ -288,71 +274,71 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> tuple[ResultRow, ...]:
     estimated together in one estimate_many() call, which counts only the
     secondary events a row reports.
     """
-    rows = []
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"axis must be one of {SWEEP_AXES}")
+    if len(values) == 0:
+        raise ValueError("axis range must be nonempty")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+    if set(schemes) - set(SCHEMES) or not schemes:
+        raise ValueError(f"schemes must be a nonempty subset of {SCHEMES}")
+    if mode != "analytic" and trials < 1:
+        raise ValueError("trials must be at least 1 when simulating")
+    if snr_r_policy not in ("fixed", "min_for_epsilon"):
+        raise ValueError("snr_r_policy must be 'fixed' or 'min_for_epsilon'")
+    if axis == "snr_r_db" and snr_r_policy == "min_for_epsilon":
+        raise ValueError("axis snr_r_db cannot be swept under snr_r_policy "
+                         "min_for_epsilon, which sets the relay SNR itself")
+    rows = []   # each row's cells, frozen into a ResultRow at the end
     mc_rows, requests = [], []
-    for value in spec.values:
+    for value in values:
         try:
-            params, alpha = _apply_axis(spec.scenario, spec.axis, value,
-                                        spec.alpha)
+            params, split = _apply_axis(scenario, axis, value, alpha)
             derived = derive(params)
             snr_r = params.snr_r
-            if spec.snr_r_policy == "min_for_epsilon":
+            if snr_r_policy == "min_for_epsilon":
                 snr_r = 0.0 if derived.snr_s == 0.0 else min_snr_r_for_epsilon(
-                    derived, alpha, params.epsilon)
+                    derived, split, params.epsilon)
                 if snr_r is not None and snr_r != params.snr_r:
                     params = params.with_snr_r(snr_r)
                     derived = derive(params)
         except ValueError as exc:
-            rows += (ResultRow(axis=spec.axis, value=value, scheme=scheme,
-                               error=str(exc)) for scheme in spec.schemes)
+            rows += ({"axis": axis, "value": value, "scheme": scheme,
+                      "error": str(exc)} for scheme in schemes)
             continue
-        for scheme in spec.schemes:
-            row = ResultRow(axis=spec.axis, value=value, scheme=scheme,
-                            snr_s=derived.snr_s)
+        for scheme in schemes:
+            row = {"axis": axis, "value": value, "scheme": scheme,
+                   "snr_s": derived.snr_s}
             rows.append(row)
             if scheme != "noncooperative":
-                row.alpha = alpha
-                row.snr_r = snr_r
+                row.update(alpha=split, snr_r=snr_r)
                 if snr_r is None:
                     # epsilon unreachable at this split for any relay power
-                    row.analytic_sec = 1.0
-                    row.analytic_is_bound = False
-                    row.error = ("infeasible: split at or below the "
-                                 "primary-bound floor")
+                    row.update(analytic_sec=1.0, analytic_is_bound=False,
+                               error="infeasible: split at or below the "
+                                     "primary-bound floor")
                     continue
             try:
-                if spec.mode in ("analytic", "both"):
-                    if scheme == "proposed":
-                        summary = total_secondary_outage(derived, alpha)
-                        row.analytic_sec = summary.total_sec
-                        row.analytic_is_bound = summary.bound
-                        row.p_d1 = summary.p_d1
-                    elif derived.snr_s == 0.0 or scheme == "noncooperative":
-                        # no closed form for the relay-assisted baseline
-                        row.analytic_sec = (
-                            1.0 if derived.snr_s == 0.0
-                            else noncoop_outage(derived, "secondary"))
-                        row.analytic_is_bound = False
-                if spec.mode in ("montecarlo", "both"):
-                    check_request(alpha, scheme)
+                if mode in ("analytic", "both"):
+                    row.update(_analytic_cells(derived, split, scheme))
+                if mode in ("montecarlo", "both"):
+                    check_request(split, scheme)
                     mc_rows.append(row)
-                    requests.append((params, alpha, scheme))
+                    requests.append((params, split, scheme))
             except (ValueError, ArithmeticError) as exc:
-                row.error = str(exc)
+                row["error"] = str(exc)
     if requests:
         try:
-            ests = estimate_many(spec.seed, spec.trials, requests, workers,
-                                 primary=False)
+            ests = estimate_many(seed, trials, requests, workers, primary=False)
         except ValueError as exc:
             for row in mc_rows:
-                row.error = str(exc)
+                row["error"] = str(exc)
         else:
             for row, est in zip(mc_rows, ests):
-                row.mc_sec = est.sec.p_hat
-                row.mc_sec_std_err = est.sec.std_err
+                row.update(mc_sec=est.sec.p_hat, mc_sec_std_err=est.sec.std_err)
                 if est.p_d1 is not None:
-                    row.p_d1 = est.p_d1.p_hat
-    return tuple(rows)
+                    row["p_d1"] = est.p_d1.p_hat
+    return tuple(ResultRow(**row) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -517,12 +503,9 @@ def _fig2():
 
 def _fig3(trials, seed, workers):
     params = default_params()
-    spec = SweepSpec.from_range(
-        params, "snr_p_db", 5.0, 30.0, 1.0,
-        schemes=SCHEMES, mode="both", trials=trials, seed=seed,
-        alpha=0.5, snr_r_policy="min_for_epsilon",
-    )
-    rows = run_sweep(spec, workers=workers)
+    rows = run_sweep(params, "snr_p_db", axis_values(5.0, 30.0, 1.0),
+                     schemes=SCHEMES, trials=trials, seed=seed, alpha=0.5,
+                     snr_r_policy="min_for_epsilon", workers=workers)
     cutoff_db = secondary_cutoff_db(params.rate_p, params.epsilon,
                                     params.link_vars.pp)
     checks = [
@@ -582,10 +565,10 @@ def _min_relay_curve(mu1, mu2, alpha, start, stop) -> tuple:
     argument positionally, so equal curves share one cache key.
     """
     scenario = _with_links(default_params(), mu1=mu1, mu2=mu2)
-    spec = SweepSpec.from_range(scenario, "snr_p_db", start, stop, 1.0,
-                                mode="analytic", alpha=alpha,
-                                snr_r_policy="min_for_epsilon")
-    return tuple(r for r in run_sweep(spec) if r.snr_s != 0.0)
+    rows = run_sweep(scenario, "snr_p_db", axis_values(start, stop, 1.0),
+                     mode="analytic", alpha=alpha,
+                     snr_r_policy="min_for_epsilon")
+    return tuple(r for r in rows if r.snr_s != 0.0)
 
 
 def _at_20db(curve):

@@ -26,7 +26,6 @@ import pytest
 from crrelay import (
     LinkTable,
     SystemParams,
-    SweepSpec,
     allocate,
     common_alpha_band,
     cond_outage_d1_exact,
@@ -352,9 +351,8 @@ def test_c8_trends():
     ok = ok and all(x < y for x, y in zip(u, u[1:]))
 
     floor = primary_split_floor(derive(base).lambda_p)
-    (row,) = run_sweep(SweepSpec(
-        scenario=base, axis="alpha", values=(0.42,), mode="analytic",
-        snr_r_policy="min_for_epsilon"))
+    (row,) = run_sweep(base, "alpha", (0.42,), mode="analytic",
+                       snr_r_policy="min_for_epsilon")
     ok = (ok and 0.42 < floor and row.analytic_sec == 1.0
           and row.error.startswith("infeasible: "))
     assert _line(
@@ -402,13 +400,12 @@ def test_c9_numerics():
 
 
 def test_c10_deterministic_csv():
-    spec = SweepSpec(
-        scenario=default_params(), axis="snr_p_db",
-        values=(16.0, 18.0, 20.0, 22.0, 24.0),
+    sweep = (default_params(), "snr_p_db", (16.0, 18.0, 20.0, 22.0, 24.0))
+    kw = dict(
         schemes=("proposed", "noncooperative", "relay_assisted_secondary"),
         mode="both", trials=20_000, seed=9)
-    outputs = [sweep_csv(run_sweep(spec, workers=w)) for w in (1, 4, 8)]
-    rerun = sweep_csv(run_sweep(spec, workers=1))
+    outputs = [sweep_csv(run_sweep(*sweep, **kw, workers=w)) for w in (1, 4, 8)]
+    rerun = sweep_csv(run_sweep(*sweep, **kw, workers=1))
     ok = outputs[0] == outputs[1] == outputs[2] == rerun
     assert _line("C10 deterministic CSV", ok,
                  f"{len(outputs[0])} bytes identical at 1/4/8 workers and "

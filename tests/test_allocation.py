@@ -105,13 +105,13 @@ def test_min_snr_r_zero_when_target_slack(table1_derived):
 
 def test_min_snr_r_rejects_floor(table1_derived):
     # at or below the split floor relay power cannot help: None, or 0 when
-    # the bound holds without it; a split above 1 is rejected
+    # the bound holds without it; a split outside [0, 1] is rejected
     floor = primary_split_floor(table1_derived.lambda_p)
-    for alpha in (floor, 0.3, 0.0, -0.2):
+    for alpha in (floor, 0.3, 0.0):
         assert min_snr_r_for_epsilon(table1_derived, alpha, 0.04) is None
         assert min_snr_r_for_epsilon(table1_derived, alpha, 0.5) == 0.0
-    for alpha in (1.1, math.nan):
-        with pytest.raises(ValueError, match="at most 1"):
+    for alpha in (-0.2, 1.1, math.nan):
+        with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
             min_snr_r_for_epsilon(table1_derived, alpha, 0.04)
 
 

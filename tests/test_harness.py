@@ -15,8 +15,8 @@ import crrelay.cli
 from crrelay import (
     OutageEstimate,
     QuadratureError,
-    SweepSpec,
     SystemParams,
+    axis_values,
     compare_analytic_mc,
     default_params,
     derive,
@@ -115,10 +115,8 @@ def test_default_params_are_the_literal_baseline():
 # ---- sweeps -----------------------------------------------------------------
 
 def test_sweep_shape_and_columns():
-    spec = SweepSpec(scenario=default_params(), axis="snr_p_db",
-                     values=(18.0, 20.0, 22.0),
-                     schemes=("proposed", "noncooperative"), mode="analytic")
-    table = run_sweep(spec)
+    table = run_sweep(default_params(), "snr_p_db", (18.0, 20.0, 22.0),
+                      schemes=("proposed", "noncooperative"), mode="analytic")
     assert len(table) == 6
     text = sweep_csv(table).decode("utf-8")
     rows = rows_from_csv(text)
@@ -130,57 +128,58 @@ def test_sweep_shape_and_columns():
     assert all(r["error"] == "" for r in rows)
 
 
-def test_sweep_spec_validation():
+def test_sweep_spec_validation(monkeypatch):
+    # each bad setting fails the whole sweep before any scenario is derived
+    import crrelay.harness as harness
+
+    derived = []
+    monkeypatch.setattr(harness, "derive",
+                        lambda params: derived.append(params) or derive(params))
     params = default_params()
     with pytest.raises(ValueError):
-        SweepSpec(scenario=params, axis="bogus", values=(1.0,))
+        run_sweep(params, "bogus", (1.0,))
     with pytest.raises(ValueError):
-        SweepSpec(scenario=params, axis="alpha", values=())
+        run_sweep(params, "alpha", ())
     with pytest.raises(ValueError):
-        SweepSpec(scenario=params, axis="alpha", values=(0.5,), mode="maybe")
+        run_sweep(params, "alpha", (0.5,), mode="maybe")
     with pytest.raises(ValueError):
-        SweepSpec(scenario=params, axis="alpha", values=(0.5,),
-                  schemes=("psychic",))
+        run_sweep(params, "alpha", (0.5,), schemes=("psychic",))
     with pytest.raises(ValueError):
-        SweepSpec(scenario=params, axis="alpha", values=(0.5,), trials=0)
+        run_sweep(params, "alpha", (0.5,), trials=0)
     with pytest.raises(ValueError, match="snr_r_policy must be"):
-        SweepSpec(scenario=params, axis="alpha", values=(0.5,),
-                  snr_r_policy="bogus")
+        run_sweep(params, "alpha", (0.5,), snr_r_policy="bogus")
     # the policy would overwrite every relay SNR the axis sets
     with pytest.raises(ValueError,
                        match="axis snr_r_db .* snr_r_policy min_for_epsilon"):
-        SweepSpec(scenario=params, axis="snr_r_db", values=(0.0, 10.0),
+        run_sweep(params, "snr_r_db", (0.0, 10.0),
                   snr_r_policy="min_for_epsilon")
     with pytest.raises(ValueError):
-        SweepSpec.from_range(params, "alpha", 0.5, 0.4, 0.1)
+        axis_values(0.5, 0.4, 0.1)
+    assert derived == []
 
 
 def test_sweep_from_range_inclusive():
-    spec = SweepSpec.from_range(default_params(), "snr_p_db", 5.0, 30.0, 1.0,
-                                mode="analytic")
-    assert len(spec.values) == 26
-    assert spec.values[0] == 5.0 and spec.values[-1] == 30.0
+    values = axis_values(5.0, 30.0, 1.0)
+    assert len(values) == 26
+    assert values[0] == 5.0 and values[-1] == 30.0
 
 
 def test_sweep_from_range_caps_axis_length():
     from crrelay.harness import MAX_SWEEP_POINTS
-    params = default_params()
     # ~2.5e10 points: must be refused before any value is built
     with pytest.raises(ValueError, match="points"):
-        SweepSpec.from_range(params, "snr_p_db", 5.0, 30.0, 1e-9)
-    spec = SweepSpec.from_range(params, "alpha", 0.0, MAX_SWEEP_POINTS - 1,
-                                1.0, mode="analytic")
-    assert len(spec.values) == MAX_SWEEP_POINTS
+        axis_values(5.0, 30.0, 1e-9)
+    values = axis_values(0.0, MAX_SWEEP_POINTS - 1, 1.0)
+    assert len(values) == MAX_SWEEP_POINTS
     with pytest.raises(ValueError, match="points"):
-        SweepSpec.from_range(params, "alpha", 0.0, MAX_SWEEP_POINTS, 1.0)
+        axis_values(0.0, MAX_SWEEP_POINTS, 1.0)
     with pytest.raises(ValueError, match="finite"):
-        SweepSpec.from_range(params, "snr_p_db", 5.0, float("inf"), 1.0)
+        axis_values(5.0, float("inf"), 1.0)
 
 
 def test_sweep_error_rows_do_not_abort():
-    spec = SweepSpec(scenario=default_params(), axis="epsilon",
-                     values=(0.05, 1.5), mode="analytic")
-    table = run_sweep(spec)
+    table = run_sweep(default_params(), "epsilon", (0.05, 1.5),
+                      mode="analytic")
     good = [r for r in table if r.value == 0.05]
     bad = [r for r in table if r.value == 1.5]
     assert all(not r.error for r in good)
@@ -191,20 +190,18 @@ def test_sweep_error_rows_do_not_abort():
 def test_sweep_simulation_errors_stay_per_row():
     # an invalid worker count fails every simulated row, after its analytic
     # cells are filled; a split out of range keeps its own message
-    spec = SweepSpec(scenario=default_params(), axis="alpha",
-                     values=(0.5, 1.5), schemes=("proposed",), mode="both",
-                     trials=1000)
-    ok, bad = run_sweep(spec, workers=0)
+    ok, bad = run_sweep(default_params(), "alpha", (0.5, 1.5),
+                        schemes=("proposed",), mode="both", trials=1000,
+                        workers=0)
     assert ok.error == "workers must be at least 1"
     assert ok.analytic_sec is not None and ok.mc_sec is None
     assert bad.error == "alpha must lie in [0, 1]"
 
 
 def test_sweep_below_cutoff_reports_certain_outage():
-    spec = SweepSpec(scenario=default_params(), axis="snr_p_db",
-                     values=(6.0, 8.0), schemes=("proposed", "noncooperative"),
-                     mode="both", trials=2000)
-    table = run_sweep(spec)
+    table = run_sweep(default_params(), "snr_p_db", (6.0, 8.0),
+                      schemes=("proposed", "noncooperative"), mode="both",
+                      trials=2000)
     for row in table:
         assert row.snr_s == 0.0
         assert row.analytic_sec == 1.0
@@ -212,10 +209,8 @@ def test_sweep_below_cutoff_reports_certain_outage():
 
 
 def test_sweep_alpha_axis_and_min_policy():
-    spec = SweepSpec(scenario=default_params(), axis="alpha",
-                     values=(0.3, 0.5, 1.0), mode="analytic",
-                     snr_r_policy="min_for_epsilon")
-    table = run_sweep(spec)
+    table = run_sweep(default_params(), "alpha", (0.3, 0.5, 1.0),
+                      mode="analytic", snr_r_policy="min_for_epsilon")
     by_alpha = {r.value: r for r in table}
     derived = derive(default_params())
     assert by_alpha[0.5].snr_r == pytest.approx(
@@ -227,9 +222,7 @@ def test_sweep_alpha_axis_and_min_policy():
 
 
 def test_sweep_mu_axes_update_link_pairs():
-    spec = SweepSpec(scenario=default_params(), axis="mu1", values=(0.5,),
-                     mode="analytic")
-    run_sweep(spec)   # smoke: axis accepted
+    run_sweep(default_params(), "mu1", (0.5,), mode="analytic")   # smoke
     from crrelay.harness import _apply_axis
     params, _ = _apply_axis(default_params(), "mu1", 0.5, 0.5)
     assert params.link_vars.pr == 0.5 and params.link_vars.rp == 0.5
@@ -240,12 +233,11 @@ def test_sweep_mu_axes_update_link_pairs():
 
 
 def test_sweep_csv_byte_stable_across_runs_and_workers():
-    spec = SweepSpec(scenario=default_params(), axis="snr_p_db",
-                     values=(15.0, 20.0), schemes=("proposed",), mode="both",
-                     trials=20_000, seed=3)
-    ref = sweep_csv(run_sweep(spec, workers=1))
-    assert sweep_csv(run_sweep(spec, workers=1)) == ref
-    assert sweep_csv(run_sweep(spec, workers=4)) == ref
+    sweep = (default_params(), "snr_p_db", (15.0, 20.0))
+    kw = dict(schemes=("proposed",), mode="both", trials=20_000, seed=3)
+    ref = sweep_csv(run_sweep(*sweep, **kw, workers=1))
+    assert sweep_csv(run_sweep(*sweep, **kw, workers=1)) == ref
+    assert sweep_csv(run_sweep(*sweep, **kw, workers=4)) == ref
 
 
 # Standard output of CLI sweeps, with the set of row errors each must show.
@@ -253,10 +245,9 @@ def test_sweep_csv_byte_stable_across_runs_and_workers():
 # workers, the second mixes analytic and simulated cells; both keep
 # out-of-range splits as per-row errors.  The min_for_epsilon cases cover the
 # infeasible rows below the split floor, the floor itself, and the splits
-# above 1 (the last range point rounds to just above 1).
+# outside [0, 1] (the range point meant as 1 rounds to just above 1).
 _OUT_OF_RANGE = "alpha must lie in [0, 1]"
 _BELOW_FLOOR = "infeasible: split at or below the primary-bound floor"
-_ABOVE_ONE = "alpha must be at most 1"
 _SWEEP_STDOUT_SHA256 = {
     "alpha-montecarlo-workers2": (
         ["--trials", "300001", "--workers", "2", "sweep", "--axis", "alpha",
@@ -275,8 +266,8 @@ _SWEEP_STDOUT_SHA256 = {
     "alpha-min-policy": (
         ["sweep", "--snr-r-policy", "min_for_epsilon", "--axis", "alpha",
          "--start", "-0.2", "--stop", "1.2", "--step", "0.1"],
-        "7ed76f1e4d4134ff1537d13eb318729429d52590b979cfbdadb71faef42452c2",
-        {_BELOW_FLOOR, _ABOVE_ONE},
+        "fafa92f3878a4c71c04e3905d60ced6f083b035f05a755eb23fd9665707f71bd",
+        {_BELOW_FLOOR, _OUT_OF_RANGE},
     ),
     "alpha-min-policy-at-floor": (
         ["sweep", "--snr-r-policy", "min_for_epsilon", "--axis", "alpha",
@@ -353,15 +344,15 @@ def test_fig4_to_fig6_compute_each_curve_once(monkeypatch, tmp_path):
     specs = []
     sweep = harness.run_sweep
 
-    def counted(spec, *args, **kwargs):
-        specs.append(spec)
-        return sweep(spec, *args, **kwargs)
+    def counted(scenario, axis, values, **kwargs):
+        specs.append((scenario, kwargs["alpha"], values))
+        return sweep(scenario, axis, values, **kwargs)
     monkeypatch.setattr(harness, "run_sweep", counted)
     harness._min_relay_curve.cache_clear()
     for target in ("fig4", "fig5", "fig6"):
         reproduce(target, out_dir=tmp_path)
     assert len(specs) == 9
-    assert len({(s.scenario, s.alpha, s.values) for s in specs}) == 9
+    assert len(set(specs)) == 9
     specs.clear()
     for target in ("fig4", "fig5", "fig6"):
         reproduce(target, out_dir=tmp_path)
@@ -1118,6 +1109,21 @@ def test_package_defines_no_unused_names():
             and not any(method.name in r
                         for unit, r in unit_refs if unit is not method)]
     assert sorted(unused) == []
+
+
+def test_package_dataclasses_are_frozen():
+    # every record the package defines is built once and never mutated, so a
+    # cached result can be shared by every caller that reads it
+    package = Path(crrelay.__file__).parent
+    mutable = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        for deco in map(ast.unparse, node.decorator_list)
+        if deco.split("(")[0].endswith("dataclass")
+        and "frozen=True" not in deco]
+    assert mutable == []
 
 
 @pytest.mark.parametrize("module", ["harness", "cli"])
