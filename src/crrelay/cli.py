@@ -38,6 +38,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# The actions _plain_args reads itself, and the failures a type conversion
+# reports to argparse.
+_PLAIN_ACTIONS = (argparse._StoreAction, argparse._AppendAction)
+_TYPE_ERRORS = (argparse.ArgumentTypeError, TypeError, ValueError)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on the first call and reused for the rest of
@@ -96,6 +102,68 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.5)
 
     return top
+
+
+def _plain_args(parser, argv):
+    """``parser.parse_args(argv)`` for plain argv, read straight from the
+    parser's own tables; None for any other argv.
+
+    Plain argv is a subcommand name and exact option strings of store or
+    append actions, each followed by one value that does not start with
+    '-'.  Help, abbreviations, ``--opt=value``, ``--``, negative numbers,
+    a missing, ill-typed or unlisted value, an unknown token and a missing
+    required option all give None, so argparse parses that argv itself and
+    stays the one writer of help, usage and error text.
+    """
+    tokens = list(sys.argv[1:] if argv is None else argv)
+    merged, i = {}, 0
+    while parser is not None:
+        level, parser, values, seen, sub = parser, None, {}, set(), None
+        for action in level._actions:
+            if (action.dest is not argparse.SUPPRESS
+                    and action.default is not argparse.SUPPRESS):
+                values.setdefault(action.dest, action.default)
+            if isinstance(action, argparse._SubParsersAction):
+                sub = action
+        while i < len(tokens) and tokens[i] in level._option_string_actions:
+            action = level._option_string_actions[tokens[i]]
+            if (type(action) not in _PLAIN_ACTIONS or action.nargs is not None
+                    or i + 1 == len(tokens) or tokens[i + 1].startswith("-")):
+                return None
+            text = tokens[i + 1]
+            try:
+                value = action.type(text) if action.type else text
+            except _TYPE_ERRORS:
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            if type(action) is argparse._AppendAction:
+                # argparse copies the list, so the default stays empty
+                value = [*(values.get(action.dest) or ()), value]
+            values[action.dest] = value
+            seen.add(action)
+            i += 2
+        if i < len(tokens):
+            if sub is None or tokens[i] not in sub.choices:
+                return None
+            values[sub.dest], parser = tokens[i], sub.choices[tokens[i]]
+            seen.add(sub)
+            i += 1
+        for action in level._actions:
+            if action in seen:
+                continue
+            if action.required:
+                return None
+            if (isinstance(action.default, str)
+                    and values.get(action.dest) is action.default):
+                try:
+                    values[action.dest] = (action.type(action.default)
+                                           if action.type else action.default)
+                except _TYPE_ERRORS:
+                    return None
+        # a subcommand's values, defaults included, overwrite the top level's
+        merged.update(values)
+    return argparse.Namespace(**merged)
 
 
 def _cmd_analytic(params, args):
@@ -210,7 +278,17 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Run the CLI on argv (default ``sys.argv[1:]``) and return the exit code.
+
+    Plain argv, the subcommand and exact option strings each with one value,
+    is read straight from the parser's own option tables; argparse parses
+    everything else (help, abbreviations, ``--opt=value``, negative numbers,
+    any error) and writes all help, usage and error text.  Only in-process
+    callers gain from the shortcut: a shell ``crrelay`` spends far longer
+    starting the interpreter than parsing.
+    """
+    parser = _build_parser()
+    args = _plain_args(parser, argv) or parser.parse_args(argv)
     try:
         # every subcommand takes these, so every one rejects bad values
         check_run(args.trials, args.seed, args.workers)

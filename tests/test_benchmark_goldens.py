@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from crrelay.cli import main
+from crrelay.cli import _build_parser, _plain_args, main
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -48,3 +48,23 @@ def test_benchmark_ops_match_their_goldens(workload, tmp_path):
             problems += [f"unit {i} {' '.join(argv)}: {problem}"
                          for problem in workloads.check_op(record, want)]
     assert problems == []
+
+
+def test_benchmark_argv_are_all_plain(tmp_path):
+    # every argv the benchmark runs is read by the CLI's plain-argv reader,
+    # with the namespace argparse would build; an argv that fell back to
+    # argparse would lose the reader's gain without failing anything else
+    parser = _build_parser()
+    fallbacks, mismatches, count = [], [], 0
+    for workload in workloads.WORKLOADS:
+        for unit in workloads.pool(workload):
+            for _, argv in unit:
+                full = ["--out-dir", str(tmp_path), *argv]
+                count += 1
+                fast = _plain_args(parser, full)
+                if fast is None:
+                    fallbacks.append(full)
+                elif fast != parser.parse_args(full):
+                    mismatches.append(full)
+    assert count == 5280
+    assert (fallbacks, mismatches) == ([], [])

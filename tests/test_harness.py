@@ -1,3 +1,4 @@
+import argparse
 import ast
 import csv
 import hashlib
@@ -164,6 +165,20 @@ def test_sweep_from_range_inclusive():
     assert values[0] == 5.0 and values[-1] == 30.0
 
 
+def test_sweep_points_are_the_decimal_steps(capsys):
+    # in floats -0.2 + 12 * 0.1 is 1.0000000000000002, a split the sweep
+    # rejects while its CSV prints it as 1
+    assert axis_values(-0.2, 1.2, 0.1) == (
+        -0.2, -0.1, 0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0,
+        1.1, 1.2)
+    assert cli_main(["sweep", "--axis", "alpha", "--start", "-0.2", "--stop",
+                     "1.2", "--step", "0.1", "--mode", "analytic"]) == 0
+    rows = {r["value"]: r for r in rows_from_csv(capsys.readouterr().out)}
+    for value in ("0.1", "1"):
+        assert rows[value]["error"] == ""
+        assert rows[value]["analytic_sec"] != ""
+
+
 def test_sweep_from_range_caps_axis_length():
     from crrelay.harness import MAX_SWEEP_POINTS
     # ~2.5e10 points: must be refused before any value is built
@@ -245,7 +260,7 @@ def test_sweep_csv_byte_stable_across_runs_and_workers():
 # workers, the second mixes analytic and simulated cells; both keep
 # out-of-range splits as per-row errors.  The min_for_epsilon cases cover the
 # infeasible rows below the split floor, the floor itself, and the splits
-# outside [0, 1] (the range point meant as 1 rounds to just above 1).
+# outside [0, 1].
 _OUT_OF_RANGE = "alpha must lie in [0, 1]"
 _BELOW_FLOOR = "infeasible: split at or below the primary-bound floor"
 _SWEEP_STDOUT_SHA256 = {
@@ -260,13 +275,13 @@ _SWEEP_STDOUT_SHA256 = {
         ["--trials", "200000", "sweep", "--axis", "alpha",
          "--start", "-0.2", "--stop", "1.2", "--step", "0.2",
          "--mode", "both", "--schemes", "proposed,relay_assisted_secondary"],
-        "9e9f9c0c10e7ede76243fb531c28552cf12c6c54cd0b402784a3f65692610930",
+        "3e7a71dbd07b3ff44e43fbce4f3e34ec27199b42158dad2fbff26c16199fc938",
         {_OUT_OF_RANGE},
     ),
     "alpha-min-policy": (
         ["sweep", "--snr-r-policy", "min_for_epsilon", "--axis", "alpha",
          "--start", "-0.2", "--stop", "1.2", "--step", "0.1"],
-        "fafa92f3878a4c71c04e3905d60ced6f083b035f05a755eb23fd9665707f71bd",
+        "cf9fa55fb65afe50fead4d48f7d11bf2e732621251fc6dda522e54b42163b7a8",
         {_BELOW_FLOOR, _OUT_OF_RANGE},
     ),
     "alpha-min-policy-at-floor": (
@@ -1034,6 +1049,128 @@ def test_cli_parser_built_on_first_call_only():
                          capture_output=True, text=True, timeout=120).stdout
     assert out.strip() == "[0, 1, 1]"
 
+
+
+_SWEEP_USAGE = (
+    "usage: crrelay sweep [-h] --axis\n"
+    "                     {snr_p_db,snr_r_db,epsilon,alpha,rate_p,rate_s,mu1,"
+    "mu2,var_pp,var_sp,var_ps,var_ss,var_pr,var_sr,var_rp,var_rs}\n"
+    "                     --start START --stop STOP --step STEP "
+    "[--schemes SCHEMES]\n"
+    "                     [--mode {analytic,montecarlo,both}] [--alpha ALPHA]\n"
+    "                     [--snr-r-policy {fixed,min_for_epsilon}] [--out OUT]\n"
+)
+
+# argparse's own stderr for argv the plain-argv reader hands back to it
+_FALLBACK_ERRORS = [
+    (["--seed", "x", "region"],
+     _TOP_USAGE + "crrelay: error: argument --seed: invalid int value: 'x'\n"),
+    (["simulate", "--scheme", "bogus"],
+     "usage: crrelay simulate [-h] [--alpha ALPHA]\n"
+     "                        [--scheme {proposed,noncooperative,"
+     "relay_assisted_secondary}]\n"
+     "crrelay simulate: error: argument --scheme: invalid choice: 'bogus' "
+     "(choose from 'proposed', 'noncooperative', "
+     "'relay_assisted_secondary')\n"),
+    (["sweep", "--start", "1", "--stop", "2", "--step", "1"],
+     _SWEEP_USAGE + "crrelay sweep: error: the following arguments are "
+                    "required: --axis\n"),
+    (["--set", "epsilon=0.05", "--set"],
+     _TOP_USAGE + "crrelay: error: argument --set: expected one argument\n"),
+]
+
+
+@pytest.mark.parametrize("argv, err", _FALLBACK_ERRORS,
+                         ids=["bad-int", "bad-choice", "missing-required",
+                              "missing-value"])
+def test_cli_non_plain_argv_keeps_argparse_errors(argv, err, monkeypatch,
+                                                   capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert crrelay.cli._plain_args(crrelay.cli._build_parser(), argv) is None
+    assert _run_cli(argv, capsys) == (1, "", err)
+
+
+def test_cli_abbreviation_still_parsed_by_argparse(capsys):
+    argv = ["analytic", "--alp", "1"]
+    assert crrelay.cli._plain_args(crrelay.cli._build_parser(), argv) is None
+    assert _run_cli(argv, capsys) == _run_cli(["analytic", "--alpha", "1"],
+                                              capsys)
+
+
+def _namespace_text(namespace):
+    # repr tells 1 from 1.0 and compares nan equal to itself
+    return {key: repr(value) for key, value in vars(namespace).items()}
+
+
+def test_plain_args_match_argparse():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+    from test_properties import PROPERTY_SETTINGS
+
+    parser = crrelay.cli._build_parser()
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    options = sorted({option for p in (parser, *commands.values())
+                      for option in p._option_string_actions})
+    edges = ["--se", "--alp", "--set=a=1", "--seed=3", "-h", "--help", "--",
+             "-1", "-0.5", "", "a=b", " 2"]
+    # a token anywhere: an option of any level, an edge, a value that
+    # fails int, float or choices, or a subcommand name
+    token = st.sampled_from(options + edges + ["x", "1.5", "bogus", "nan",
+                                               *commands])
+
+    def good_value(action):
+        if action.choices is not None:
+            return st.sampled_from(list(action.choices))
+        return st.sampled_from(
+            {int: ["0", "3", "2147483647"], float: ["0.5", "1e6", "nan"]}
+            .get(action.type, ["epsilon=0.05", "out.csv", "a=b"]))
+
+    @st.composite
+    def argvs(draw):
+        # plain argv, save that one token in six is drawn from anything
+        def pick(good):
+            return draw(token if draw(st.integers(0, 5)) == 5 else good)
+
+        def options_of(level):
+            # the level's required options, then up to four more
+            table = level._option_string_actions
+            required = [action.option_strings[0] for action in level._actions
+                        if action.required and action.option_strings]
+            argv = []
+            for option in required + draw(st.lists(
+                    st.sampled_from(sorted(table)), max_size=4)):
+                option = pick(st.just(option))
+                action = table.get(option)
+                argv += [option, pick(good_value(action)) if action
+                         else draw(token)]
+            return argv
+
+        command = pick(st.sampled_from(sorted(commands)))
+        argv = [*options_of(parser), command,
+                *options_of(commands.get(command, parser))]
+        if draw(st.integers(0, 5)) == 5:
+            argv.append(draw(token))
+        return argv
+
+    taken = []
+
+    @settings(max_examples=1000, **PROPERTY_SETTINGS)
+    @given(argv=argvs())
+    def check(argv):
+        fast = crrelay.cli._plain_args(parser, argv)
+        if fast is None:
+            return
+        try:
+            want = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"argparse rejects {argv}")
+        assert _namespace_text(fast) == _namespace_text(want), argv
+        taken.append(fast.command)
+
+    check()
+    # the reader took a fair share of the draws, of every subcommand
+    assert len(taken) > 100 and set(taken) == set(commands)
 
 # ---- module boundaries --------------------------------------------------------
 
