@@ -105,15 +105,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _plain_args(parser, argv):
-    """``parser.parse_args(argv)`` for plain argv, read straight from the
-    parser's own tables; None for any other argv.
+    """``parser.parse_args(argv)`` read straight from the parser's own
+    tables when argv is plain, else None: argparse then parses argv itself
+    and stays the one writer of help, usage and error text.
 
-    Plain argv is a subcommand name and exact option strings of store or
-    append actions, each followed by one value that does not start with
-    '-'.  Help, abbreviations, ``--opt=value``, ``--``, negative numbers,
-    a missing, ill-typed or unlisted value, an unknown token and a missing
-    required option all give None, so argparse parses that argv itself and
-    stays the one writer of help, usage and error text.
+    Plain argv is the subcommand name and exact option strings of store or
+    append actions, each followed by one value that does not start with '-'
+    and passes the action's type and choices, with every required option.
     """
     tokens = list(sys.argv[1:] if argv is None else argv)
     merged, i = {}, 0
@@ -278,14 +276,13 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    """Run the CLI on argv (default ``sys.argv[1:]``) and return the exit code.
+    """Run the CLI on argv (default ``sys.argv[1:]``); return the exit code.
 
-    Plain argv, the subcommand and exact option strings each with one value,
-    is read straight from the parser's own option tables; argparse parses
-    everything else (help, abbreviations, ``--opt=value``, negative numbers,
-    any error) and writes all help, usage and error text.  Only in-process
-    callers gain from the shortcut: a shell ``crrelay`` spends far longer
-    starting the interpreter than parsing.
+    Plain argv is read straight from the parser's option tables; argparse
+    parses everything else (help, abbreviations, ``--opt=value``, negative
+    numbers, any error) and writes all help, usage and error text.  Only
+    in-process callers gain: a shell ``crrelay`` spends far longer starting
+    the interpreter than parsing.
     """
     parser = _build_parser()
     args = _plain_args(parser, argv) or parser.parse_args(argv)

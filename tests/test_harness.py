@@ -1050,7 +1050,6 @@ def test_cli_parser_built_on_first_call_only():
     assert out.strip() == "[0, 1, 1]"
 
 
-
 _SWEEP_USAGE = (
     "usage: crrelay sweep [-h] --axis\n"
     "                     {snr_p_db,snr_r_db,epsilon,alpha,rate_p,rate_s,mu1,"
@@ -1095,11 +1094,6 @@ def test_cli_abbreviation_still_parsed_by_argparse(capsys):
     assert crrelay.cli._plain_args(crrelay.cli._build_parser(), argv) is None
     assert _run_cli(argv, capsys) == _run_cli(["analytic", "--alpha", "1"],
                                               capsys)
-
-
-def _namespace_text(namespace):
-    # repr tells 1 from 1.0 and compares nan equal to itself
-    return {key: repr(value) for key, value in vars(namespace).items()}
 
 
 def test_plain_args_match_argparse():
@@ -1153,6 +1147,10 @@ def test_plain_args_match_argparse():
             argv.append(draw(token))
         return argv
 
+    def text(namespace):
+        # repr tells 1 from 1.0 and compares nan equal to itself
+        return {key: repr(value) for key, value in vars(namespace).items()}
+
     taken = []
 
     @settings(max_examples=1000, **PROPERTY_SETTINGS)
@@ -1165,12 +1163,13 @@ def test_plain_args_match_argparse():
             want = parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"argparse rejects {argv}")
-        assert _namespace_text(fast) == _namespace_text(want), argv
+        assert text(fast) == text(want), argv
         taken.append(fast.command)
 
     check()
     # the reader took a fair share of the draws, of every subcommand
     assert len(taken) > 100 and set(taken) == set(commands)
+
 
 # ---- module boundaries --------------------------------------------------------
 
