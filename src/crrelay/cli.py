@@ -112,12 +112,18 @@ def _plain_args(parser, argv):
     Plain argv is the subcommand name and exact option strings of store or
     append actions, each followed by one value that does not start with '-'
     and passes the action's type and choices, with every required option.
+    A parser with set_defaults, mutually exclusive groups or a typed string
+    default is left to argparse, whose handling of them is not copied here.
     """
     tokens = list(sys.argv[1:] if argv is None else argv)
     merged, i = {}, 0
     while parser is not None:
         level, parser, values, seen, sub = parser, None, {}, set(), None
+        if level._defaults or level._mutually_exclusive_groups:
+            return None
         for action in level._actions:
+            if isinstance(action.default, str) and action.type is not None:
+                return None
             if (action.dest is not argparse.SUPPRESS
                     and action.default is not argparse.SUPPRESS):
                 values.setdefault(action.dest, action.default)
@@ -147,18 +153,8 @@ def _plain_args(parser, argv):
             values[sub.dest], parser = tokens[i], sub.choices[tokens[i]]
             seen.add(sub)
             i += 1
-        for action in level._actions:
-            if action in seen:
-                continue
-            if action.required:
-                return None
-            if (isinstance(action.default, str)
-                    and values.get(action.dest) is action.default):
-                try:
-                    values[action.dest] = (action.type(action.default)
-                                           if action.type else action.default)
-                except _TYPE_ERRORS:
-                    return None
+        if any(a.required and a not in seen for a in level._actions):
+            return None
         # a subcommand's values, defaults included, overwrite the top level's
         merged.update(values)
     return argparse.Namespace(**merged)
@@ -224,9 +220,9 @@ def _cmd_region(params, args):
 
 def _cmd_sweep(params, args):
     schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
+    values = axis_values(args.start, args.stop, args.step, typed=True)
     data = sweep_csv(run_sweep(
-        params, args.axis, axis_values(args.start, args.stop, args.step),
-        schemes=schemes, mode=args.mode,
+        params, args.axis, values, schemes=schemes, mode=args.mode,
         trials=DEFAULT_SWEEP_TRIALS if args.trials is None else args.trials,
         seed=args.seed, alpha=args.alpha, snr_r_policy=args.snr_r_policy,
         workers=args.workers))
@@ -281,8 +277,9 @@ def main(argv=None) -> int:
     Plain argv is read straight from the parser's option tables; argparse
     parses everything else (help, abbreviations, ``--opt=value``, negative
     numbers, any error) and writes all help, usage and error text.  Only
-    in-process callers gain: a shell ``crrelay`` spends far longer starting
-    the interpreter than parsing.
+    in-process callers gain, and the only ones measured are the benchmark
+    harness and the test suite: a shell ``crrelay`` spends far longer
+    starting the interpreter than parsing.
     """
     parser = _build_parser()
     args = _plain_args(parser, argv) or parser.parse_args(argv)

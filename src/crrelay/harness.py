@@ -160,15 +160,15 @@ def load_config(path=None, overrides=()) -> SystemParams:
 # sweeps
 
 
-def axis_values(start, stop, step) -> tuple:
+def axis_values(start, stop, step, typed=False) -> tuple:
     """The axis points start, start + step, ... through stop; a point within
     1e-9 of a step past stop still counts, so rounding keeps the end.
 
-    Each point is the double nearest the decimal start + k*step of the
-    values as written (0.1 as 0.1), so -0.2 by 0.1 reaches 1 itself, not
-    the 1.0000000000000002 that float steps give."""
-    from decimal import MAX_PREC, Context, Decimal
-
+    Each point is start + k*step in floats, so a computed step keeps its
+    end: 0 by 1/3 reaches 1.0.  typed=True reads the arguments as the
+    decimals they print as, as typed on a command line: each point is then
+    the double nearest the decimal start + k*step, so -0.2 by 0.1 reaches 1
+    itself, not the 1.0000000000000002 that float steps give."""
     if not all(math.isfinite(x) for x in (start, stop, step)):
         raise ValueError("range start, stop and step must be finite")
     if step <= 0 or stop < start:
@@ -176,6 +176,10 @@ def axis_values(start, stop, step) -> tuple:
     span = (stop - start) / step + 1e-9
     if not span < MAX_SWEEP_POINTS:
         raise ValueError(f"axis range exceeds {MAX_SWEEP_POINTS} points")
+    if not typed:
+        return tuple(start + k * step for k in range(math.floor(span) + 1))
+    from decimal import MAX_PREC, Context, Decimal
+
     exact = Context(prec=MAX_PREC)
     first, stride = Decimal(str(start)), Decimal(str(step))
     return tuple(float(exact.fma(k, stride, first))

@@ -168,9 +168,13 @@ def test_sweep_from_range_inclusive():
 def test_sweep_points_are_the_decimal_steps(capsys):
     # in floats -0.2 + 12 * 0.1 is 1.0000000000000002, a split the sweep
     # rejects while its CSV prints it as 1
-    assert axis_values(-0.2, 1.2, 0.1) == (
+    assert axis_values(-0.2, 1.2, 0.1)[12] == 1.0000000000000002
+    assert axis_values(-0.2, 1.2, 0.1, typed=True) == (
         -0.2, -0.1, 0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0,
         1.1, 1.2)
+    # a computed step is no typed decimal: read as 0.3333333333333333 it
+    # would end at 0.9999999999999999
+    assert axis_values(0.0, 1.0, 1 / 3) == (0.0, 1 / 3, 2 / 3, 1.0)
     assert cli_main(["sweep", "--axis", "alpha", "--start", "-0.2", "--stop",
                      "1.2", "--step", "0.1", "--mode", "analytic"]) == 0
     rows = {r["value"]: r for r in rows_from_csv(capsys.readouterr().out)}
@@ -1094,6 +1098,22 @@ def test_cli_abbreviation_still_parsed_by_argparse(capsys):
     assert crrelay.cli._plain_args(crrelay.cli._build_parser(), argv) is None
     assert _run_cli(argv, capsys) == _run_cli(["analytic", "--alpha", "1"],
                                               capsys)
+
+
+@pytest.mark.parametrize("edit", ["set_defaults", "exclusive", "typed_default"])
+def test_plain_args_leave_uncopied_parser_features_to_argparse(edit):
+    # parser features the reader does not copy send every argv to argparse;
+    # edit a fresh parser, not the one main reuses
+    parser = crrelay.cli._build_parser.__wrapped__()
+    argv = ["analytic", "--alpha", "1"]
+    assert crrelay.cli._plain_args(parser, argv) is not None
+    if edit == "set_defaults":
+        parser.set_defaults(extra=1)
+    elif edit == "exclusive":
+        parser.add_mutually_exclusive_group().add_argument("--quiet")
+    else:
+        parser.add_argument("--level", type=int, default="3")
+    assert crrelay.cli._plain_args(parser, argv) is None
 
 
 def test_plain_args_match_argparse():
