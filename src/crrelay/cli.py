@@ -112,8 +112,8 @@ def _plain_args(parser, argv):
     Plain argv is the subcommand name and exact option strings of store or
     append actions, each followed by one value that does not start with '-'
     and passes the action's type and choices, with every required option.
-    A parser with set_defaults, mutually exclusive groups or a typed string
-    default is left to argparse, whose handling of them is not copied here.
+    A parser with set_defaults, mutually exclusive groups or a string
+    default with a type is left to argparse, which alone handles them.
     """
     tokens = list(sys.argv[1:] if argv is None else argv)
     merged, i = {}, 0
@@ -220,7 +220,7 @@ def _cmd_region(params, args):
 
 def _cmd_sweep(params, args):
     schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
-    values = axis_values(args.start, args.stop, args.step, typed=True)
+    values = axis_values(args.start, args.stop, args.step)
     data = sweep_csv(run_sweep(
         params, args.axis, values, schemes=schemes, mode=args.mode,
         trials=DEFAULT_SWEEP_TRIALS if args.trials is None else args.trials,

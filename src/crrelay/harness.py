@@ -160,15 +160,11 @@ def load_config(path=None, overrides=()) -> SystemParams:
 # sweeps
 
 
-def axis_values(start, stop, step, typed=False) -> tuple:
-    """The axis points start, start + step, ... through stop; a point within
-    1e-9 of a step past stop still counts, so rounding keeps the end.
-
-    Each point is start + k*step in floats, so a computed step keeps its
-    end: 0 by 1/3 reaches 1.0.  typed=True reads the arguments as the
-    decimals they print as, as typed on a command line: each point is then
-    the double nearest the decimal start + k*step, so -0.2 by 0.1 reaches 1
-    itself, not the 1.0000000000000002 that float steps give."""
+def axis_values(start, stop, step) -> tuple:
+    """The axis points start, start + step, ... through stop, read as the
+    decimals the arguments print as: each point is the double nearest the
+    decimal start + k*step, so -0.2 by 0.1 reaches 1 itself.  A last point
+    within 1e-9 of a step of stop is float(stop), so 0 by 1/3 ends at 1.0."""
     if not all(math.isfinite(x) for x in (start, stop, step)):
         raise ValueError("range start, stop and step must be finite")
     if step <= 0 or stop < start:
@@ -176,14 +172,15 @@ def axis_values(start, stop, step, typed=False) -> tuple:
     span = (stop - start) / step + 1e-9
     if not span < MAX_SWEEP_POINTS:
         raise ValueError(f"axis range exceeds {MAX_SWEEP_POINTS} points")
-    if not typed:
-        return tuple(start + k * step for k in range(math.floor(span) + 1))
     from decimal import MAX_PREC, Context, Decimal
 
     exact = Context(prec=MAX_PREC)
     first, stride = Decimal(str(start)), Decimal(str(step))
-    return tuple(float(exact.fma(k, stride, first))
-                 for k in range(math.floor(span) + 1))
+    points = [float(exact.fma(k, stride, first))
+              for k in range(math.floor(span) + 1)]
+    if stop - points[-1] <= 1e-9 * step:
+        points[-1] = float(stop)
+    return tuple(points)
 
 
 @dataclass(frozen=True)
@@ -282,10 +279,11 @@ def run_sweep(scenario: SystemParams, axis: str, values, *,
     the bound that way and the row reports outage 1.
 
     Row errors are captured in the error column instead of aborting the
-    sweep; rows without secondary access report secondary outage 1.  Every
-    simulated row reads the same trials of the seed's stream, so they are
-    estimated together in one estimate_many() call, which counts only the
-    secondary events a row reports.
+    sweep, and every row with a split outside [0, 1] has one; rows without
+    secondary access report secondary outage 1.  Every simulated row reads
+    the same trials of the seed's stream, so they are estimated together in
+    one estimate_many() call, which counts only the secondary events a row
+    reports.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}")
@@ -332,10 +330,10 @@ def run_sweep(scenario: SystemParams, axis: str, values, *,
                                      "primary-bound floor")
                     continue
             try:
+                check_request(split, scheme)
                 if mode in ("analytic", "both"):
                     row.update(_analytic_cells(derived, split, scheme))
                 if mode in ("montecarlo", "both"):
-                    check_request(split, scheme)
                     mc_rows.append(row)
                     requests.append((params, split, scheme))
             except (ValueError, ArithmeticError) as exc:
@@ -696,10 +694,10 @@ def reproduce(target: str, out_dir=None, trials=None, seed: int = 0,
         title, header, rows, checks = build()
     csv_path = out / f"{target}.csv"
     csv_path.write_bytes(_csv_bytes(header, rows))
-    report = Report(title, tuple(checks), (csv_path,))
     report_path = out / f"{target}_report.txt"
+    report = Report(title, tuple(checks), (csv_path, report_path))
     report_path.write_text(report.render())
-    return replace(report, files=(csv_path, report_path))
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -368,7 +368,6 @@ def _assert_matches_grid_scan(params, epsilon, **grids):
 
 
 def test_allocate_matches_grid_scan_on_random_scenarios():
-    pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
     from test_properties import PROPERTY_SETTINGS, scenarios
 
@@ -399,7 +398,6 @@ def test_allocate_matches_grid_scan_on_random_scenarios():
 
 
 def test_allocate_matches_grid_scan_on_restricted_grids():
-    pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
     from test_properties import PROPERTY_SETTINGS, relay_snrs, scenarios
 

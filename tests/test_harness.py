@@ -4,6 +4,7 @@ import csv
 import hashlib
 import importlib
 import io
+import math
 import subprocess
 import sys
 import types
@@ -31,11 +32,13 @@ from crrelay import (
 from crrelay.cli import main as cli_main
 from crrelay.harness import (
     _CSV_COLUMNS,
+    MODES,
     REPRODUCE_TARGETS,
     _bound_check,
     _z_check,
     parse_config_text,
 )
+from crrelay.montecarlo import SCHEMES
 from conftest import link_table
 
 
@@ -165,22 +168,32 @@ def test_sweep_from_range_inclusive():
     assert values[0] == 5.0 and values[-1] == 30.0
 
 
-def test_sweep_points_are_the_decimal_steps(capsys):
-    # in floats -0.2 + 12 * 0.1 is 1.0000000000000002, a split the sweep
-    # rejects while its CSV prints it as 1
-    assert axis_values(-0.2, 1.2, 0.1)[12] == 1.0000000000000002
-    assert axis_values(-0.2, 1.2, 0.1, typed=True) == (
+def test_sweep_points_are_the_decimal_steps(capsys, monkeypatch):
+    # each point is the double nearest the decimal start + k*step; in floats
+    # -0.2 + 12 * 0.1 is 1.0000000000000002, a split the sweep rejects while
+    # its CSV prints it as 1, and 0.1 + 2 * 0.1 is 0.30000000000000004
+    assert axis_values(-0.2, 1.2, 0.1) == (
         -0.2, -0.1, 0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0,
         1.1, 1.2)
-    # a computed step is no typed decimal: read as 0.3333333333333333 it
-    # would end at 0.9999999999999999
-    assert axis_values(0.0, 1.0, 1 / 3) == (0.0, 1 / 3, 2 / 3, 1.0)
+    assert axis_values(0.1, 0.5, 0.1) == (0.1, 0.2, 0.3, 0.4, 0.5)
+    # a computed step reads as 0.3333333333333333 and would end at
+    # 0.9999999999999999; a last point that close to stop is stop itself
+    values = axis_values(0, 1, 1 / 3)
+    assert values == (0.0, 1 / 3, 2 / 3, 1.0)
+    assert type(values[-1]) is float
     assert cli_main(["sweep", "--axis", "alpha", "--start", "-0.2", "--stop",
                      "1.2", "--step", "0.1", "--mode", "analytic"]) == 0
     rows = {r["value"]: r for r in rows_from_csv(capsys.readouterr().out)}
     for value in ("0.1", "1"):
         assert rows[value]["error"] == ""
         assert rows[value]["analytic_sec"] != ""
+    # the CSV prints 0.9999999999 as 1, so read the points the CLI sweeps
+    swept = []
+    monkeypatch.setattr(crrelay.cli, "run_sweep", lambda params, axis, values,
+                        **kw: swept.append(values) or ())
+    assert cli_main(["sweep", "--axis", "alpha", "--start", "0", "--stop",
+                     "1", "--step", "0.3333333333", "--mode", "analytic"]) == 0
+    assert swept == [(0.0, 0.3333333333, 0.6666666666, 1.0)]
 
 
 def test_sweep_from_range_caps_axis_length():
@@ -215,6 +228,30 @@ def test_sweep_simulation_errors_stay_per_row():
     assert ok.error == "workers must be at least 1"
     assert ok.analytic_sec is not None and ok.mc_sec is None
     assert bad.error == "alpha must lie in [0, 1]"
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("split", (1.5, math.nan, -0.5))
+def test_sweep_split_outside_unit_interval_is_an_error_in_every_row(mode,
+                                                                   split):
+    # one split check for every scheme and mode, ahead of any cell
+    rows = run_sweep(default_params(), "snr_p_db", (20.0,), schemes=SCHEMES,
+                     mode=mode, trials=1000, alpha=split)
+    assert [r.scheme for r in rows] == list(SCHEMES)
+    for row in rows:
+        assert row.error == _OUT_OF_RANGE
+        assert row.analytic_sec is None and row.mc_sec is None
+
+
+@pytest.mark.parametrize("split", ("1.5", "nan", "-3"))
+def test_cli_sweep_split_outside_unit_interval_is_an_error_cell(split,
+                                                                capsys):
+    assert cli_main(["sweep", "--axis", "snr_p_db", "--start", "20",
+                     "--stop", "20", "--step", "1", "--mode", "analytic",
+                     "--schemes", "relay_assisted_secondary",
+                     "--alpha", split]) == 0
+    [row] = rows_from_csv(capsys.readouterr().out)
+    assert row["error"] == _OUT_OF_RANGE
 
 
 def test_sweep_below_cutoff_reports_certain_outage():
@@ -1117,7 +1154,6 @@ def test_plain_args_leave_uncopied_parser_features_to_argparse(edit):
 
 
 def test_plain_args_match_argparse():
-    pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
     from test_properties import PROPERTY_SETTINGS
 

@@ -1,9 +1,6 @@
-"""Property tests over random valid scenarios (skipped without hypothesis)."""
+"""Property tests over random valid scenarios."""
 import math
 
-import pytest
-
-pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 from crrelay import (
