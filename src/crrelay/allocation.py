@@ -70,12 +70,15 @@ def common_alpha_band(rate_p: float, rate_s: float):
 
 def alpha_for_primary_bound(derived: DerivedParams, epsilon: float,
                             snr_r: float | None = None):
-    """Smallest split meeting the primary bound at the given relay SNR.
+    """Closed-form inverse of the primary bound at the given relay SNR.
 
-    Inverts the split-dependent branch of the primary bound exactly.  If the
-    bound already holds with no relay help (epsilon >= direct-copy bound X),
+    Inverts the split-dependent branch of the primary bound.  If the bound
+    already holds with no relay help (epsilon >= direct-copy bound X),
     returns the split floor; if even full relay power cannot reach epsilon,
-    returns None.
+    returns None.  The bound's own rounding can leave the returned split a
+    few ulps above epsilon, so `allocate` re-checks it and then tries its
+    nudged twin.  Without secondary access and with epsilon far below X, the
+    bound at the split misses epsilon by up to 2e-5 relative.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie strictly between 0 and 1")

@@ -34,8 +34,7 @@ from crrelay.harness import (
     _CSV_COLUMNS,
     MODES,
     REPRODUCE_TARGETS,
-    _bound_check,
-    _z_check,
+    _mc_check,
     parse_config_text,
 )
 from crrelay.montecarlo import SCHEMES
@@ -616,29 +615,51 @@ def test_exact_conditionals_integrate_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_z_check_judges_certain_outage_by_wilson():
+def test_mc_check_judges_certain_outage_by_wilson():
     # all 2,180 trials in outage: std_err is 0, so z is infinite, yet the
-    # closed form lies inside the Wilson interval
-    check = _z_check("x", OutageEstimate.from_counts(2180, 2180), 0.99999989)
+    # closed form lies inside the Wilson interval; 0.99 lies below it
+    certain = OutageEstimate.from_counts(2180, 2180)
+    check = _mc_check("x", certain, 0.99999989)
     assert check.verdict == "PASS"
     assert "z=+inf wilson3=[0.996, 1]" in check.detail
+    assert _mc_check("x", certain, 0.99).verdict == "FAIL"
 
 
-def test_z_check_signs_an_infinite_z():
-    # no spread and an estimate below the closed form: z is -inf, not +inf
-    check = _z_check("x", OutageEstimate.from_counts(0, 10), 0.02)
+def test_mc_check_signs_an_infinite_z():
+    # no spread and an estimate below the closed form: z is -inf, not +inf.
+    # 0.6 lies above the Wilson interval [0, 0.474] but inside the wider
+    # one at z_max 4.89, and a mid-range z of +3.45 passes only at 4.89,
+    # with no Wilson text at all
+    never = OutageEstimate.from_counts(0, 10)
+    check = _mc_check("x", never, 0.02)
     assert check.verdict == "PASS"
     assert "z=-inf wilson3=[0, 0.474]" in check.detail
+    assert _mc_check("x", never, 0.6).verdict == "FAIL"
+    check = _mc_check("x", never, 0.6, z_max=4.89)
+    assert check.verdict == "PASS"
+    assert "z=-inf wilson4.89=[0, 0.705]" in check.detail
+    mid = OutageEstimate.from_counts(300, 1000)
+    check = _mc_check("x", mid, 0.25, note="n")
+    assert check.verdict == "FAIL"
+    assert check.detail == "mc=0.3 analytic=0.25 std_err=0.0145 z=+3.45 [n]"
+    assert _mc_check("x", mid, 0.25, z_max=4.89).verdict == "PASS"
 
 
-def test_bound_check_judges_certain_outage_by_wilson():
+def test_mc_check_bound_judges_certain_outage_by_wilson():
     # all 2,180 trials in outage, a bound 1.1e-7 below 1: the estimate has
-    # no spread, yet the bound lies above the Wilson interval's lower end
+    # no spread, yet the bound lies above the Wilson interval's lower end.
+    # A bound far above a mid-range estimate passes one-sided only
     certain = OutageEstimate.from_counts(2180, 2180)
-    check = _bound_check("x", certain, 1.0 - 1.1e-7)
+    check = _mc_check("x", certain, 1.0 - 1.1e-7, bound=True)
     assert check.verdict == "PASS"
     assert "slack=-1.1e-07 wilson3=[0.996, 1]" in check.detail
-    assert _bound_check("x", certain, 0.99).verdict == "FAIL"
+    assert _mc_check("x", certain, 0.99, bound=True).verdict == "FAIL"
+    mid = OutageEstimate.from_counts(300, 1000)
+    check = _mc_check("x", mid, 0.9, bound=True)
+    assert (check.verdict, check.detail) == (
+        "PASS", "mc=0.3 bound=0.9 slack=+0.643")
+    assert _mc_check("x", mid, 0.9).verdict == "FAIL"
+    assert _mc_check("x", mid, 0.25, bound=True).verdict == "FAIL"
 
 
 # every relay-active trial of this scenario is a secondary outage
