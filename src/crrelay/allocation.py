@@ -13,7 +13,7 @@ relay gains depend on the relay SNR; all else is computed once per scenario.
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .analytic import (
     cond_outage_d0,
@@ -28,16 +28,12 @@ from .analytic import (
 from .system import DerivedParams, SystemParams, db_to_linear, derive, two_slot_threshold
 
 
-@dataclass(frozen=True)
-class AllocationResult:
+class AllocationResult(namedtuple(
+        "AllocationResult", "alpha snr_r u_p u_s_total feasible")):
     """Chosen operating point.  On infeasible scenarios alpha/snr_r/u_p are
     NaN and the secondary outage is reported as 1."""
 
-    alpha: float
-    snr_r: float
-    u_p: float
-    u_s_total: float
-    feasible: bool
+    __slots__ = ()
 
 
 def rate_p_at_split_floor(alpha: float) -> float:

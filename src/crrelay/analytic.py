@@ -22,7 +22,7 @@ approximate weight and are not exact even where the conditionals are.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .quadrature import QuadratureError, integrate_exp_over_x
 from .system import USER_LINKS, DerivedParams
@@ -32,8 +32,10 @@ class NoSecondaryAccessError(ValueError):
     """Scenario admits no secondary transmission (secondary SNR is zero)."""
 
 
-@dataclass(frozen=True)
-class OutageSummary:
+class OutageSummary(namedtuple(
+        "OutageSummary",
+        "p_d1 total_sec total_pri pri_d0 sec_d0 pri_d1 sec_d1 bound",
+        defaults=(None, None, None, None, False))):
     """Activation-weighted total outage probabilities and their conditionals.
 
     pri_d0/sec_d0 are the exact relay-silent conditionals and pri_d1/sec_d1
@@ -46,14 +48,7 @@ class OutageSummary:
     derived quantity, not a published closed form.
     """
 
-    p_d1: float
-    total_sec: float
-    total_pri: float
-    pri_d0: float | None = None
-    sec_d0: float | None = None
-    pri_d1: float | None = None
-    sec_d1: float | None = None
-    bound: bool = False
+    __slots__ = ()
 
 
 def _clamp01(x: float) -> float:

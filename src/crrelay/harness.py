@@ -15,13 +15,11 @@ Lines starting with '#' and blank lines are ignored; later keys win; CLI
 overrides use the same key syntax.
 """
 
-import csv
 import functools
 import io
 import math
-import operator
 import os
-from dataclasses import dataclass, fields, replace
+from collections import namedtuple
 from pathlib import Path
 
 from .allocation import (
@@ -183,24 +181,14 @@ def axis_values(start, stop, step) -> tuple:
     return tuple(points)
 
 
-@dataclass(frozen=True)
-class ResultRow:
-    axis: str
-    value: float
-    scheme: str
-    analytic_sec: float | None = None
-    analytic_is_bound: bool | None = None
-    mc_sec: float | None = None
-    mc_sec_std_err: float | None = None
-    p_d1: float | None = None
-    snr_s: float | None = None
-    snr_r: float | None = None
-    alpha: float | None = None
-    error: str = ""
+class ResultRow(namedtuple(
+        "ResultRow",
+        "axis value scheme analytic_sec analytic_is_bound mc_sec "
+        "mc_sec_std_err p_d1 snr_s snr_r alpha error",
+        defaults=(None,) * 8 + ("",))):
+    """One sweep row; its fields are the sweep CSV's columns, in order."""
 
-
-_CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
-_csv_row = operator.attrgetter(*_CSV_COLUMNS)   # a row's cells, in column order
+    __slots__ = ()
 
 
 def _csv_cell(x) -> str:
@@ -214,6 +202,8 @@ def _csv_cell(x) -> str:
 
 
 def _csv_bytes(header, rows) -> bytes:
+    import csv   # only the commands that write CSV load it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(header)
@@ -224,21 +214,21 @@ def _csv_bytes(header, rows) -> bytes:
 
 def sweep_csv(rows) -> bytes:
     """CSV bytes of run_sweep's rows: one column per ResultRow field."""
-    return _csv_bytes(_CSV_COLUMNS, map(_csv_row, rows))
+    return _csv_bytes(ResultRow._fields, rows)
 
 
 def _with_links(scenario: SystemParams, **axes) -> SystemParams:
     """Scenario with each channel-variance axis in axes set to its value."""
     lv = scenario.link_vars
     for axis, value in axes.items():
-        lv = replace(lv, **dict.fromkeys(_LINK_AXES[axis], value))
-    return replace(scenario, link_vars=lv)
+        lv = lv._replace(**dict.fromkeys(_LINK_AXES[axis], value))
+    return scenario._replace(link_vars=lv)
 
 
 def _apply_axis(scenario: SystemParams, axis: str, value: float, alpha: float):
     """Scenario and split for one axis point."""
     if axis == "snr_p_db":
-        return replace(scenario, snr_p=db_to_linear(value)), alpha
+        return scenario._replace(snr_p=db_to_linear(value)), alpha
     if axis == "snr_r_db":
         return scenario.with_snr_r(db_to_linear(value)), alpha
     if axis == "epsilon":
@@ -246,7 +236,7 @@ def _apply_axis(scenario: SystemParams, axis: str, value: float, alpha: float):
     if axis == "alpha":
         return scenario, float(value)
     if axis in ("rate_p", "rate_s"):
-        return replace(scenario, **{axis: float(value)}), alpha
+        return scenario._replace(**{axis: float(value)}), alpha
     return _with_links(scenario, **{axis: value}), alpha
 
 
@@ -356,21 +346,19 @@ def run_sweep(scenario: SystemParams, axis: str, values, *,
 # deviation reports
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    verdict: str   # PASS | FAIL | NOTE
-    detail: str
+class Check(namedtuple("Check", "name verdict detail")):
+    """One report line; verdict is PASS, FAIL or NOTE."""
+
+    __slots__ = ()
 
     def render(self) -> str:
         return f"{self.verdict:4s} {self.name}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class Report:
-    title: str
-    checks: tuple
-    files: tuple = ()
+class Report(namedtuple("Report", "title checks files", defaults=((),))):
+    """A titled tuple of Checks and the files written with them."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -550,8 +538,8 @@ def _fig3(trials, seed, workers):
     checks.append(_check(
         "proposed rows: simulation within bound + 3 std_err", not dominated,
         f"{len(dominated)} violations over {len(rows)} rows"))
-    return ("fig3: secondary outage versus primary SNR", _CSV_COLUMNS,
-            list(map(_csv_row, rows)), checks)
+    return ("fig3: secondary outage versus primary SNR", ResultRow._fields,
+            rows, checks)
 
 
 _MU_FAMILIES = ((1.0, 1.0), (0.5, 1.0), (0.1, 1.0), (1.0, 0.5), (1.0, 0.1))

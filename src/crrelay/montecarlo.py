@@ -29,8 +29,7 @@ never load it.
 """
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .system import LINKS, USER_LINKS, DerivedParams, SystemParams, derive
 
@@ -46,13 +45,10 @@ _SUB_TRIALS = 1 << 12       # trials per 256 KB sub-block, transposed in cache
 _MANTISSA_BITS = 53         # a raw 64-bit draw keeps its top 53 bits
 
 
-@dataclass(frozen=True)
-class OutageEstimate:
+class OutageEstimate(namedtuple("OutageEstimate", "p_hat std_err trials")):
     """Binomial probability estimate with its normal-approximation error."""
 
-    p_hat: float
-    std_err: float
-    trials: int
+    __slots__ = ()
 
     @classmethod
     def from_counts(cls, successes: int, trials: int) -> "OutageEstimate":
@@ -72,8 +68,9 @@ class OutageEstimate:
                 1.0 if p == 1.0 else min(1.0, center + half))
 
 
-@dataclass(frozen=True)
-class SchemeEstimates:
+class SchemeEstimates(namedtuple(
+        "SchemeEstimates", "pri sec p_d1 order_p pri_d0 pri_d1 sec_d0 sec_d1",
+        defaults=(None,) * 8)):
     """Per-scheme Monte Carlo estimates.
 
     pri/sec are total outage estimates.  p_d1 is the relay-activation
@@ -82,16 +79,10 @@ class SchemeEstimates:
     of the primary-first SIC order (proposed scheme only).  Conditional
     estimates are None when their conditioning event never occurred.  Every
     primary estimate is None when the primary events were not counted.
+    Each field is an OutageEstimate or None.
     """
 
-    pri: OutageEstimate | None = None
-    sec: OutageEstimate | None = None
-    p_d1: OutageEstimate | None = None
-    order_p: OutageEstimate | None = None
-    pri_d0: OutageEstimate | None = None
-    pri_d1: OutageEstimate | None = None
-    sec_d0: OutageEstimate | None = None
-    sec_d1: OutageEstimate | None = None
+    __slots__ = ()
 
 
 def _philox(seed: int, start: int):

@@ -8,7 +8,7 @@ single-slot primary outage at the admission threshold epsilon.
 """
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 # Directed links a->b with a,b in {p: primary, s: secondary, r: relay}.
 LINKS = ("pp", "sp", "ps", "ss", "pr", "sr", "rp", "rs")
@@ -35,38 +35,28 @@ def linear_to_db(x: float) -> float:
     return 10.0 * math.log10(x)
 
 
-@dataclass(frozen=True)
-class LinkTable:
+class LinkTable(namedtuple("LinkTable", LINKS)):
     """One nonnegative float per directed link, keyed as in LINKS."""
 
-    pp: float
-    sp: float
-    ps: float
-    ss: float
-    pr: float
-    sr: float
-    rp: float
-    rs: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SystemParams:
+class SystemParams(namedtuple(
+        "SystemParams", "rate_p rate_s snr_p snr_r epsilon link_vars")):
     """Full scenario description.
 
     rate_p, rate_s: target spectral efficiencies (bits/s/Hz).
     snr_p, snr_r:   transmit SNRs of the primary and the relay (linear).
     epsilon:        primary outage probability the secondary must respect.
-    link_vars:      channel variance per directed link (all > 0).
+    link_vars:      channel variance per directed link (all > 0), a LinkTable.
+
+    Every construction validates, _replace and _make included.
     """
 
-    rate_p: float
-    rate_s: float
-    snr_p: float
-    snr_r: float
-    epsilon: float
-    link_vars: LinkTable
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("rate_p", "rate_s", "snr_p", "snr_r"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -88,31 +78,32 @@ class SystemParams:
             var = getattr(self.link_vars, name)
             if not var > 0.0 or not math.isfinite(var):
                 raise ValueError(f"link variance {name} must be positive and finite")
+        return self
+
+    @classmethod
+    def _make(cls, values):
+        return cls(*values)
 
     def with_epsilon(self, epsilon: float) -> "SystemParams":
-        return replace(self, epsilon=epsilon)
+        return self._replace(epsilon=epsilon)
 
     def with_snr_r(self, snr_r: float) -> "SystemParams":
-        return replace(self, snr_r=snr_r)
+        return self._replace(snr_r=snr_r)
 
 
-@dataclass(frozen=True)
-class DerivedParams:
+class DerivedParams(namedtuple(
+        "DerivedParams",
+        "theta_p theta_s lambda_p lambda_s snr_s gain params")):
     """Everything computable from SystemParams alone.
 
     theta_*:  one-slot SINR thresholds 2^R - 1.
     lambda_*: two-sub-slot thresholds 2^(2R) - 1.
     snr_s:    admitted secondary SNR (0 means no secondary access).
     gain:     mean link SNR table, gain_ab = snr_a * var_ab.
+    params:   the SystemParams it was derived from.
     """
 
-    theta_p: float
-    theta_s: float
-    lambda_p: float
-    lambda_s: float
-    snr_s: float
-    gain: LinkTable
-    params: SystemParams
+    __slots__ = ()
 
 
 def one_slot_threshold(rate: float) -> float:

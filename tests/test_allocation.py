@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -379,13 +378,13 @@ def test_allocate_matches_grid_scan_on_random_scenarios():
         params = draw(scenarios()).with_epsilon(draw(st.floats(1e-4, 0.5)))
         family = draw(st.sampled_from(("drawn", "weak_relay", "below_cutoff")))
         if family == "weak_relay":
-            link_vars = replace(params.link_vars,
-                                rp=draw(st.floats(1e-4, 1e-3)))
-            params = replace(params, link_vars=link_vars)
+            link_vars = params.link_vars._replace(
+                rp=draw(st.floats(1e-4, 1e-3)))
+            params = params._replace(link_vars=link_vars)
         elif family == "below_cutoff":
             cutoff_db = secondary_cutoff_db(params.rate_p, params.epsilon,
                                             params.link_vars.pp)
-            params = replace(params, snr_p=db_to_linear(
+            params = params._replace(snr_p=db_to_linear(
                 cutoff_db - draw(st.floats(0.5, 5.0))))
         return params
 
@@ -424,12 +423,12 @@ def _seeded_scenario(rng, family):
         link_vars=LinkTable(
             **{name: 10.0 ** rng.uniform(-2.0, 2.0) for name in LINKS}))
     if family == "weak_relay":
-        link_vars = replace(params.link_vars, rp=rng.uniform(1e-4, 1e-3))
-        params = replace(params, link_vars=link_vars)
+        link_vars = params.link_vars._replace(rp=rng.uniform(1e-4, 1e-3))
+        params = params._replace(link_vars=link_vars)
     elif family == "below_cutoff":
         cutoff_db = secondary_cutoff_db(params.rate_p, params.epsilon,
                                         params.link_vars.pp)
-        params = replace(params, snr_p=db_to_linear(
+        params = params._replace(snr_p=db_to_linear(
             cutoff_db - rng.uniform(0.5, 5.0)))
     return params
 
@@ -508,7 +507,7 @@ def test_allocate_stops_after_one_relay_snr_when_infeasible(monkeypatch,
                                                             table1):
     # with a weak relay-to-primary link even the full split at the top of
     # the grid misses epsilon, so no smaller relay SNR can meet it
-    params = replace(table1, link_vars=replace(table1.link_vars, rp=1e-4))
+    params = table1._replace(link_vars=table1.link_vars._replace(rp=1e-4))
     top = derive(params.with_snr_r(default_snr_r_grid()[-1]))
     assert upper_bound_d1(top, "primary", 1.0) > params.epsilon
     calls = _count_calls(monkeypatch, "alpha_for_primary_bound")
@@ -526,9 +525,9 @@ def test_allocate_walks_a_flat_plateau_to_the_feasibility_edge(monkeypatch,
     # the first relay SNR where even the full split misses epsilon, and the
     # smallest feasible relay SNR wins
     scale = 2.1 / 1000.0
-    params = replace(table1.with_epsilon(0.005), link_vars=replace(
-        table1.link_vars, rp=table1.link_vars.rp * scale,
-        rs=table1.link_vars.rs * scale))
+    params = table1.with_epsilon(0.005)._replace(
+        link_vars=table1.link_vars._replace(rp=table1.link_vars.rp * scale,
+                                            rs=table1.link_vars.rs * scale))
     d, grid = derive(params), default_snr_r_grid()
     ceiling = secondary_split_ceiling(d.lambda_s)
     edge = next(i for i in range(len(grid) - 1, -1, -1) if upper_bound_d1(

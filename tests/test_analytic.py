@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -426,8 +425,8 @@ def test_total_mixture_consistency(table1_derived):
 def test_total_degenerate_mixture_without_relay_links(table1):
     # vanishing transmitter-to-relay links force the relay silent, so the
     # total collapses to the relay-silent conditional
-    lv = replace(table1.link_vars, pr=1e-12, sr=1e-12)
-    d = derive(replace(table1, link_vars=lv))
+    lv = table1.link_vars._replace(pr=1e-12, sr=1e-12)
+    d = derive(table1._replace(link_vars=lv))
     summary = total_secondary_outage(d, 0.5)
     assert summary.p_d1 < 1e-10
     assert summary.total_sec == pytest.approx(cond_outage_d0(d, "secondary"),

@@ -31,9 +31,9 @@ from crrelay import (
 )
 from crrelay.cli import main as cli_main
 from crrelay.harness import (
-    _CSV_COLUMNS,
     MODES,
     REPRODUCE_TARGETS,
+    ResultRow,
     _mc_check,
     parse_config_text,
 )
@@ -123,7 +123,7 @@ def test_sweep_shape_and_columns():
     assert len(table) == 6
     text = sweep_csv(table).decode("utf-8")
     rows = rows_from_csv(text)
-    assert tuple(rows[0].keys()) == _CSV_COLUMNS
+    assert tuple(rows[0].keys()) == ResultRow._fields
     assert text.count("\r\n") == 7
     noncoop = [r for r in rows if r["scheme"] == "noncooperative"]
     assert all(r["alpha"] == "" and r["snr_r"] == "" for r in noncoop)
@@ -1324,19 +1324,27 @@ def test_package_defines_no_unused_names():
     assert sorted(unused) == []
 
 
-def test_package_dataclasses_are_frozen():
+def test_package_records_are_immutable():
     # every record the package defines is built once and never mutated, so a
-    # cached result can be shared by every caller that reads it
+    # cached result can be shared by every caller that reads it: each is a
+    # namedtuple subclass whose instances have no __dict__ to write to
     package = Path(crrelay.__file__).parent
-    mutable = [
-        f"{path.stem}.{node.name}"
-        for path in sorted(package.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.ClassDef)
-        for deco in map(ast.unparse, node.decorator_list)
-        if deco.split("(")[0].endswith("dataclass")
-        and "frozen=True" not in deco]
-    assert mutable == []
+    records = [
+        cls for path in sorted(package.glob("*.py")) if path.stem != "__init__"
+        for cls in vars(importlib.import_module(f"crrelay.{path.stem}")).values()
+        if isinstance(cls, type) and issubclass(cls, tuple)
+        and cls.__module__ == f"crrelay.{path.stem}"]
+    assert sorted(cls.__name__ for cls in records) == [
+        "AllocationResult", "Check", "DerivedParams", "LinkTable",
+        "OutageEstimate", "OutageSummary", "Report", "ResultRow",
+        "SchemeEstimates", "SystemParams"]
+    for cls in records:
+        assert cls.__dict__.get("__slots__") == (), cls
+        record = tuple.__new__(cls, (0.0,) * len(cls._fields))
+        assert not hasattr(record, "__dict__"), cls
+        for name in (cls._fields[0], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 1.0)
 
 
 @pytest.mark.parametrize("module", ["harness", "cli"])

@@ -3,7 +3,6 @@ import random
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -124,10 +123,11 @@ def test_import_does_not_load_numpy_random():
     assert out.strip() == "False"
 
 
-def run_fresh(code, *args):
-    """Standard output of `code` run with `args` in a fresh interpreter."""
+def run_fresh(code, *args, flags=()):
+    """Standard output of `code` run with `args` in a fresh interpreter
+    started with the interpreter options `flags`."""
     src = str(Path(crrelay.__file__).resolve().parents[1])
-    return subprocess.run([sys.executable, "-c", code, *args], cwd=src,
+    return subprocess.run([sys.executable, *flags, "-c", code, *args], cwd=src,
                           check=True, capture_output=True, text=True,
                           timeout=120).stdout
 
@@ -148,6 +148,15 @@ def test_import_loads_no_numpy():
     code = ("import sys, crrelay, crrelay.cli; print(sorted(m for m in "
             "('numpy', 'concurrent.futures', 'logging') if m in sys.modules))")
     assert run_fresh(code).strip() == "[]"
+
+
+def test_import_loads_no_dataclasses_inspect_typing_or_csv():
+    # records are namedtuples and csv is imported where CSV bytes are
+    # written, so a cold start skips these modules; -S keeps site-packages'
+    # .pth files, which may import typing, out of the count
+    code = ("import sys, crrelay, crrelay.cli; print(sorted(m for m in "
+            "('dataclasses', 'inspect', 'typing', 'csv') if m in sys.modules))")
+    assert run_fresh(code, flags=("-S",)).strip() == "[]"
 
 
 @pytest.mark.parametrize("argv", [
@@ -414,8 +423,8 @@ def test_relay_assisted_activation_matches_closed_form(table1):
 
 
 def test_relayless_limit_reduces_to_silent_mixture(table1):
-    lv = replace(table1.link_vars, pr=1e-12, sr=1e-12)
-    params = replace(table1, link_vars=lv, snr_r=0.0)
+    lv = table1.link_vars._replace(pr=1e-12, sr=1e-12)
+    params = table1._replace(link_vars=lv, snr_r=0.0)
     d = derive(params)
     est = estimate(params, 0.5, 300_000, seed=19)
     assert est.p_d1.p_hat == 0.0
@@ -470,8 +479,8 @@ def test_estimate_many_matches_per_request_estimate(table1, trials, workers):
     # repeated, so results must come back in request order, not group order.
     # At 0.37 the two users' shares differ.  Partial chunks end every trial
     # count but 131_072.
-    narrow_sp = replace(table1, link_vars=replace(
-        table1.link_vars, sp=0.5 * table1.link_vars.sp))
+    narrow_sp = table1._replace(link_vars=table1.link_vars._replace(
+        sp=0.5 * table1.link_vars.sp))
     for scenarios in ((table1, narrow_sp), (table1, symmetric_relay_params())):
         requests = [(params, alpha, scheme)
                     for params in scenarios for scheme in SCHEMES
@@ -495,7 +504,7 @@ def test_estimate_many_can_skip_primary_events(table1):
     secondary = estimate_many(67, trials, requests, workers=2, primary=False)
     for est, sec in zip(full, secondary):
         assert est.pri is not None
-        assert sec == replace(est, pri=None, pri_d0=None, pri_d1=None)
+        assert sec == est._replace(pri=None, pri_d0=None, pri_d1=None)
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,14 +64,14 @@ def test_derive_gain_table_wiring(table1):
     # without access the secondary's links carry no gain, the rest as above
     denied = derive(table1.with_epsilon(1e-12))
     assert denied.snr_s == 0.0
-    assert denied.gain == replace(d.gain, sp=0.0, ss=0.0, sr=0.0)
+    assert denied.gain == d.gain._replace(sp=0.0, ss=0.0, sr=0.0)
 
 
 def test_with_snr_r_rescales_only_relay_gains(table1):
     base, d_r = derive(table1), derive(table1.with_snr_r(2.5))
     assert d_r.gain.rp == 2.5 * table1.link_vars.rp
     assert d_r.gain.rs == 2.5 * table1.link_vars.rs
-    assert replace(d_r.gain, rp=base.gain.rp, rs=base.gain.rs) == base.gain
+    assert d_r.gain._replace(rp=base.gain.rp, rs=base.gain.rs) == base.gain
     assert d_r.snr_s == base.snr_s
     assert d_r.params.snr_r == 2.5
     with pytest.raises(ValueError):
@@ -106,9 +105,8 @@ def test_cutoff_vanishes_as_epsilon_opens():
 def test_cutoff_is_the_admission_root(table1):
     params = table1.with_epsilon(0.03)
     cutoff = db_to_linear(secondary_cutoff_db(0.4, 0.03, 1.0))
-    from dataclasses import replace
-    below = derive(replace(params, snr_p=cutoff * (1.0 - 1e-9)))
-    above = derive(replace(params, snr_p=cutoff * (1.0 + 1e-9)))
+    below = derive(params._replace(snr_p=cutoff * (1.0 - 1e-9)))
+    above = derive(params._replace(snr_p=cutoff * (1.0 + 1e-9)))
     assert below.snr_s == 0.0
     assert above.snr_s > 0.0
 
@@ -177,7 +175,18 @@ def test_largest_rates_keep_finite_thresholds():
     assert all(math.isfinite(x) for x in
                (d.theta_p, d.theta_s, d.lambda_p, d.lambda_s))
     with pytest.raises(ValueError, match="rate_s"):
-        replace(params, rate_s=512.0)
+        params._replace(rate_s=512.0)
+
+
+def test_every_copy_path_validates(table1):
+    # a namedtuple's stock _make skips __new__; SystemParams' own _make calls
+    # the constructor, so _replace and the with_* helpers validate too
+    with pytest.raises(ValueError, match="rate_s must be below"):
+        table1._replace(rate_s=512.0)
+    with pytest.raises(ValueError, match="epsilon must lie"):
+        table1.with_epsilon(1.5)
+    with pytest.raises(ValueError, match="link variance pp"):
+        table1._replace(link_vars=table1.link_vars._replace(pp=-1.0))
 
 
 def test_link_table_requires_all_links():
