@@ -20,9 +20,8 @@ from .analytic import (
     primary_split_floor,
     prob_relay_active,
     secondary_split_ceiling,
-    _primary_bound,
     _ratio_outage,
-    _secondary_bound,
+    _relay_bound,
     upper_bound_d1,
 )
 from .system import DerivedParams, SystemParams, db_to_linear, derive, two_slot_threshold
@@ -166,24 +165,25 @@ def allocate(params: SystemParams, snr_r_grid=None) -> AllocationResult:
     snr_r_grid = sorted(snr_r_grid)
     for snr_r in snr_r_grid:
         if not 0.0 <= snr_r < math.inf:
-            params.with_snr_r(snr_r)     # raises SystemParams' own message
+            params._replace(snr_r=snr_r)     # raises SystemParams' own message
     best = None   # (u_s_total, snr_r, alpha)
     for snr_r in reversed(snr_r_grid):
         g_rp, g_rs = snr_r * v.rp, snr_r * v.rs
         seed = alpha_for_primary_bound(derived, epsilon, snr_r)
         candidates = (1.0,) if seed is None else (seed, min(1.0, seed + 1e-9))
-        u_s = (1.0 - w) * sec_d0 + w * _secondary_bound(y, g_rs, candidates[0],
-                                                         lam_s)
+        u_s = (1.0 - w) * sec_d0 + w * _relay_bound(
+            y, g_rs, 1.0 - candidates[0], lam_s)
         if best is not None and u_s > best[0]:
             break     # no smaller relay SNR reaches the best so far
         alpha = next((a for a in candidates
-                      if _primary_bound(x, g_rp, a, lam_p) <= epsilon), None)
+                      if _relay_bound(x, g_rp, a, lam_p) <= epsilon), None)
         if alpha is None:
-            if _primary_bound(x, g_rp, 1.0, lam_p) > epsilon:
+            if _relay_bound(x, g_rp, 1.0, lam_p) > epsilon:
                 break     # nor does any smaller relay SNR meet epsilon
             continue
         if alpha != candidates[0]:
-            u_s = (1.0 - w) * sec_d0 + w * _secondary_bound(y, g_rs, alpha, lam_s)
+            u_s = (1.0 - w) * sec_d0 + w * _relay_bound(
+                y, g_rs, 1.0 - alpha, lam_s)
         if best is None or u_s <= best[0]:
             best = (u_s, snr_r, alpha)
 
@@ -191,6 +191,6 @@ def allocate(params: SystemParams, snr_r_grid=None) -> AllocationResult:
         return AllocationResult(alpha=math.nan, snr_r=math.nan, u_p=math.nan,
                                 u_s_total=1.0, feasible=False)
     u_s, snr_r, alpha = best
-    u_p = upper_bound_d1(derive(params.with_snr_r(snr_r)), "primary", alpha)
+    u_p = upper_bound_d1(derive(params._replace(snr_r=snr_r)), "primary", alpha)
     return AllocationResult(alpha=alpha, snr_r=snr_r, u_p=u_p,
                             u_s_total=u_s, feasible=u_p <= epsilon)

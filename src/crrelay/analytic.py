@@ -250,9 +250,10 @@ def cond_outage_d1_exact(derived: DerivedParams, user: str,
 
 
 def primary_split_floor(lambda_p: float) -> float:
-    """Smallest primary power fraction at which relay power can still help the
-    primary bound: below lambda_p/(1+lambda_p) the relayed SINR term saturates
-    under the threshold and the bound is split-independent."""
+    """Smallest relay power share (the primary's alpha, the secondary's
+    1 - alpha) at which relay power still helps that user's bound; below
+    lambda/(1+lambda) the relayed SINR term saturates under the threshold
+    and the bound is split-independent."""
     return lambda_p / (1.0 + lambda_p)
 
 
@@ -262,26 +263,17 @@ def secondary_split_ceiling(lambda_s: float) -> float:
     return 1.0 / (1.0 + lambda_s)
 
 
-def _primary_bound(x: float, g_rp: float, alpha: float, lam: float) -> float:
-    """Saturating-relay primary bound from its no-relay value x."""
-    if alpha <= primary_split_floor(lam) or g_rp == 0.0:
+def _relay_bound(x: float, g_relay: float, share: float, lam: float) -> float:
+    """Saturating-relay bound from a user's no-relay value x at the user's
+    relay power share: alpha for the primary, 1 - alpha for the secondary."""
+    if share <= primary_split_floor(lam) or g_relay == 0.0:
         return x
-    t = alpha * (1.0 + lam) - lam
+    t = share * (1.0 + lam) - lam
     # rounding right at the branch switch, or a relay gain so weak that the
     # product underflows: no relay help, the bound's limit
-    if t <= 0.0 or g_rp * t == 0.0:
+    if t <= 0.0 or g_relay * t == 0.0:
         return x
-    return _clamp01(x * (1.0 - math.exp(-lam / (g_rp * t))))
-
-
-def _secondary_bound(y: float, g_rs: float, alpha: float, lam: float) -> float:
-    """Saturating-relay secondary bound from its no-relay value y."""
-    if alpha >= secondary_split_ceiling(lam) or g_rs == 0.0:
-        return y
-    t = 1.0 - alpha * (1.0 + lam)
-    if t <= 0.0 or g_rs * t == 0.0:
-        return y
-    return _clamp01(y * (1.0 - math.exp(-lam / (g_rs * t))))
+    return _clamp01(x * (1.0 - math.exp(-lam / (g_relay * t))))
 
 
 def upper_bound_d1(derived: DerivedParams, user: str, alpha: float) -> float:
@@ -294,8 +286,8 @@ def upper_bound_d1(derived: DerivedParams, user: str, alpha: float) -> float:
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     g_sig, g_cross, g_relay, lam, _ = _user_gains(derived, user)
-    bound = _primary_bound if user == "primary" else _secondary_bound
-    return bound(_ratio_outage(g_sig, g_cross, lam), g_relay, alpha, lam)
+    return _relay_bound(_ratio_outage(g_sig, g_cross, lam), g_relay,
+                        alpha if user == "primary" else 1.0 - alpha, lam)
 
 
 def total_secondary_outage(derived: DerivedParams,

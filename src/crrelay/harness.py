@@ -96,7 +96,7 @@ def default_params() -> SystemParams:
 
 def table1_params(epsilon: float) -> SystemParams:
     """The allocation-table scenario at a given admission threshold."""
-    return default_params().with_epsilon(epsilon)
+    return default_params()._replace(epsilon=epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -226,18 +226,16 @@ def _with_links(scenario: SystemParams, **axes) -> SystemParams:
 
 
 def _apply_axis(scenario: SystemParams, axis: str, value: float, alpha: float):
-    """Scenario and split for one axis point."""
-    if axis == "snr_p_db":
-        return scenario._replace(snr_p=db_to_linear(value)), alpha
-    if axis == "snr_r_db":
-        return scenario.with_snr_r(db_to_linear(value)), alpha
-    if axis == "epsilon":
-        return scenario.with_epsilon(value), alpha
+    """Scenario and split for one axis point: alpha sets the split, a link
+    axis its variances, and any other axis the SystemParams field of its
+    name, a _db axis without the suffix and converted from dB."""
     if axis == "alpha":
         return scenario, float(value)
-    if axis in ("rate_p", "rate_s"):
-        return scenario._replace(**{axis: float(value)}), alpha
-    return _with_links(scenario, **{axis: value}), alpha
+    if axis in _LINK_AXES:
+        return _with_links(scenario, **{axis: value}), alpha
+    if axis.endswith("_db"):
+        return scenario._replace(**{axis[:-3]: db_to_linear(value)}), alpha
+    return scenario._replace(**{axis: float(value)}), alpha
 
 
 def _analytic_cells(derived, alpha: float, scheme: str) -> dict:
@@ -268,8 +266,9 @@ def run_sweep(scenario: SystemParams, axis: str, values, *,
     consumed by the relay).  Splits at or below the split floor cannot meet
     the bound that way and the row reports outage 1.
 
-    Row errors are captured in the error column instead of aborting the
-    sweep, and every row with a split outside [0, 1] has one; rows without
+    Bad settings, trials, seed and workers included, fail the whole sweep
+    before any row.  Row errors are captured in the error column instead,
+    and every row with a split outside [0, 1] has one; rows without
     secondary access report secondary outage 1.  Every simulated row reads
     the same trials of the seed's stream, so they are estimated together in
     one estimate_many() call, which counts only the secondary events a row
@@ -283,8 +282,7 @@ def run_sweep(scenario: SystemParams, axis: str, values, *,
         raise ValueError(f"mode must be one of {MODES}")
     if set(schemes) - set(SCHEMES) or not schemes:
         raise ValueError(f"schemes must be a nonempty subset of {SCHEMES}")
-    if mode != "analytic" and trials < 1:
-        raise ValueError("trials must be at least 1 when simulating")
+    check_run(None if mode == "analytic" else trials, seed, workers)
     if snr_r_policy not in ("fixed", "min_for_epsilon"):
         raise ValueError("snr_r_policy must be 'fixed' or 'min_for_epsilon'")
     if axis == "snr_r_db" and snr_r_policy == "min_for_epsilon":
@@ -301,7 +299,7 @@ def run_sweep(scenario: SystemParams, axis: str, values, *,
                 snr_r = 0.0 if derived.snr_s == 0.0 else min_snr_r_for_epsilon(
                     derived, split, params.epsilon)
                 if snr_r is not None and snr_r != params.snr_r:
-                    params = params.with_snr_r(snr_r)
+                    params = params._replace(snr_r=snr_r)
                     derived = derive(params)
         except ValueError as exc:
             rows += ({"axis": axis, "value": value, "scheme": scheme,
@@ -329,16 +327,11 @@ def run_sweep(scenario: SystemParams, axis: str, values, *,
             except (ValueError, ArithmeticError) as exc:
                 row["error"] = str(exc)
     if requests:
-        try:
-            ests = estimate_many(seed, trials, requests, workers, primary=False)
-        except ValueError as exc:
-            for row in mc_rows:
-                row["error"] = str(exc)
-        else:
-            for row, est in zip(mc_rows, ests):
-                row.update(mc_sec=est.sec.p_hat, mc_sec_std_err=est.sec.std_err)
-                if est.p_d1 is not None:
-                    row["p_d1"] = est.p_d1.p_hat
+        ests = estimate_many(seed, trials, requests, workers, primary=False)
+        for row, est in zip(mc_rows, ests):
+            row.update(mc_sec=est.sec.p_hat, mc_sec_std_err=est.sec.std_err)
+            if est.p_d1 is not None:
+                row["p_d1"] = est.p_d1.p_hat
     return tuple(ResultRow(**row) for row in rows)
 
 

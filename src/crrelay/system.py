@@ -84,12 +84,6 @@ class SystemParams(namedtuple(
     def _make(cls, values):
         return cls(*values)
 
-    def with_epsilon(self, epsilon: float) -> "SystemParams":
-        return self._replace(epsilon=epsilon)
-
-    def with_snr_r(self, snr_r: float) -> "SystemParams":
-        return self._replace(snr_r=snr_r)
-
 
 class DerivedParams(namedtuple(
         "DerivedParams",

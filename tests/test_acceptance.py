@@ -292,7 +292,7 @@ def test_c6_scheme_ordering():
     params = default_params()                       # 20 dB, mu=1, eps=0.03
     d = derive(params)
     snr_r = min_snr_r_for_epsilon(d, 0.5, params.epsilon)
-    params = params.with_snr_r(snr_r)
+    params = params._replace(snr_r=snr_r)
     schemes = ("proposed", "relay_assisted_secondary", "noncooperative")
     ests = dict(zip(schemes, estimate_many(
         66, 1_000_000, [(params, 0.5, scheme) for scheme in schemes])))
@@ -338,7 +338,7 @@ def test_c7_cutoff_behavior(tmp_path):
 def _usprime_at(params, alpha):
     d = derive(params)
     snr_r = min_snr_r_for_epsilon(d, alpha, params.epsilon)
-    d_r = derive(params.with_snr_r(snr_r))
+    d_r = derive(params._replace(snr_r=snr_r))
     return total_secondary_outage(d_r, alpha).total_sec, snr_r
 
 

@@ -24,9 +24,8 @@ from crrelay.allocation import (
     rate_s_at_split_ceiling,
 )
 from crrelay.analytic import (
-    _primary_bound,
     _ratio_outage,
-    _secondary_bound,
+    _relay_bound,
     primary_split_floor,
     secondary_split_ceiling,
 )
@@ -55,7 +54,7 @@ def test_alpha_extraction_round_trip(table1_derived):
     # substituting the extracted split back must recover the target exactly
     for eps in (0.035, 0.04, 0.06, 0.085):
         for snr_r in (2.0, 10.0, 40.0):
-            d_r = derive(table1_derived.params.with_snr_r(snr_r))
+            d_r = derive(table1_derived.params._replace(snr_r=snr_r))
             alpha = alpha_for_primary_bound(d_r, eps)
             assert primary_split_floor(d_r.lambda_p) < alpha <= 1.0
             assert upper_bound_d1(d_r, "primary", alpha) == pytest.approx(
@@ -69,14 +68,14 @@ def test_alpha_extraction_slack_threshold(table1_derived):
 
 
 def test_alpha_extraction_rich_relay_limit(table1_derived):
-    d_r = derive(table1_derived.params.with_snr_r(1e12))
+    d_r = derive(table1_derived.params._replace(snr_r=1e12))
     alpha = alpha_for_primary_bound(d_r, 0.04)
     assert alpha == pytest.approx(primary_split_floor(d_r.lambda_p), abs=1e-9)
 
 
 def test_alpha_extraction_infeasible(table1_derived):
     # a weak relay cannot close a tight target even at full power
-    d_r = derive(table1_derived.params.with_snr_r(0.01))
+    d_r = derive(table1_derived.params._replace(snr_r=0.01))
     assert alpha_for_primary_bound(d_r, 0.001) is None
     assert alpha_for_primary_bound(table1_derived, 0.04, 0.0) is None
     # a relay gain that underflows in the inversion acts as none
@@ -93,7 +92,7 @@ def test_min_snr_r_reference(table1_derived):
 def test_min_snr_r_round_trip(table1_derived):
     for alpha in (0.45, 0.5, 0.7, 1.0):
         snr_r = min_snr_r_for_epsilon(table1_derived, alpha, 0.04)
-        d_r = derive(table1_derived.params.with_snr_r(snr_r))
+        d_r = derive(table1_derived.params._replace(snr_r=snr_r))
         assert upper_bound_d1(d_r, "primary", alpha) == pytest.approx(
             0.04, abs=1e-9)
 
@@ -138,23 +137,26 @@ def _never_falls(values):
 def test_scalar_bounds_are_exactly_monotone_across_branch_edges(lam):
     # splits one ulp either side of the primary split floor and the
     # secondary split ceiling, and relay gains from none through a product
-    # g*t that underflows to 0 up to 1e300: exact orders, no tolerance
+    # g*t that underflows to 0 up to 1e300: exact orders, no tolerance.  The
+    # secondary's bound is the one relay bound at its share 1 - alpha
     floor, ceiling = primary_split_floor(lam), secondary_split_ceiling(lam)
     splits = [a for a in _ulp_ladder(0.0, floor, ceiling, 0.5, 1.0) if a <= 1.0]
     gains = _ulp_ladder(0.0, 5e-324, 1e-300, 1e-10, 1.0, 1e300)
-    # the ladders reach the underflow branch next to both edges
+    # the ladders reach the underflow branch next to the floor; next to the
+    # ceiling the secondary's share reaches it or the t <= 0 rounding branch
     t_p = math.nextafter(floor, math.inf) * (1.0 + lam) - lam
-    t_s = 1.0 - math.nextafter(ceiling, -math.inf) * (1.0 + lam)
+    t_s = (1.0 - math.nextafter(ceiling, -math.inf)) * (1.0 + lam) - lam
     assert t_p > 0.0 and 5e-324 * t_p == 0.0
-    assert t_s > 0.0 and 5e-324 * t_s == 0.0
+    assert t_s >= 0.0 and 5e-324 * t_s == 0.0
     for v in (0.0, 1e-300, 0.3, 1.0):
         for g in gains:
-            assert _never_rises([_primary_bound(v, g, a, lam) for a in splits])
-            assert _never_falls([_secondary_bound(v, g, a, lam)
+            assert _never_rises([_relay_bound(v, g, a, lam) for a in splits])
+            assert _never_falls([_relay_bound(v, g, 1.0 - a, lam)
                                  for a in splits])
         for a in splits:
-            assert _never_rises([_primary_bound(v, g, a, lam) for g in gains])
-            assert _never_rises([_secondary_bound(v, g, a, lam) for g in gains])
+            assert _never_rises([_relay_bound(v, g, a, lam) for g in gains])
+            assert _never_rises([_relay_bound(v, g, 1.0 - a, lam)
+                                 for g in gains])
 
 
 @pytest.mark.parametrize("epsilon", [0.001, 0.04, 0.5])
@@ -210,10 +212,10 @@ def test_split_or_its_twin_meets_epsilon_whenever_the_full_split_does():
         g_rp = snr_r * d.params.link_vars.rp
         x = _ratio_outage(d.gain.pp, d.gain.sp, lam)
         a = alpha_for_primary_bound(d, eps, snr_r)
-        if a is None or _primary_bound(x, g_rp, 1.0, lam) > eps:
+        if a is None or _relay_bound(x, g_rp, 1.0, lam) > eps:
             continue
         checked += 1
-        assert any(_primary_bound(x, g_rp, c, lam) <= eps
+        assert any(_relay_bound(x, g_rp, c, lam) <= eps
                    for c in (a, min(1.0, a + 1e-9))), (d.params, snr_r)
     assert checked > 3_000
 
@@ -243,7 +245,7 @@ def test_allocate_prefers_more_relay_power():
 
 
 def test_allocate_infeasible_without_secondary_access(table1):
-    res = allocate(table1.with_epsilon(1e-9))
+    res = allocate(table1._replace(epsilon=1e-9))
     assert not res.feasible
     assert res.u_s_total == 1.0
     assert math.isnan(res.alpha)
@@ -258,9 +260,9 @@ def test_allocate_tie_breaks_toward_smaller_alpha(table1):
     # a weak relay pushes the closed-form seed above the secondary ceiling,
     # where the objective is flat from the seed up to the full split: the
     # tie must resolve to the smallest feasible split, the seed itself
-    params = table1.with_epsilon(0.005)
+    params = table1._replace(epsilon=0.005)
     d = derive(params)
-    d_r = derive(params.with_snr_r(2.0))
+    d_r = derive(params._replace(snr_r=2.0))
     seed = alpha_for_primary_bound(d, 0.005, 2.0)
     assert seed > secondary_split_ceiling(d.lambda_s)
     assert upper_bound_d1(d_r, "primary", seed) <= 0.005
@@ -274,12 +276,12 @@ def test_allocate_tie_breaks_toward_smaller_alpha(table1):
 def test_allocate_tie_breaks_toward_smaller_snr_r(table1):
     # both relay SNRs put their closed-form splits in the flat zone, so the
     # two tie and the smaller relay SNR wins
-    d = derive(table1.with_epsilon(0.005))
+    d = derive(table1._replace(epsilon=0.005))
     ceiling = secondary_split_ceiling(d.lambda_s)
     for snr_r in (2.0, 2.1):
         seed = alpha_for_primary_bound(d, 0.005, snr_r)
         assert seed > ceiling
-    res = allocate(table1.with_epsilon(0.005), snr_r_grid=(2.1, 2.0))
+    res = allocate(table1._replace(epsilon=0.005), snr_r_grid=(2.1, 2.0))
     assert res.feasible
     assert res.snr_r == 2.0
 
@@ -287,7 +289,7 @@ def test_allocate_tie_breaks_toward_smaller_snr_r(table1):
 def test_allocate_returns_nudged_twin_when_inverse_overshoots(table1):
     # at the Table 1 column the exact inverse lands a rounding step above
     # epsilon: its nudged twin is the allocated split, which is why it stays
-    d_r = derive(table1.with_snr_r(10.0))
+    d_r = derive(table1._replace(snr_r=10.0))
     seed = alpha_for_primary_bound(d_r, table1.epsilon)
     twin = seed + 1e-9
     assert upper_bound_d1(d_r, "primary", seed) > table1.epsilon
@@ -334,7 +336,7 @@ def _grid_scan_allocate(params, snr_r_grid=None):
     grid = set(_default_alpha_grid(derived.lambda_p))
     best = None
     for snr_r in sorted(snr_r_grid):
-        d_r = derive(derived.params.with_snr_r(snr_r))
+        d_r = derive(derived.params._replace(snr_r=snr_r))
         seed_alpha = alpha_for_primary_bound(d_r, epsilon)
         candidates = grid
         if seed_alpha is not None:
@@ -356,7 +358,7 @@ def _grid_scan_allocate(params, snr_r_grid=None):
 def _assert_matches_grid_scan(params, epsilon, **grids):
     # repr compares every float bit for bit (signed zeros included) and
     # treats the NaNs of an infeasible result as equal
-    params = params.with_epsilon(epsilon)
+    params = params._replace(epsilon=epsilon)
 
     def outcome(allocator):
         try:
@@ -375,7 +377,7 @@ def test_allocate_matches_grid_scan_on_random_scenarios():
         """Scenarios as drawn, with a weak relay-to-primary link (the
         primary bound mostly out of reach), or 0.5-5 dB below the admission
         cutoff (no secondary access)."""
-        params = draw(scenarios()).with_epsilon(draw(st.floats(1e-4, 0.5)))
+        params = draw(scenarios())._replace(epsilon=draw(st.floats(1e-4, 0.5)))
         family = draw(st.sampled_from(("drawn", "weak_relay", "below_cutoff")))
         if family == "weak_relay":
             link_vars = params.link_vars._replace(
@@ -451,7 +453,7 @@ def test_allocate_matches_grid_scan_on_seeded_scenarios(monkeypatch):
         feasible += allocate(params, snr_r_grid=grid).feasible
         visited = calls["alpha_for_primary_bound"]
         if 0 < visited < len(grid):      # stopped at the last visited point
-            last = derive(params.with_snr_r(sorted(grid)[-visited]))
+            last = derive(params._replace(snr_r=sorted(grid)[-visited]))
             full_misses = upper_bound_d1(last, "primary", 1.0) > params.epsilon
             stops["feasibility" if full_misses else "secondary"] += 1
     assert feasible > 600
@@ -491,16 +493,15 @@ def _count_calls(monkeypatch, *names):
 
 def test_default_allocate_evaluates_3_bounds(monkeypatch):
     # the deterministic record of the allocator's work: every bound it
-    # evaluates while searching goes through these two helpers, and every
+    # evaluates while searching goes through this helper, and every
     # relay SNR it visits asks for one closed-form split.  The walk visits
     # the top two relay SNRs: the top one's inverse meets epsilon, and the
     # next one's objective at its inverse already exceeds the top one's
-    calls = _count_calls(monkeypatch, "_primary_bound", "_secondary_bound",
+    calls = _count_calls(monkeypatch, "_relay_bound",
                          "alpha_for_primary_bound")
     res = allocate(default_params())
     assert res.feasible and res.snr_r == default_snr_r_grid()[-1]
-    assert calls == {"_primary_bound": 1, "_secondary_bound": 2,
-                     "alpha_for_primary_bound": 2}
+    assert calls == {"_relay_bound": 3, "alpha_for_primary_bound": 2}
 
 
 def test_allocate_stops_after_one_relay_snr_when_infeasible(monkeypatch,
@@ -508,7 +509,7 @@ def test_allocate_stops_after_one_relay_snr_when_infeasible(monkeypatch,
     # with a weak relay-to-primary link even the full split at the top of
     # the grid misses epsilon, so no smaller relay SNR can meet it
     params = table1._replace(link_vars=table1.link_vars._replace(rp=1e-4))
-    top = derive(params.with_snr_r(default_snr_r_grid()[-1]))
+    top = derive(params._replace(snr_r=default_snr_r_grid()[-1]))
     assert upper_bound_d1(top, "primary", 1.0) > params.epsilon
     calls = _count_calls(monkeypatch, "alpha_for_primary_bound")
     assert not allocate(params).feasible
@@ -525,13 +526,13 @@ def test_allocate_walks_a_flat_plateau_to_the_feasibility_edge(monkeypatch,
     # the first relay SNR where even the full split misses epsilon, and the
     # smallest feasible relay SNR wins
     scale = 2.1 / 1000.0
-    params = table1.with_epsilon(0.005)._replace(
+    params = table1._replace(epsilon=0.005)._replace(
         link_vars=table1.link_vars._replace(rp=table1.link_vars.rp * scale,
                                             rs=table1.link_vars.rs * scale))
     d, grid = derive(params), default_snr_r_grid()
     ceiling = secondary_split_ceiling(d.lambda_s)
     edge = next(i for i in range(len(grid) - 1, -1, -1) if upper_bound_d1(
-        derive(params.with_snr_r(grid[i])), "primary", 1.0) > 0.005)
+        derive(params._replace(snr_r=grid[i])), "primary", 1.0) > 0.005)
     assert all(alpha_for_primary_bound(d, 0.005, snr_r) > ceiling
                for snr_r in grid[edge + 1:])
     calls = _count_calls(monkeypatch, "alpha_for_primary_bound")

@@ -304,7 +304,7 @@ def test_d1_exact_weak_relay_matches_reference(snr_r_db):
     # full-power form must reach its no-relay limit smoothly.  mpmath's own
     # Ei loses precision below -220 dB, where the limit itself is the
     # reference
-    d = derive(default_params().with_snr_r(db_to_linear(snr_r_db)))
+    d = derive(default_params()._replace(snr_r=db_to_linear(snr_r_db)))
     g = d.gain
     cases = (("primary", 1.0, g.pp, g.sp, d.lambda_p),
              ("secondary", 0.0, g.ss, g.ps, d.lambda_s))
@@ -384,7 +384,7 @@ def test_bound_continuous_at_branch_points(table1_derived):
 def test_bound_underflowing_relay_gain_is_no_relay(table1_derived):
     # at the smallest positive relay SNR the relay gain times the split term
     # underflows to 0: the bound takes its no-relay limit, not 1/0
-    d = derive(table1_derived.params.with_snr_r(5e-324))
+    d = derive(table1_derived.params._replace(snr_r=5e-324))
     assert upper_bound_d1(d, "primary", 0.5) == \
         upper_bound_d1(d, "primary", 0.0)
     assert upper_bound_d1(d, "secondary", 0.5) == \
@@ -446,7 +446,7 @@ def test_total_usprime_reference(table1_derived):
 
 
 def test_total_without_secondary_access(table1):
-    d = derive(table1.with_epsilon(1e-9))
+    d = derive(table1._replace(epsilon=1e-9))
     assert d.snr_s == 0.0
     summary = total_secondary_outage(d, 0.5)
     assert summary.total_sec == 1.0

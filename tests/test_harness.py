@@ -149,6 +149,11 @@ def test_sweep_spec_validation(monkeypatch):
         run_sweep(params, "alpha", (0.5,), schemes=("psychic",))
     with pytest.raises(ValueError):
         run_sweep(params, "alpha", (0.5,), trials=0)
+    # the run settings a simulation would use are checked in analytic mode too
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        run_sweep(params, "alpha", (0.5,), mode="analytic", workers=0)
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        run_sweep(params, "alpha", (0.5,), mode="analytic", seed=-1)
     with pytest.raises(ValueError, match="snr_r_policy must be"):
         run_sweep(params, "alpha", (0.5,), snr_r_policy="bogus")
     # the policy would overwrite every relay SNR the axis sets
@@ -218,15 +223,12 @@ def test_sweep_error_rows_do_not_abort():
     assert all(r.analytic_sec is None for r in bad)
 
 
-def test_sweep_simulation_errors_stay_per_row():
-    # an invalid worker count fails every simulated row, after its analytic
-    # cells are filled; a split out of range keeps its own message
-    ok, bad = run_sweep(default_params(), "alpha", (0.5, 1.5),
-                        schemes=("proposed",), mode="both", trials=1000,
-                        workers=0)
-    assert ok.error == "workers must be at least 1"
-    assert ok.analytic_sec is not None and ok.mc_sec is None
-    assert bad.error == "alpha must lie in [0, 1]"
+@pytest.mark.parametrize("mode", MODES)
+def test_sweep_bad_worker_count_fails_the_whole_sweep(mode):
+    # the simulator's own message, before any row, in every mode
+    with pytest.raises(ValueError, match="^workers must be at least 1$"):
+        run_sweep(default_params(), "alpha", (0.5, 1.5), mode=mode,
+                  trials=1000, workers=0)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -703,7 +705,7 @@ def test_cli_verify_passes_an_unseen_rare_event(tmp_path, capsys):
 
 
 def test_compare_analytic_mc_no_secondary(table1):
-    report = compare_analytic_mc(table1.with_epsilon(1e-9), 0.5,
+    report = compare_analytic_mc(table1._replace(epsilon=1e-9), 0.5,
                                  trials=5_000, seed=5)
     assert report.ok
     assert any("no secondary access" in c.name for c in report.checks)

@@ -411,6 +411,35 @@ def test_wide_oracle_over_random_scenarios():
     assert not failed, failed
 
 
+def test_ratio_outage_tails_against_conditional_monte_carlo():
+    # the event counter cannot check an outage near 1/trials: at ss variance
+    # 1e6 the secondary's relay-silent outage is about 2e-8 and 1e6 trials
+    # see no event.  Given the interfering draw E2, a ratio outage's event
+    # has probability -expm1(-t*(g_c*E2 + 1)/g), and its average over the
+    # trials keeps a relative error in the tail.  The estimate's trials is
+    # the count-equivalent p(1-p)/se^2, so the Wilson edge, meant for event
+    # counts, cannot pass a point vacuously
+    e2 = _unit_block(7, 0, 1_000_000)[LINKS.index("ps")]
+    base = default_params()
+    checks = []
+    for var_ss in (1e2, 1e4, 1e6):
+        d = derive(base._replace(link_vars=base.link_vars._replace(ss=var_ss)))
+        g, g_c = d.gain.ss, d.gain.ps
+        for name, form, g_sig, t in (
+                ("relay silent", cond_outage_d0(d, "secondary"), 2.0 * g,
+                 d.lambda_s),
+                ("non-cooperative", noncoop_outage(d, "secondary"), g,
+                 d.theta_s)):
+            q = -np.expm1(-t * (g_c * e2 + 1.0) / g_sig)
+            p, se = float(q.mean()), float(q.std()) / math.sqrt(q.size)
+            est = OutageEstimate(p_hat=p, std_err=se,
+                                 trials=p * (1.0 - p) / se ** 2)
+            checks.append(_mc_check(f"ss variance {var_ss:g}, secondary "
+                                    f"{name}", est, form, z_max=4.89))
+    print(*(check.render() for check in checks), sep="\n")
+    assert all(check.verdict == "PASS" for check in checks), checks
+
+
 def test_relay_assisted_activation_matches_closed_form(table1):
     # the surrogate baseline activates when the secondary signal decodes
     # through the primary interference; that event has a simple closed form
@@ -433,7 +462,7 @@ def test_relayless_limit_reduces_to_silent_mixture(table1):
 
 
 def test_no_secondary_access_means_certain_outage(table1):
-    params = table1.with_epsilon(1e-9)
+    params = table1._replace(epsilon=1e-9)
     for scheme in ("proposed", "noncooperative", "relay_assisted_secondary"):
         est = estimate(params, 0.5, 20_000, seed=7, scheme=scheme)
         assert est.sec.p_hat == 1.0
@@ -445,7 +474,7 @@ def test_zero_counts_survive_the_worker_merge(table1, workers):
     # without secondary access the relay never activates: a zero activation
     # count is a 0.0 estimate after the chunks are merged, and the estimates
     # conditioned on activation stay None
-    params = table1.with_epsilon(1e-9)
+    params = table1._replace(epsilon=1e-9)
     est = estimate(params, 0.5, 2 * _CHUNK_TRIALS, seed=7, workers=workers)
     assert est.p_d1.p_hat == 0.0
     assert est.pri_d1 is None and est.sec_d1 is None

@@ -16,8 +16,7 @@ from crrelay import (
 )
 from crrelay.allocation import alpha_for_primary_bound
 from crrelay.analytic import (
-    _primary_bound,
-    _secondary_bound,
+    _relay_bound,
     primary_split_floor,
     secondary_split_ceiling,
 )
@@ -103,7 +102,8 @@ def test_bounds_do_not_increase_with_relay_snr(params, alpha, r1, r2):
     assume(d.snr_s > 0.0)
     lo, hi = sorted((r1, r2))
     for x, y in ((lo, hi), (lo, math.nextafter(lo, math.inf))):
-        d_x, d_y = derive(params.with_snr_r(x)), derive(params.with_snr_r(y))
+        d_x = derive(params._replace(snr_r=x))
+        d_y = derive(params._replace(snr_r=y))
         for user in ("primary", "secondary"):
             assert (upper_bound_d1(d_x, user, alpha)
                     >= upper_bound_d1(d_y, user, alpha)), (user, x, y)
@@ -133,14 +133,15 @@ def _ulp_pairs(lo, hi, *edges):
 def test_scalar_bounds_exactly_monotone_in_split(v, lam, g, a, b):
     # the lemmas behind the allocator: the primary bound never rises and the
     # secondary bound never falls as the split grows, exactly, right across
-    # the split floor and the split ceiling
+    # the split floor and the split ceiling; the secondary's bound is the one
+    # relay bound at its share 1 - alpha
     lo, hi = sorted((a, b))
     edges = (primary_split_floor(lam), secondary_split_ceiling(lam))
     for x, y in _ulp_pairs(lo, hi, *edges):
         if y <= 1.0:
-            assert _primary_bound(v, g, x, lam) >= _primary_bound(v, g, y, lam)
-            assert (_secondary_bound(v, g, x, lam)
-                    <= _secondary_bound(v, g, y, lam))
+            assert _relay_bound(v, g, x, lam) >= _relay_bound(v, g, y, lam)
+            assert (_relay_bound(v, g, 1.0 - x, lam)
+                    <= _relay_bound(v, g, 1.0 - y, lam))
 
 
 @settings(max_examples=300, **PROPERTY_SETTINGS)
@@ -150,10 +151,9 @@ def test_scalar_bounds_exactly_monotone_in_relay_gain(v, lam, alpha, g1, g2):
     # neither bound ever rises as the relay gain grows
     lo, hi = sorted((g1, g2))
     for x, y in _ulp_pairs(lo, hi):
-        assert _primary_bound(v, x, alpha, lam) >= _primary_bound(v, y, alpha,
-                                                                  lam)
-        assert (_secondary_bound(v, x, alpha, lam)
-                >= _secondary_bound(v, y, alpha, lam))
+        assert _relay_bound(v, x, alpha, lam) >= _relay_bound(v, y, alpha, lam)
+        assert (_relay_bound(v, x, 1.0 - alpha, lam)
+                >= _relay_bound(v, y, 1.0 - alpha, lam))
 
 
 @settings(max_examples=300, **PROPERTY_SETTINGS)

@@ -62,31 +62,31 @@ def test_derive_gain_table_wiring(table1):
     assert d.gain.ss == d.snr_s * v.ss
     assert d.gain.sr == d.snr_s * v.sr
     # without access the secondary's links carry no gain, the rest as above
-    denied = derive(table1.with_epsilon(1e-12))
+    denied = derive(table1._replace(epsilon=1e-12))
     assert denied.snr_s == 0.0
     assert denied.gain == d.gain._replace(sp=0.0, ss=0.0, sr=0.0)
 
 
-def test_with_snr_r_rescales_only_relay_gains(table1):
-    base, d_r = derive(table1), derive(table1.with_snr_r(2.5))
+def test_replace_snr_r_rescales_only_relay_gains(table1):
+    base, d_r = derive(table1), derive(table1._replace(snr_r=2.5))
     assert d_r.gain.rp == 2.5 * table1.link_vars.rp
     assert d_r.gain.rs == 2.5 * table1.link_vars.rs
     assert d_r.gain._replace(rp=base.gain.rp, rs=base.gain.rs) == base.gain
     assert d_r.snr_s == base.snr_s
     assert d_r.params.snr_r == 2.5
     with pytest.raises(ValueError):
-        table1.with_snr_r(-1.0)
+        table1._replace(snr_r=-1.0)
 
 
 def test_secondary_denied_at_tight_threshold(table1):
     # epsilon -> 0 forces the admission margin negative: no secondary power
-    d = derive(table1.with_epsilon(1e-12))
+    d = derive(table1._replace(epsilon=1e-12))
     assert d.snr_s == 0.0
     assert d.gain.ss == 0.0
 
 
 def test_secondary_snr_monotone_in_epsilon(table1):
-    values = [derive(table1.with_epsilon(e)).snr_s
+    values = [derive(table1._replace(epsilon=e)).snr_s
               for e in np.linspace(0.005, 0.2, 40)]
     assert all(b >= a for a, b in zip(values, values[1:]))
 
@@ -103,7 +103,7 @@ def test_cutoff_vanishes_as_epsilon_opens():
 
 
 def test_cutoff_is_the_admission_root(table1):
-    params = table1.with_epsilon(0.03)
+    params = table1._replace(epsilon=0.03)
     cutoff = db_to_linear(secondary_cutoff_db(0.4, 0.03, 1.0))
     below = derive(params._replace(snr_p=cutoff * (1.0 - 1e-9)))
     above = derive(params._replace(snr_p=cutoff * (1.0 + 1e-9)))
@@ -180,11 +180,11 @@ def test_largest_rates_keep_finite_thresholds():
 
 def test_every_copy_path_validates(table1):
     # a namedtuple's stock _make skips __new__; SystemParams' own _make calls
-    # the constructor, so _replace and the with_* helpers validate too
+    # the constructor, so _replace validates too
     with pytest.raises(ValueError, match="rate_s must be below"):
         table1._replace(rate_s=512.0)
     with pytest.raises(ValueError, match="epsilon must lie"):
-        table1.with_epsilon(1.5)
+        table1._replace(epsilon=1.5)
     with pytest.raises(ValueError, match="link variance pp"):
         table1._replace(link_vars=table1.link_vars._replace(pp=-1.0))
 
