@@ -9,7 +9,6 @@ from .allocation import (
     min_snr_r_for_epsilon,
 )
 from .analytic import (
-    NoSecondaryAccessError,
     OutageSummary,
     cond_outage_d0,
     cond_outage_d1_exact,

@@ -63,6 +63,16 @@ def common_alpha_band(rate_p: float, rate_s: float):
     return (lo, hi)
 
 
+def _primary_log_gap(derived: DerivedParams, epsilon: float) -> float | None:
+    """-log1p(-epsilon/x), x the primary's no-relay bound; None if epsilon >= x."""
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie strictly between 0 and 1")
+    x = _ratio_outage(derived.gain.pp, derived.gain.sp, derived.lambda_p)
+    if epsilon >= x:
+        return None
+    return -math.log1p(-epsilon / x)
+
+
 def alpha_for_primary_bound(derived: DerivedParams, epsilon: float,
                             snr_r: float | None = None):
     """Closed-form inverse of the primary bound at the given relay SNR.
@@ -75,17 +85,13 @@ def alpha_for_primary_bound(derived: DerivedParams, epsilon: float,
     nudged twin.  Without secondary access and with epsilon far below X, the
     bound at the split misses epsilon by up to 2e-5 relative.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie strictly between 0 and 1")
+    log_gap = _primary_log_gap(derived, epsilon)
+    lam = derived.lambda_p
+    if log_gap is None:
+        return primary_split_floor(lam)
     if snr_r is None:
         snr_r = derived.params.snr_r
     g_rp = snr_r * derived.params.link_vars.rp
-    lam = derived.lambda_p
-    x = _ratio_outage(derived.gain.pp, derived.gain.sp, lam)
-    floor = primary_split_floor(lam)
-    if epsilon >= x:
-        return floor
-    log_gap = -math.log1p(-epsilon / x)
     if g_rp * log_gap == 0.0:      # no relay gain, or one that underflows
         return None
     alpha = (lam + lam / (g_rp * log_gap)) / (1.0 + lam)
@@ -103,21 +109,17 @@ def min_snr_r_for_epsilon(derived: DerivedParams, alpha: float,
     when it does not and the split is at or below the split floor, where
     relay power cannot help.  Splits outside [0, 1] (or NaN) are rejected.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie strictly between 0 and 1")
+    log_gap = _primary_log_gap(derived, epsilon)     # checks epsilon first
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    lam = derived.lambda_p
-    x = _ratio_outage(derived.gain.pp, derived.gain.sp, lam)
-    if epsilon >= x:
+    if log_gap is None:
         return 0.0
+    lam = derived.lambda_p
     t = alpha * (1.0 + lam) - lam
     # t also rounds to 0 or below just above the floor
     if alpha <= primary_split_floor(lam) or t <= 0.0:
         return None
-    log_gap = -math.log1p(-epsilon / x)
-    g_rp = lam / (t * log_gap)
-    return g_rp / derived.params.link_vars.rp
+    return lam / (t * log_gap) / derived.params.link_vars.rp
 
 
 # The allocator's default relay-SNR grid: -10 to 30 dB in 0.25 dB steps.

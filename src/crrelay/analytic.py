@@ -28,10 +28,6 @@ from .quadrature import QuadratureError, integrate_exp_over_x
 from .system import USER_LINKS, DerivedParams
 
 
-class NoSecondaryAccessError(ValueError):
-    """Scenario admits no secondary transmission (secondary SNR is zero)."""
-
-
 class OutageSummary(namedtuple(
         "OutageSummary",
         "p_d1 total_sec total_pri pri_d0 sec_d0 pri_d1 sec_d1 bound",
@@ -86,9 +82,8 @@ def prob_decode_order(derived: DerivedParams, first: str) -> float:
 
 def _check_activation_inputs(derived: DerivedParams) -> None:
     if derived.snr_s == 0.0:
-        raise NoSecondaryAccessError(
-            "relay activation model assumes an admitted secondary transmitter"
-        )
+        raise ValueError("relay activation model assumes an admitted "
+                         "secondary transmitter")
     g = derived.gain
     if not (g.pr > 0.0 and g.sr > 0.0):
         raise ValueError("relay activation needs positive mean gains toward the relay")
@@ -295,7 +290,7 @@ def total_secondary_outage(derived: DerivedParams,
     """Activation-weighted totals for both users at the given split.
 
     With no admitted secondary (snr_s = 0) the secondary outage is 1 by
-    definition and the primary reverts to its interference-free repeat form.
+    definition and the primary's is its relay-silent form, interference-free.
     At interior splits the D=1 pieces are upper bounds, so the totals are
     upper bounds too (flagged).  At splits of exactly 0 or 1 the conditionals
     are exact, but they are weighted by the paper's approximate activation
@@ -304,8 +299,7 @@ def total_secondary_outage(derived: DerivedParams,
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     if derived.snr_s == 0.0:
-        pri = 1.0 - math.exp(-derived.lambda_p / (2.0 * derived.gain.pp))
-        return OutageSummary(p_d1=0.0, total_sec=1.0, total_pri=pri)
+        return OutageSummary(0.0, 1.0, cond_outage_d0(derived, "primary"))
     w = prob_relay_active(derived)
     bound = alpha not in (0.0, 1.0)
     d1 = upper_bound_d1 if bound else cond_outage_d1_exact

@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           "per sweep point)")
     top.add_argument("--workers", type=int, default=1)
     top.add_argument("--out-dir", default=None,
-                     help="output directory (default $CRRELAY_OUT_DIR or ./out)")
+                     help="output directory (default ./out)")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analytic", help="closed-form outage summary")
@@ -162,8 +162,7 @@ def _plain_args(parser, argv):
 
 def _cmd_analytic(params, args):
     derived = derive(params)
-    cutoff_db = secondary_cutoff_db(params.rate_p, params.epsilon,
-                                    params.link_vars.pp)
+    cutoff_db = secondary_cutoff_db(params)
     summary = total_secondary_outage(derived, args.alpha)
     print(f"secondary snr: {derived.snr_s:.6g} "
           f"(admission cutoff {cutoff_db:.4g} dB)")

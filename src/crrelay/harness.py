@@ -18,7 +18,6 @@ overrides use the same key syntax.
 import functools
 import io
 import math
-import os
 from collections import namedtuple
 from pathlib import Path
 
@@ -46,8 +45,6 @@ from .system import (
     linear_to_db,
     secondary_cutoff_db,
 )
-
-OUT_DIR_ENV = "CRRELAY_OUT_DIR"
 
 # Baseline scenario of the comparison figures: 20 dB primary, 10 dB relay,
 # unit variances except weak cross links, 3% primary threshold.  Its keys are
@@ -418,9 +415,7 @@ def _note(name, text) -> Check:
 
 
 def resolve_out_dir(out_dir=None) -> Path:
-    if out_dir is None:
-        out_dir = os.environ.get(OUT_DIR_ENV, "out")
-    path = Path(out_dir)
+    path = Path("out" if out_dir is None else out_dir)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -489,8 +484,7 @@ def _fig3(trials, seed, workers):
     rows = run_sweep(params, "snr_p_db", axis_values(5.0, 30.0, 1.0),
                      schemes=SCHEMES, trials=trials, seed=seed, alpha=0.5,
                      snr_r_policy="min_for_epsilon", workers=workers)
-    cutoff_db = secondary_cutoff_db(params.rate_p, params.epsilon,
-                                    params.link_vars.pp)
+    cutoff_db = secondary_cutoff_db(params)
     checks = [
         _value_check("secondary-admission cutoff (dB)", cutoff_db,
                      _CUTOFF_REF_DB, 0.1),

@@ -108,26 +108,24 @@ def two_slot_threshold(rate: float) -> float:
     return 2.0 ** (2.0 * rate) - 1.0
 
 
-def admitted_secondary_snr(rate_p, snr_p, var_pp, var_sp, epsilon) -> float:
+def admitted_secondary_snr(params: SystemParams) -> float:
     """Largest secondary SNR keeping the single-slot primary outage at epsilon.
 
     Solves P(snr_p*|h_pp|^2 / (snr_s*|h_sp|^2 + 1) < theta_p) = epsilon for
     snr_s; negative solutions mean the primary misses epsilon even alone, in
     which case the secondary is denied access (returns 0).
     """
-    theta_p = one_slot_threshold(rate_p)
-    rho = math.exp(-theta_p / (snr_p * var_pp)) / (1.0 - epsilon) - 1.0
+    theta_p = one_slot_threshold(params.rate_p)
+    g_pp = params.snr_p * params.link_vars.pp
+    rho = math.exp(-theta_p / g_pp) / (1.0 - params.epsilon) - 1.0
     if rho <= 0.0:
         return 0.0
-    return (snr_p * var_pp / (theta_p * var_sp)) * rho
+    return (g_pp / (theta_p * params.link_vars.sp)) * rho
 
 
 def derive(params: SystemParams) -> DerivedParams:
     """Thresholds, admitted secondary SNR and mean gains; ValueError on overflow."""
-    snr_s = admitted_secondary_snr(
-        params.rate_p, params.snr_p, params.link_vars.pp, params.link_vars.sp,
-        params.epsilon,
-    )
+    snr_s = admitted_secondary_snr(params)
     if not math.isfinite(snr_s):
         raise ValueError("admitted secondary SNR overflows: link variance pp "
                          "is too large or sp too small")
@@ -149,17 +147,13 @@ def derive(params: SystemParams) -> DerivedParams:
     )
 
 
-def secondary_cutoff_db(rate_p: float, epsilon: float, var_pp: float) -> float:
+def secondary_cutoff_db(params: SystemParams) -> float:
     """Primary SNR, in dB, below which no secondary transmission is admitted.
 
     Root of the admission margin: below this value the primary cannot meet
     epsilon even without interference, so the admitted secondary SNR is 0.
     Summed in log space: finite even where the linear cutoff overflows.
     """
-    theta_p = one_slot_threshold(rate_p)
-    if not (theta_p > 0.0 and var_pp > 0.0):
-        raise ValueError("2^rate_p - 1 and var_pp must be positive")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie strictly between 0 and 1")
-    return 10.0 * (math.log10(theta_p) - math.log10(var_pp)
-                   - math.log10(-math.log1p(-epsilon)))
+    return 10.0 * (math.log10(one_slot_threshold(params.rate_p))
+                   - math.log10(params.link_vars.pp)
+                   - math.log10(-math.log1p(-params.epsilon)))

@@ -49,6 +49,7 @@ from crrelay import (
 from crrelay.allocation import rate_s_at_split_ceiling
 from crrelay.analytic import primary_split_floor
 from crrelay.harness import _mc_check, default_params
+from crrelay.montecarlo import _CHUNK_TRIALS
 from conftest import exp_over_x_reference, synth_derived
 
 TABLE1_EPS = (0.04, 0.05, 0.06, 0.07, 0.08, 0.09)
@@ -314,8 +315,7 @@ def test_c6_scheme_ordering():
 
 def test_c7_cutoff_behavior(tmp_path):
     params = default_params()
-    cutoff_db = secondary_cutoff_db(params.rate_p, params.epsilon,
-                                    params.link_vars.pp)
+    cutoff_db = secondary_cutoff_db(params)
     ok = abs(cutoff_db - 10.2) <= 0.1
     below = params._replace(snr_p=10.0 ** (9.5 / 10.0))
     ok = ok and derive(below).snr_s == 0.0
@@ -410,10 +410,11 @@ def test_c9_numerics():
 
 
 def test_c10_deterministic_csv():
+    # nine chunks, the last one partial, so 4 and 8 workers each run a pool
     sweep = (default_params(), "snr_p_db", (16.0, 18.0, 20.0, 22.0, 24.0))
     kw = dict(
         schemes=("proposed", "noncooperative", "relay_assisted_secondary"),
-        mode="both", trials=20_000, seed=9)
+        mode="both", trials=8 * _CHUNK_TRIALS + 1, seed=9)
     outputs = [sweep_csv(run_sweep(*sweep, **kw, workers=w)) for w in (1, 4, 8)]
     rerun = sweep_csv(run_sweep(*sweep, **kw, workers=1))
     ok = outputs[0] == outputs[1] == outputs[2] == rerun

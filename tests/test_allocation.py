@@ -384,8 +384,7 @@ def test_allocate_matches_grid_scan_on_random_scenarios():
                 rp=draw(st.floats(1e-4, 1e-3)))
             params = params._replace(link_vars=link_vars)
         elif family == "below_cutoff":
-            cutoff_db = secondary_cutoff_db(params.rate_p, params.epsilon,
-                                            params.link_vars.pp)
+            cutoff_db = secondary_cutoff_db(params)
             params = params._replace(snr_p=db_to_linear(
                 cutoff_db - draw(st.floats(0.5, 5.0))))
         return params
@@ -428,8 +427,7 @@ def _seeded_scenario(rng, family):
         link_vars = params.link_vars._replace(rp=rng.uniform(1e-4, 1e-3))
         params = params._replace(link_vars=link_vars)
     elif family == "below_cutoff":
-        cutoff_db = secondary_cutoff_db(params.rate_p, params.epsilon,
-                                        params.link_vars.pp)
+        cutoff_db = secondary_cutoff_db(params)
         params = params._replace(snr_p=db_to_linear(
             cutoff_db - rng.uniform(0.5, 5.0)))
     return params

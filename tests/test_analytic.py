@@ -7,7 +7,6 @@ from conftest import symmetric_relay_params, synth_derived
 from crrelay import (
     USER_LINKS,
     LinkTable,
-    NoSecondaryAccessError,
     SystemParams,
     cond_outage_d0,
     cond_outage_d1_exact,
@@ -94,7 +93,7 @@ def test_relay_activation_threshold_max_resolution():
 
 
 def test_relay_activation_requires_secondary():
-    with pytest.raises(NoSecondaryAccessError):
+    with pytest.raises(ValueError, match="admitted secondary"):
         prob_relay_active(synth_derived(snr_s=0.0))
 
 
@@ -171,7 +170,7 @@ def test_exact_activation_differs_from_paper_form(table1_derived):
 
 
 def test_exact_activation_validates_inputs():
-    with pytest.raises(NoSecondaryAccessError):
+    with pytest.raises(ValueError, match="admitted secondary"):
         prob_relay_active_exact(synth_derived(snr_s=0.0))
     for gains in ({"pr": 0.0}, {"sr": 0.0}, {"pr": -1.0}):
         with pytest.raises(ValueError):

@@ -289,14 +289,6 @@ def test_sweep_mu_axes_update_link_pairs():
     assert params.link_vars.ss == 0.7
 
 
-def test_sweep_csv_byte_stable_across_runs_and_workers():
-    sweep = (default_params(), "snr_p_db", (15.0, 20.0))
-    kw = dict(schemes=("proposed",), mode="both", trials=20_000, seed=3)
-    ref = sweep_csv(run_sweep(*sweep, **kw, workers=1))
-    assert sweep_csv(run_sweep(*sweep, **kw, workers=1)) == ref
-    assert sweep_csv(run_sweep(*sweep, **kw, workers=4)) == ref
-
-
 # Standard output of CLI sweeps, with the set of row errors each must show.
 # The first splits 300_001 trials into chunks (the last one partial) over two
 # workers, the second mixes analytic and simulated cells; both keep
@@ -573,11 +565,16 @@ def test_reproduce_rejects_bad_run_values(target, kwargs, message, tmp_path):
     assert not out.exists()
 
 
-def test_out_dir_env_var(tmp_path, monkeypatch):
-    monkeypatch.setenv("CRRELAY_OUT_DIR", str(tmp_path / "envout"))
+def test_out_dir_defaults_to_cwd_out(tmp_path, monkeypatch):
+    # out_dir (--out-dir) is the only setting: no environment variable,
+    # the package-prefixed one included, moves the output
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(f"{crrelay.__name__.upper()}_OUT_DIR",
+                       str(tmp_path / "envout"))
     report = reproduce("fig2")
-    assert all(str(f).startswith(str(tmp_path / "envout"))
-               for f in report.files)
+    assert [f.parent for f in report.files] == [Path("out")] * 2
+    assert all((tmp_path / f).is_file() for f in report.files)
+    assert not (tmp_path / "envout").exists()
 
 
 # ---- verification ---------------------------------------------------------------
@@ -1073,7 +1070,7 @@ def test_cli_calls_in_one_process_are_independent(monkeypatch, capsys):
 
 
 _HELP_SHA256 = {
-    None: "4e88126649c93d3a42a8b444f53ecd36406d4650c5e442cdf851f4d6c452612c",
+    None: "d47cb3725ed8b9e93c823add675137b3dc479c1c5e89a2ed331df6eea90954da",
     "analytic": "e80e8e648dc55ee9f42f9b04c1267cd03fd44e2bd762177d9ba44d0f55ef8242",
     "simulate": "07349e476660d5d9f6f1b16187de77906d6b9e11ccf74476321b8149bb3a867f",
     "allocate": "ecf09228439092ccc8a70b899038d456ac6d3481a98b09edfe440b19e499d454",

