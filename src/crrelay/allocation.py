@@ -11,7 +11,6 @@ the relay-SNR grid stops once no smaller relay SNR can do better.  Only the
 relay gains depend on the relay SNR; all else is computed once per scenario.
 """
 
-import functools
 import math
 from collections import namedtuple
 
@@ -49,43 +48,43 @@ def rate_s_at_split_ceiling(alpha: float) -> float:
     return 0.5 * math.log2(1.0 / alpha)
 
 
-def common_alpha_band(rate_p: float, rate_s: float):
+def common_alpha_band(params: SystemParams):
     """Split interval on which both bounds remain improvable, or None.
 
     Nonempty exactly when the product of the two-sub-slot thresholds is at
     most 1, which is what confines good operating points to rates below about
     half a bit/s/Hz each.
     """
-    lo = primary_split_floor(two_slot_threshold(rate_p))
-    hi = secondary_split_ceiling(two_slot_threshold(rate_s))
+    lo = primary_split_floor(two_slot_threshold(params.rate_p))
+    hi = secondary_split_ceiling(two_slot_threshold(params.rate_s))
     if lo > hi:
         return None
     return (lo, hi)
 
 
-def _primary_log_gap(derived: DerivedParams, epsilon: float) -> float | None:
+def _primary_log_gap(derived: DerivedParams) -> float | None:
     """-log1p(-epsilon/x), x the primary's no-relay bound; None if epsilon >= x."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie strictly between 0 and 1")
     x = _ratio_outage(derived.gain.pp, derived.gain.sp, derived.lambda_p)
-    if epsilon >= x:
+    if derived.params.epsilon >= x:
         return None
-    return -math.log1p(-epsilon / x)
+    return -math.log1p(-derived.params.epsilon / x)
 
 
-def alpha_for_primary_bound(derived: DerivedParams, epsilon: float,
+def alpha_for_primary_bound(derived: DerivedParams, *,
                             snr_r: float | None = None):
-    """Closed-form inverse of the primary bound at the given relay SNR.
+    """Closed-form inverse of the primary bound at the scenario's epsilon
+    and the given relay SNR (by default the scenario's).
 
-    Inverts the split-dependent branch of the primary bound.  If the bound
-    already holds with no relay help (epsilon >= direct-copy bound X),
+    If the bound holds with no relay help (epsilon >= direct-copy bound X:
+    admission puts X above epsilon, so only rounding in X's 1 - exp or in
+    the admission rule gets here, a guard once both take expm1 forms),
     returns the split floor; if even full relay power cannot reach epsilon,
-    returns None.  The bound's own rounding can leave the returned split a
-    few ulps above epsilon, so `allocate` re-checks it and then tries its
-    nudged twin.  Without secondary access and with epsilon far below X, the
-    bound at the split misses epsilon by up to 2e-5 relative.
+    returns None.  Rounding can leave the returned split a few ulps above
+    epsilon, so `allocate` re-checks it and then tries its nudged twin.
+    Without secondary access and with epsilon far below X, the bound at the
+    split misses epsilon by up to 2e-5 relative.
     """
-    log_gap = _primary_log_gap(derived, epsilon)
+    log_gap = _primary_log_gap(derived)
     lam = derived.lambda_p
     if log_gap is None:
         return primary_split_floor(lam)
@@ -95,23 +94,22 @@ def alpha_for_primary_bound(derived: DerivedParams, epsilon: float,
     if g_rp * log_gap == 0.0:      # no relay gain, or one that underflows
         return None
     alpha = (lam + lam / (g_rp * log_gap)) / (1.0 + lam)
-    if alpha > 1.0:
-        return None
-    return alpha
+    return alpha if alpha <= 1.0 else None
 
 
-def min_snr_r_for_epsilon(derived: DerivedParams, alpha: float,
-                          epsilon: float) -> float | None:
+def min_snr_r_for_epsilon(derived: DerivedParams,
+                          alpha: float) -> float | None:
     """Smallest relay SNR meeting the primary bound at the given split.
 
     Inverts the split-dependent branch of the primary bound for the relay
-    gain.  Returns 0 when the bound holds without relay help; returns None
-    when it does not and the split is at or below the split floor, where
-    relay power cannot help.  Splits outside [0, 1] (or NaN) are rejected.
+    gain at the scenario's epsilon.  Returns 0 when the bound holds without
+    relay help (a guard, as in alpha_for_primary_bound); returns None when
+    it does not and the split is at or below the split floor, where relay
+    power cannot help.  Splits outside [0, 1] (or NaN) are rejected.
     """
-    log_gap = _primary_log_gap(derived, epsilon)     # checks epsilon first
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
+    log_gap = _primary_log_gap(derived)
     if log_gap is None:
         return 0.0
     lam = derived.lambda_p
@@ -123,15 +121,7 @@ def min_snr_r_for_epsilon(derived: DerivedParams, alpha: float,
 
 
 # The allocator's default relay-SNR grid: -10 to 30 dB in 0.25 dB steps.
-_SNR_R_GRID_DB = (-10.0, 30.0, 0.25)
-
-
-@functools.cache
-def default_snr_r_grid() -> tuple:
-    """Logarithmic relay-SNR grid (linear values), computed once."""
-    lo_db, hi_db, step_db = _SNR_R_GRID_DB
-    n = int(round((hi_db - lo_db) / step_db))
-    return tuple(db_to_linear(lo_db + k * step_db) for k in range(n + 1))
+DEFAULT_SNR_R_GRID = tuple(db_to_linear(-10.0 + 0.25 * k) for k in range(161))
 
 
 def allocate(params: SystemParams, snr_r_grid=None) -> AllocationResult:
@@ -153,7 +143,7 @@ def allocate(params: SystemParams, snr_r_grid=None) -> AllocationResult:
         return AllocationResult(alpha=math.nan, snr_r=math.nan, u_p=math.nan,
                                 u_s_total=1.0, feasible=False)
     if snr_r_grid is None:
-        snr_r_grid = default_snr_r_grid()
+        snr_r_grid = DEFAULT_SNR_R_GRID
     if len(snr_r_grid) == 0:
         raise ValueError("relay-SNR grid must be nonempty")
 
@@ -171,7 +161,7 @@ def allocate(params: SystemParams, snr_r_grid=None) -> AllocationResult:
     best = None   # (u_s_total, snr_r, alpha)
     for snr_r in reversed(snr_r_grid):
         g_rp, g_rs = snr_r * v.rp, snr_r * v.rs
-        seed = alpha_for_primary_bound(derived, epsilon, snr_r)
+        seed = alpha_for_primary_bound(derived, snr_r=snr_r)
         candidates = (1.0,) if seed is None else (seed, min(1.0, seed + 1e-9))
         u_s = (1.0 - w) * sec_d0 + w * _relay_bound(
             y, g_rs, 1.0 - candidates[0], lam_s)

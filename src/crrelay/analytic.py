@@ -194,14 +194,15 @@ def _full_power_outage(g_sig, g_cross, g_relay, threshold, user) -> float:
     shifted so nothing overflows when g_relay is small.
 
     With x the no-relay outage and f the density of the direct SINR, a relay
-    gain at most 1e-8 of both g_sig and the threshold gives
-    x - g_relay*f(threshold): the first-order term is at most about 1e-8 of x
-    and the next one is g_relay*|f'/f| <= g_relay*(1/g_sig + 2/threshold)
-    times smaller again, below double precision, while the integral's
-    coefficients can be past double range.
+    gain at most 1e-5 of both g_sig and the threshold gives
+    x - g_relay*f(threshold): the next term is g_relay*|f'/f| <=
+    g_relay*(1/g_sig + 2/threshold), at most about 3e-5, times the
+    first-order one, which is itself at most about 1e-5 of x.  Above the cut
+    the integral's absolute error, scaled by g_sig/(g_cross*g_relay), can
+    swamp a small outage; below it its coefficients can pass double range.
     """
     d = g_sig + threshold * g_cross
-    if g_relay <= 1e-8 * min(g_sig, threshold):
+    if g_relay <= 1e-5 * min(g_sig, threshold):
         if d * d == 0.0:
             raise ArithmeticError(_full_power_message(user, "underflows"))
         return (_ratio_outage(g_sig, g_cross, threshold)

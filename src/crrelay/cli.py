@@ -207,7 +207,7 @@ def _cmd_allocate(params, args):
 
 def _cmd_region(params, args):
     rate_p, rate_s = params.rate_p, params.rate_s
-    band = common_alpha_band(rate_p, rate_s)
+    band = common_alpha_band(params)
     if band is None:
         print(f"rates ({rate_p}, {rate_s}): no common split band")
     else:

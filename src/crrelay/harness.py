@@ -32,6 +32,7 @@ from .analytic import (
     noncoop_outage,
     primary_split_floor,
     prob_decode_order,
+    secondary_split_ceiling,
     total_secondary_outage,
 )
 from .montecarlo import (SCHEMES, OutageEstimate, check_request, check_run,
@@ -294,7 +295,7 @@ def run_sweep(scenario: SystemParams, axis: str, values, *,
             snr_r = params.snr_r
             if snr_r_policy == "min_for_epsilon":
                 snr_r = 0.0 if derived.snr_s == 0.0 else min_snr_r_for_epsilon(
-                    derived, split, params.epsilon)
+                    derived, split)
                 if snr_r is not None and snr_r != params.snr_r:
                     params = params._replace(snr_r=snr_r)
                     derived = derive(params)
@@ -463,7 +464,7 @@ def _table1():
 def _fig2():
     rows = [(a, rate_p_at_split_floor(a), rate_s_at_split_ceiling(a))
             for a in (0.01 * k for k in range(1, 100))]
-    band = common_alpha_band(0.4, 0.2)
+    band = common_alpha_band(default_params())
     checks = [
         _value_check("band(0.4,0.2) lower", band[0], _FIG2_BAND_COMPUTED[0], 5e-5),
         _value_check("band(0.4,0.2) upper", band[1], _FIG2_BAND_COMPUTED[1], 5e-5),
@@ -617,8 +618,8 @@ def _fig6():
                below_floor_alpha < floor and below.analytic_sec == 1.0,
                f"alpha={below_floor_alpha} < floor={floor:.6f}"),
         _note("flat region", "the secondary bound is split-independent above "
-              f"{1.0 / (1.0 + derived.lambda_s):.4f}, so 0.76 and 1.0 "
-              "coincide analytically"),
+              f"{secondary_split_ceiling(derived.lambda_s):.4f}, so 0.76 and "
+              "1.0 coincide analytically"),
     ]
     rows = [(r.value, r.alpha, _db_or_none(r.snr_r), r.analytic_sec,
              r.analytic_is_bound)

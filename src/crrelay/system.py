@@ -117,6 +117,8 @@ def admitted_secondary_snr(params: SystemParams) -> float:
     """
     theta_p = one_slot_threshold(params.rate_p)
     g_pp = params.snr_p * params.link_vars.pp
+    if g_pp == 0.0:
+        raise ValueError("mean gain of link pp underflows")
     rho = math.exp(-theta_p / g_pp) / (1.0 - params.epsilon) - 1.0
     if rho <= 0.0:
         return 0.0

@@ -152,7 +152,7 @@ def test_c1b_table1_outage_column(table1_results):
 
 
 def test_c2_region_endpoints():
-    band = common_alpha_band(0.4, 0.2)
+    band = common_alpha_band(default_params())     # rates 0.4 and 0.2
     implied = rate_s_at_split_ceiling(0.76)
     # the stated band [0.4256, 0.7578] is the computed value truncated to
     # 4 decimals; allow one unit in the last quoted place
@@ -292,7 +292,7 @@ def test_c5_primary_protection():
 def test_c6_scheme_ordering():
     params = default_params()                       # 20 dB, mu=1, eps=0.03
     d = derive(params)
-    snr_r = min_snr_r_for_epsilon(d, 0.5, params.epsilon)
+    snr_r = min_snr_r_for_epsilon(d, 0.5)
     params = params._replace(snr_r=snr_r)
     schemes = ("proposed", "relay_assisted_secondary", "noncooperative")
     ests = dict(zip(schemes, estimate_many(
@@ -337,7 +337,7 @@ def test_c7_cutoff_behavior(tmp_path):
 
 def _usprime_at(params, alpha):
     d = derive(params)
-    snr_r = min_snr_r_for_epsilon(d, alpha, params.epsilon)
+    snr_r = min_snr_r_for_epsilon(d, alpha)
     d_r = derive(params._replace(snr_r=snr_r))
     return total_secondary_outage(d_r, alpha).total_sec, snr_r
 

@@ -19,7 +19,7 @@ from crrelay import (
 )
 import crrelay.allocation
 from crrelay.allocation import (
-    default_snr_r_grid,
+    DEFAULT_SNR_R_GRID,
     rate_p_at_split_floor,
     rate_s_at_split_ceiling,
 )
@@ -42,11 +42,18 @@ CEILING_02 = 0.7578582832551991        # split ceiling at rate_s = 0.2
 ALPHA_EPS_REF = 0.496373799727384      # exact inversion at the 0.04 column
 USPRIME_REF = 0.00267753487853099
 
+# The default scenario with a vanishing primary rate and an overwhelming
+# primary SNR.  Rounding takes both inverses to their slack branch, which
+# exact arithmetic never reaches: exp(-theta_p/g)/(1 - epsilon) - 1 rounds to
+# 0, denying the secondary access, and the primary's no-relay bound
+# x = 1 - exp(-lambda/g) rounds to 0.0, below epsilon
+SLACK = default_params()._replace(rate_p=1e-12, snr_p=1e300, epsilon=1e-200)
+
 
 # ---- closed-form split extraction ---------------------------------------------
 
 def test_alpha_extraction_reference(table1_derived):
-    alpha = alpha_for_primary_bound(table1_derived, 0.04)
+    alpha = alpha_for_primary_bound(table1_derived)
     assert alpha == pytest.approx(ALPHA_EPS_REF, rel=1e-12)
 
 
@@ -54,51 +61,67 @@ def test_alpha_extraction_round_trip(table1_derived):
     # substituting the extracted split back must recover the target exactly
     for eps in (0.035, 0.04, 0.06, 0.085):
         for snr_r in (2.0, 10.0, 40.0):
-            d_r = derive(table1_derived.params._replace(snr_r=snr_r))
-            alpha = alpha_for_primary_bound(d_r, eps)
+            d_r = derive(table1_derived.params._replace(epsilon=eps,
+                                                        snr_r=snr_r))
+            alpha = alpha_for_primary_bound(d_r)
             assert primary_split_floor(d_r.lambda_p) < alpha <= 1.0
             assert upper_bound_d1(d_r, "primary", alpha) == pytest.approx(
                 eps, abs=1e-9)
 
 
 def test_alpha_extraction_slack_threshold(table1_derived):
-    # when the no-relay bound already meets the target, the floor suffices
-    alpha = alpha_for_primary_bound(table1_derived, 0.5)
-    assert alpha == primary_split_floor(table1_derived.lambda_p)
+    # when the no-relay bound already meets the target, the floor suffices,
+    # at every relay SNR
+    d = derive(SLACK)
+    assert d.snr_s == 0.0
+    assert _ratio_outage(d.gain.pp, d.gain.sp, d.lambda_p) == 0.0
+    for snr_r in (None, 0.0, 1.0, 1e300):
+        assert (alpha_for_primary_bound(d, snr_r=snr_r)
+                == primary_split_floor(d.lambda_p))
+    # Table 1 at epsilon 0.5 is not slack: admission puts x above epsilon
+    d_half = derive(table1_derived.params._replace(epsilon=0.5))
+    assert alpha_for_primary_bound(d_half) == pytest.approx(0.4596, abs=1e-4)
 
 
 def test_alpha_extraction_rich_relay_limit(table1_derived):
     d_r = derive(table1_derived.params._replace(snr_r=1e12))
-    alpha = alpha_for_primary_bound(d_r, 0.04)
+    alpha = alpha_for_primary_bound(d_r)
     assert alpha == pytest.approx(primary_split_floor(d_r.lambda_p), abs=1e-9)
 
 
 def test_alpha_extraction_infeasible(table1_derived):
     # a weak relay cannot close a tight target even at full power
-    d_r = derive(table1_derived.params._replace(snr_r=0.01))
-    assert alpha_for_primary_bound(d_r, 0.001) is None
-    assert alpha_for_primary_bound(table1_derived, 0.04, 0.0) is None
+    tight = table1_derived.params._replace(epsilon=0.001)
+    assert alpha_for_primary_bound(derive(tight._replace(snr_r=0.01))) is None
+    assert alpha_for_primary_bound(table1_derived, snr_r=0.0) is None
     # a relay gain that underflows in the inversion acts as none
-    assert alpha_for_primary_bound(table1_derived, 0.001, 5e-324) is None
+    assert alpha_for_primary_bound(derive(tight), snr_r=5e-324) is None
+
+
+def test_alpha_extraction_takes_no_epsilon(table1_derived):
+    # epsilon comes from the scenario; a positional second argument is
+    # refused rather than read as a relay SNR
+    with pytest.raises(TypeError):
+        alpha_for_primary_bound(table1_derived, 0.04)
 
 
 # ---- minimum relay SNR ----------------------------------------------------------
 
 def test_min_snr_r_reference(table1_derived):
-    snr_r = min_snr_r_for_epsilon(table1_derived, 1.0, 0.04)
+    snr_r = min_snr_r_for_epsilon(table1_derived, 1.0)
     assert snr_r == pytest.approx(1.2313585532397513, rel=1e-10)
 
 
 def test_min_snr_r_round_trip(table1_derived):
     for alpha in (0.45, 0.5, 0.7, 1.0):
-        snr_r = min_snr_r_for_epsilon(table1_derived, alpha, 0.04)
+        snr_r = min_snr_r_for_epsilon(table1_derived, alpha)
         d_r = derive(table1_derived.params._replace(snr_r=snr_r))
         assert upper_bound_d1(d_r, "primary", alpha) == pytest.approx(
             0.04, abs=1e-9)
 
 
-def test_min_snr_r_zero_when_target_slack(table1_derived):
-    assert min_snr_r_for_epsilon(table1_derived, 0.5, 0.5) == 0.0
+def test_min_snr_r_zero_when_target_slack():
+    assert min_snr_r_for_epsilon(derive(SLACK), 0.5) == 0.0
 
 
 def test_min_snr_r_rejects_floor(table1_derived):
@@ -106,11 +129,11 @@ def test_min_snr_r_rejects_floor(table1_derived):
     # the bound holds without it; a split outside [0, 1] is rejected
     floor = primary_split_floor(table1_derived.lambda_p)
     for alpha in (floor, 0.3, 0.0):
-        assert min_snr_r_for_epsilon(table1_derived, alpha, 0.04) is None
-        assert min_snr_r_for_epsilon(table1_derived, alpha, 0.5) == 0.0
+        assert min_snr_r_for_epsilon(table1_derived, alpha) is None
+        assert min_snr_r_for_epsilon(derive(SLACK), alpha) == 0.0
     for alpha in (-0.2, 1.1, math.nan):
         with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
-            min_snr_r_for_epsilon(table1_derived, alpha, 0.04)
+            min_snr_r_for_epsilon(table1_derived, alpha)
 
 
 # ---- the monotone lemmas the allocator's walk rests on ---------------------------
@@ -165,20 +188,20 @@ def test_closed_form_split_never_rises_with_relay_snr(table1, epsilon):
     # product with the log gap underflows, of the relay SNR at which the
     # split reaches 1 (where "no inverse" begins) and of ordinary values.
     # Splits never rise with the relay SNR, and once there is no inverse
-    # there is none at any smaller relay SNR
-    d = derive(table1)
-    reaches_one = min_snr_r_for_epsilon(d, 1.0, epsilon)
-    snrs = _ulp_ladder(0.0, 5e-324, 1e-300, reaches_one or 1.0, 1.0, 1000.0,
-                       1e300)
-    seeds = [alpha_for_primary_bound(d, epsilon, snr_r) for snr_r in snrs]
+    # there is none at any smaller relay SNR (the slack branch's constant
+    # floor is test_alpha_extraction_slack_threshold's)
+    d = derive(table1._replace(epsilon=epsilon))
+    reaches_one = min_snr_r_for_epsilon(d, 1.0)
+    snrs = _ulp_ladder(0.0, 5e-324, 1e-300, reaches_one, 1.0, 1000.0, 1e300)
+    seeds = [alpha_for_primary_bound(d, snr_r=snr_r) for snr_r in snrs]
     first = next((i for i, a in enumerate(seeds) if a is not None), len(seeds))
     assert all(a is None for a in seeds[:first])
     assert None not in seeds[first:]
     assert _never_rises(seeds[first:])
-    if epsilon == 0.5:      # slack target: the split floor throughout
-        assert seeds == [primary_split_floor(d.lambda_p)] * len(seeds)
-    else:
-        assert seeds[0] is None and snrs[first - 1] < reaches_one
+    # the first split is at reaches_one, or one ulp above it where the
+    # split there rounds just past 1 (at epsilon 0.5)
+    assert seeds[0] is None
+    assert reaches_one <= snrs[first] <= math.nextafter(reaches_one, math.inf)
 
 
 def test_split_or_its_twin_meets_epsilon_whenever_the_full_split_does():
@@ -211,7 +234,7 @@ def test_split_or_its_twin_meets_epsilon_whenever_the_full_split_does():
         snr_r = log_uniform(1e-30, 1e30)
         g_rp = snr_r * d.params.link_vars.rp
         x = _ratio_outage(d.gain.pp, d.gain.sp, lam)
-        a = alpha_for_primary_bound(d, eps, snr_r)
+        a = alpha_for_primary_bound(d, snr_r=snr_r)
         if a is None or _relay_bound(x, g_rp, 1.0, lam) > eps:
             continue
         checked += 1
@@ -263,7 +286,7 @@ def test_allocate_tie_breaks_toward_smaller_alpha(table1):
     params = table1._replace(epsilon=0.005)
     d = derive(params)
     d_r = derive(params._replace(snr_r=2.0))
-    seed = alpha_for_primary_bound(d, 0.005, 2.0)
+    seed = alpha_for_primary_bound(d, snr_r=2.0)
     assert seed > secondary_split_ceiling(d.lambda_s)
     assert upper_bound_d1(d_r, "primary", seed) <= 0.005
     assert (upper_bound_d1(d_r, "secondary", seed)
@@ -279,7 +302,7 @@ def test_allocate_tie_breaks_toward_smaller_snr_r(table1):
     d = derive(table1._replace(epsilon=0.005))
     ceiling = secondary_split_ceiling(d.lambda_s)
     for snr_r in (2.0, 2.1):
-        seed = alpha_for_primary_bound(d, 0.005, snr_r)
+        seed = alpha_for_primary_bound(d, snr_r=snr_r)
         assert seed > ceiling
     res = allocate(table1._replace(epsilon=0.005), snr_r_grid=(2.1, 2.0))
     assert res.feasible
@@ -290,7 +313,7 @@ def test_allocate_returns_nudged_twin_when_inverse_overshoots(table1):
     # at the Table 1 column the exact inverse lands a rounding step above
     # epsilon: its nudged twin is the allocated split, which is why it stays
     d_r = derive(table1._replace(snr_r=10.0))
-    seed = alpha_for_primary_bound(d_r, table1.epsilon)
+    seed = alpha_for_primary_bound(d_r)
     twin = seed + 1e-9
     assert upper_bound_d1(d_r, "primary", seed) > table1.epsilon
     assert upper_bound_d1(d_r, "primary", twin) <= table1.epsilon
@@ -328,7 +351,7 @@ def _grid_scan_allocate(params, snr_r_grid=None):
     if derived.snr_s == 0.0:
         return infeasible
     if snr_r_grid is None:
-        snr_r_grid = default_snr_r_grid()
+        snr_r_grid = DEFAULT_SNR_R_GRID
     if len(snr_r_grid) == 0:
         raise ValueError("relay-SNR grid must be nonempty")
     w = prob_relay_active(derived)
@@ -337,7 +360,7 @@ def _grid_scan_allocate(params, snr_r_grid=None):
     best = None
     for snr_r in sorted(snr_r_grid):
         d_r = derive(derived.params._replace(snr_r=snr_r))
-        seed_alpha = alpha_for_primary_bound(d_r, epsilon)
+        seed_alpha = alpha_for_primary_bound(d_r)
         candidates = grid
         if seed_alpha is not None:
             candidates = grid | {seed_alpha, min(1.0, seed_alpha + 1e-9)}
@@ -439,7 +462,7 @@ def test_allocate_matches_grid_scan_on_seeded_scenarios(monkeypatch):
     # silent relay included): the walk picks what the full scan picks, and
     # it does stop early, at both of its rules
     rng = random.Random(17)
-    pool = (0.0, *default_snr_r_grid())
+    pool = (0.0, *DEFAULT_SNR_R_GRID)
     families = ("drawn",) * 8 + ("weak_relay", "below_cutoff")
     calls = _count_calls(monkeypatch, "alpha_for_primary_bound")
     feasible, stops = 0, {"secondary": 0, "feasibility": 0}
@@ -468,8 +491,7 @@ def test_allocate_seeded_search_branches(case):
     else:
         params = table1_params(0.12276440752625793)
         snr_r, expected = 1.0710656106257235, 1.0
-    assert alpha_for_primary_bound(derive(params), params.epsilon,
-                                   snr_r) is None
+    assert alpha_for_primary_bound(derive(params), snr_r=snr_r) is None
     res = allocate(params, snr_r_grid=(snr_r,))
     assert repr(res.alpha) == repr(expected)
     assert res.feasible == (case == "no_inverse_full_split_meets")
@@ -482,9 +504,9 @@ def _count_calls(monkeypatch, *names):
     for name in names:
         helper = getattr(crrelay.allocation, name)
 
-        def counted(*args, _helper=helper, _name=name):
+        def counted(*args, _helper=helper, _name=name, **kwargs):
             calls[_name] += 1
-            return _helper(*args)
+            return _helper(*args, **kwargs)
         monkeypatch.setattr(crrelay.allocation, name, counted)
     return calls
 
@@ -498,7 +520,7 @@ def test_default_allocate_evaluates_3_bounds(monkeypatch):
     calls = _count_calls(monkeypatch, "_relay_bound",
                          "alpha_for_primary_bound")
     res = allocate(default_params())
-    assert res.feasible and res.snr_r == default_snr_r_grid()[-1]
+    assert res.feasible and res.snr_r == DEFAULT_SNR_R_GRID[-1]
     assert calls == {"_relay_bound": 3, "alpha_for_primary_bound": 2}
 
 
@@ -507,7 +529,7 @@ def test_allocate_stops_after_one_relay_snr_when_infeasible(monkeypatch,
     # with a weak relay-to-primary link even the full split at the top of
     # the grid misses epsilon, so no smaller relay SNR can meet it
     params = table1._replace(link_vars=table1.link_vars._replace(rp=1e-4))
-    top = derive(params._replace(snr_r=default_snr_r_grid()[-1]))
+    top = derive(params._replace(snr_r=DEFAULT_SNR_R_GRID[-1]))
     assert upper_bound_d1(top, "primary", 1.0) > params.epsilon
     calls = _count_calls(monkeypatch, "alpha_for_primary_bound")
     assert not allocate(params).feasible
@@ -527,11 +549,11 @@ def test_allocate_walks_a_flat_plateau_to_the_feasibility_edge(monkeypatch,
     params = table1._replace(epsilon=0.005)._replace(
         link_vars=table1.link_vars._replace(rp=table1.link_vars.rp * scale,
                                             rs=table1.link_vars.rs * scale))
-    d, grid = derive(params), default_snr_r_grid()
+    d, grid = derive(params), DEFAULT_SNR_R_GRID
     ceiling = secondary_split_ceiling(d.lambda_s)
     edge = next(i for i in range(len(grid) - 1, -1, -1) if upper_bound_d1(
         derive(params._replace(snr_r=grid[i])), "primary", 1.0) > 0.005)
-    assert all(alpha_for_primary_bound(d, 0.005, snr_r) > ceiling
+    assert all(alpha_for_primary_bound(d, snr_r=snr_r) > ceiling
                for snr_r in grid[edge + 1:])
     calls = _count_calls(monkeypatch, "alpha_for_primary_bound")
     res = allocate(params)
@@ -551,7 +573,7 @@ def test_allocate_walks_a_flat_plateau_to_the_feasibility_edge(monkeypatch,
     dict(snr_r_grid=(-1.0, 1000.0)),
     dict(snr_r_grid=(10.0, math.nan, 1000.0)),
     dict(snr_r_grid=(1000.0, -1e-300)),
-    dict(snr_r_grid=(-math.inf, *default_snr_r_grid())),
+    dict(snr_r_grid=(-math.inf, *DEFAULT_SNR_R_GRID)),
 ])
 def test_allocate_rejects_grids_like_grid_scan(table1, grids):
     _assert_matches_grid_scan(table1, table1.epsilon, **grids)
@@ -567,14 +589,19 @@ def test_default_alpha_grid_covers_floor_to_one(table1_derived):
 
 # ---- region map ---------------------------------------------------------------
 
+def _band(rate_p, rate_s):
+    return common_alpha_band(default_params()._replace(rate_p=rate_p,
+                                                       rate_s=rate_s))
+
+
 def test_band_reference_endpoints():
-    band = common_alpha_band(0.4, 0.2)
+    band = _band(0.4, 0.2)
     assert band[0] == pytest.approx(FLOOR_04, rel=1e-14)
     assert band[1] == pytest.approx(CEILING_02, rel=1e-14)
 
 
 def test_band_matches_published_rounding():
-    lo, hi = common_alpha_band(0.4, 0.2)
+    lo, hi = common_alpha_band(default_params())     # rates 0.4 and 0.2
     assert lo == pytest.approx(0.43, abs=0.01)
     assert hi == pytest.approx(0.75, abs=0.01)
 
@@ -592,12 +619,7 @@ def test_rate_implied_by_split():
     (lambda d: rate_p_at_split_floor(1.0), "strictly between 0 and 1"),
     (lambda d: rate_s_at_split_ceiling(0.0), "strictly between 0 and 1"),
     (lambda d: rate_s_at_split_ceiling(1.0), "strictly between 0 and 1"),
-    (lambda d: alpha_for_primary_bound(d, 0.0), "epsilon must lie"),
-    (lambda d: alpha_for_primary_bound(d, 1.0), "epsilon must lie"),
-    (lambda d: min_snr_r_for_epsilon(d, 0.5, 0.0), "epsilon must lie"),
-    (lambda d: min_snr_r_for_epsilon(d, 0.5, 1.0), "epsilon must lie"),
-], ids=["floor_0", "floor_1", "ceiling_0", "ceiling_1", "alpha_eps_0",
-        "alpha_eps_1", "min_snr_r_eps_0", "min_snr_r_eps_1"])
+], ids=["floor_0", "floor_1", "ceiling_0", "ceiling_1"])
 def test_closed_forms_reject_values_outside_unit_interval(table1_derived, call,
                                                           match):
     with pytest.raises(ValueError, match=match):
@@ -605,13 +627,13 @@ def test_closed_forms_reject_values_outside_unit_interval(table1_derived, call,
 
 
 def test_band_empty_iff_threshold_product_exceeds_one():
-    assert common_alpha_band(1.0, 1.0) is None          # product 9 > 1
-    lo, hi = common_alpha_band(0.5, 0.5)                # product exactly 1
+    assert _band(1.0, 1.0) is None          # product 9 > 1
+    lo, hi = _band(0.5, 0.5)                # product exactly 1
     assert lo == pytest.approx(0.5, rel=1e-14)
     assert hi == pytest.approx(0.5, rel=1e-14)
-    assert common_alpha_band(0.4, 0.2) is not None
+    assert _band(0.4, 0.2) is not None
     for rate_p in (0.1, 0.3, 0.45):
         for rate_s in (0.1, 0.3, 0.45):
             product = (two_slot_threshold(rate_p) * two_slot_threshold(rate_s))
-            assert (common_alpha_band(rate_p, rate_s) is not None) == \
+            assert (_band(rate_p, rate_s) is not None) == \
                 (product <= 1.0)

@@ -21,8 +21,8 @@ from crrelay import (
     total_secondary_outage,
     upper_bound_d1,
 )
-from crrelay.analytic import (_clamp01, primary_split_floor,
-                              secondary_split_ceiling)
+from crrelay.analytic import (_clamp01, _full_power_outage,
+                              primary_split_floor, secondary_split_ceiling)
 
 # frozen reference values for the allocation-table scenario at epsilon=0.04
 T1_ACTIVATION = 0.9870192472216616
@@ -290,14 +290,17 @@ def test_d1_exact_tiny_relay_gain_stays_finite():
 # * e^(-c*g_sig - t/g_relay) * (Ei(c*(g_sig + t*g_cross)) - Ei(c*g_sig)),
 # c = (1/g_relay - 1/g_sig)/g_cross, evaluated with mpmath at 100 digits
 WEAK_RELAY_EI = {
+    -60: (0.06718563350303679, 0.039174625527992904),
+    -70: (0.06718571014721178, 0.03917473192764382),
+    -80: (0.06718571781162805, 0.03917474256760655),
     -90: (0.06718571857806965, 0.0391747436316028),
     -140: (0.06718571866322898, 0.039174743749823424),
     -200: (0.06718571866322984, 0.0391747437498246),
 }
 
 
-@pytest.mark.parametrize("snr_r_db",
-                         [-90, -140, -200, -300, -1000, -3080, -3236])
+@pytest.mark.parametrize("snr_r_db", [-60, -70, -80, -90, -140, -200, -300,
+                                      -1000, -3080, -3236])
 def test_d1_exact_weak_relay_matches_reference(snr_r_db):
     # relay gains this weak once lost digits, printed 0 or 1, or raised; the
     # full-power form must reach its no-relay limit smoothly.  mpmath's own
@@ -314,6 +317,16 @@ def test_d1_exact_weak_relay_matches_reference(snr_r_db):
             ref = 1.0 - g_sig * math.exp(-t / g_sig) / (g_sig + t * g_cross)
         assert cond_outage_d1_exact(d, user, alpha) == pytest.approx(
             ref, rel=0.0, abs=1e-12)
+
+
+def test_d1_exact_weak_relay_keeps_a_small_outage():
+    # a relay gain 2.2e-8 of the threshold over a strong direct link: the
+    # integral's absolute error, scaled by g_sig/(g_cross*g_relay) ~ 1.8e12,
+    # swamped this 2e-6 outage (it returned 0.0).  The Ei reference is
+    # mpmath's at 80 digits; what error is left is the no-relay outage's own
+    # 1 - exp cancellation (8e-11 relative)
+    value = _full_power_outage(6300.0, 0.0133, 2.7e-10, 0.0123, "primary")
+    assert value == pytest.approx(1.9783456183550685e-6, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("overrides, ref", [

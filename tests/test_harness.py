@@ -223,6 +223,17 @@ def test_sweep_error_rows_do_not_abort():
     assert all(r.analytic_sec is None for r in bad)
 
 
+def test_sweep_underflowing_primary_gain_is_an_error_row():
+    # at -3000 dB the primary's mean gain snr_p * var_pp underflows to 0:
+    # that row is an error row and the sweep goes on
+    scenario = default_params()
+    scenario = scenario._replace(
+        link_vars=scenario.link_vars._replace(pp=1e-300))
+    rows = run_sweep(scenario, "snr_p_db", (-3000.0, 20.0), mode="analytic")
+    errors = {r.value: r.error for r in rows}
+    assert errors == {-3000.0: "mean gain of link pp underflows", 20.0: ""}
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_sweep_bad_worker_count_fails_the_whole_sweep(mode):
     # the simulator's own message, before any row, in every mode
@@ -271,7 +282,7 @@ def test_sweep_alpha_axis_and_min_policy():
     by_alpha = {r.value: r for r in table}
     derived = derive(default_params())
     assert by_alpha[0.5].snr_r == pytest.approx(
-        min_snr_r_for_epsilon(derived, 0.5, 0.03), rel=1e-12)
+        min_snr_r_for_epsilon(derived, 0.5), rel=1e-12)
     assert by_alpha[0.5].alpha == 0.5
     # below the split floor the target cannot be met: outage 1, flagged
     assert by_alpha[0.3].analytic_sec == 1.0
@@ -854,10 +865,16 @@ _SECONDARY_SNR_OVERFLOWS = ("admitted secondary SNR overflows: link variance "
     # the bounds name it alike
     *[(["link_vars.ss=5e-324", "snr_p_db=10.22"], ["analytic", "--alpha", a],
        "secondary direct gain must be positive") for a in ("0", "0.5", "1")],
+    # snr_p * var_pp underflows to 0, which the admission rule divides by
+    *[(["snr_p_db=-3000", "link_vars.pp=1e-300"], [command],
+       "mean gain of link pp underflows")
+      for command in ("analytic", "allocate", "simulate")],
 ], ids=["sp-analytic", "sp-allocate", "sp-simulate", "ss-gain", "pr-gain",
         "nan-conditional", "full-power-secondary", "full-power-underflow",
         "full-power-no-convergence", "ss-underflow-alpha-0",
-        "ss-underflow-alpha-0.5", "ss-underflow-alpha-1"])
+        "ss-underflow-alpha-0.5", "ss-underflow-alpha-1",
+        "pp-underflow-analytic", "pp-underflow-allocate",
+        "pp-underflow-simulate"])
 def test_cli_rejects_overflowing_scenario(overrides, command, message, capsys):
     # an overflow is refused, never printed as a NaN outage or a 0 +- 0
     # estimate
@@ -1359,6 +1376,23 @@ def test_front_ends_import_no_private_names(module):
         for alias in node.names if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_closed_forms_take_no_scenario_field():
+    # epsilon and the rates are read from the scenario a function already
+    # takes, so there is one way to pass each; none of the layers below the
+    # front ends accepts them beside it
+    passed = [
+        (module, node.name, arg.arg)
+        for module in ("analytic", "allocation", "system")
+        for node in ast.parse(Path(crrelay.__file__).with_name(
+            f"{module}.py").read_text()).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        for arg in (*node.args.posonlyargs, *node.args.args,
+                    *node.args.kwonlyargs)
+        if arg.arg in ("epsilon", "rate_p", "rate_s")
+    ]
+    assert passed == []
 
 
 # ---- documentation -------------------------------------------------------------

@@ -162,11 +162,11 @@ def test_scalar_bounds_exactly_monotone_in_relay_gain(v, lam, alpha, g1, g2):
 def test_closed_form_split_never_rises_with_relay_snr(params, epsilon, r1, r2):
     # a smaller relay SNR never gets a smaller closed-form split, and once
     # there is no inverse there is none at any smaller relay SNR
-    d = derive(params)
+    d = derive(params._replace(epsilon=epsilon))
     lo, hi = sorted((r1, r2))
     for x, y in _ulp_pairs(lo, hi):
-        a_x = alpha_for_primary_bound(d, epsilon, x)
-        a_y = alpha_for_primary_bound(d, epsilon, y)
+        a_x = alpha_for_primary_bound(d, snr_r=x)
+        a_y = alpha_for_primary_bound(d, snr_r=y)
         if a_y is None:
             assert a_x is None, (x, y)
         elif a_x is not None:
