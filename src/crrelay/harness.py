@@ -36,7 +36,7 @@ from .analytic import (
     total_secondary_outage,
 )
 from .montecarlo import (SCHEMES, OutageEstimate, check_request, check_run,
-                         estimate, estimate_many)
+                         check_scenario, estimate, estimate_many)
 from .system import (
     LINKS,
     LinkTable,
@@ -320,6 +320,7 @@ def run_sweep(scenario: SystemParams, axis: str, values, *,
                 if mode in ("analytic", "both"):
                     row.update(_analytic_cells(derived, split, scheme))
                 if mode in ("montecarlo", "both"):
+                    check_scenario(derived)
                     mc_rows.append(row)
                     requests.append((params, split, scheme))
             except (ValueError, ArithmeticError) as exc:

@@ -24,6 +24,8 @@ into their (8, n) layout one cache-sized sub-block of the stream at a time,
 into one draw buffer per worker that every chunk of the call refills.
 Requests on the same scenario and split form a group, and one kernel call
 counts all of a group's schemes, computing the SINR terms they share once.
+Every kernel call of a worker writes its terms and event masks into that
+worker's one workspace, so no chunk allocates a trial vector.
 numpy is imported on the first draw, so the commands that never simulate
 never load it.
 """
@@ -38,11 +40,14 @@ SCHEMES = ("proposed", "noncooperative", "relay_assisted_secondary")
 _DOUBLES_PER_TRIAL = 8
 _BLOCKS_PER_TRIAL = 2       # Philox counter blocks (4 doubles each) per trial
 # Trials per chunk.  Bounds memory, never results: a worker holds one chunk of
-# unit draws (64 B per trial) and the few trial vectors one group's kernel
-# needs on top of them.
+# unit draws (64 B per trial) and one kernel workspace (four float and five
+# bool trial vectors, 37 B per trial) beside them.
 _CHUNK_TRIALS = 1 << 15
 _SUB_TRIALS = 1 << 12       # trials per 256 KB sub-block, transposed in cache
 _MANTISSA_BITS = 53         # a raw 64-bit draw keeps its top 53 bits
+# A draw's largest multiple of its mean, 53 ln 2 ~ 36.7 (the largest unit
+# draw), times the kernel's sums of two terms.
+_HEADROOM = 2.0 ** 7
 
 
 class OutageEstimate(namedtuple("OutageEstimate", "p_hat std_err trials")):
@@ -121,28 +126,44 @@ def _unit_block(seed: int, start: int, n: int, out=None) -> "np.ndarray":
     return e
 
 
+def _workspace(n: int) -> tuple:
+    """Four float64 and five bool trial vectors for chunks of up to n trials."""
+    import numpy as np
+
+    return np.empty((4, n)), np.empty((5, n), dtype=bool)
+
+
 def _count_group(derived: DerivedParams, alpha: float, schemes, e,
-                 primary: bool = True) -> list:
+                 primary: bool = True, work=None) -> list:
     """Integer event counts of each scheme in `schemes` over a chunk of draws.
 
     All schemes run on one scenario and split, so the SINR terms they share
     (the relay's x and y, each user's direct SINR and its parts, the
-    silent-relay events) are computed once, each by the same operations as a
-    scheme's own printed expression.  One loop runs over the users, each
-    reading its links from USER_LINKS.  Row k of `e` holds link LINKS[k]'s
-    unit draws.  Each count is keyed by the SchemeEstimates field it fills;
-    secondary events are always counted, primary ones when `primary`.  Each
-    scaled link and temporary is dropped after its last use, so a group adds
-    a few trial vectors to the chunk's working set.
+    repeated-copy events) are computed once, each by the same operations on
+    the same operands, in the same order, as a scheme's own printed
+    expression (commuted operands aside, which IEEE arithmetic keeps exact).
+    One loop runs over the users, each reading its links from USER_LINKS.
+    Row k of `e` holds link LINKS[k]'s unit draws.  Each count is keyed by
+    the SchemeEstimates field it fills; secondary events are always counted,
+    primary ones when `primary`.  Every scaled link, SINR term and event
+    mask is written through ufunc `out=` arguments into `work`, a
+    _workspace() at least as long as the chunk, so a call allocates no trial
+    vector; without one it allocates its own.
     """
     import numpy as np
 
     p = derived.params
     snr_p, snr_s, snr_r = p.snr_p, derived.snr_s, p.snr_r
     lp, ls = derived.lambda_p, derived.lambda_s
+    m = e.shape[1]
+    floats, bools = _workspace(m) if work is None else work
+    f1, f2, f3, t = (v[:m] for v in floats)
+    b1, b2, b3, b4, b5 = (v[:m] for v in bools)
 
-    def g(name):
-        return getattr(p.link_vars, name) * e[LINKS.index(name)]
+    def g(name, out):
+        """Link `name`'s draws, its variance times its unit row, into out."""
+        return np.multiply(getattr(p.link_vars, name), e[LINKS.index(name)],
+                           out=out)
 
     def n(mask):
         return int(np.count_nonzero(mask))
@@ -152,26 +173,33 @@ def _count_group(derived: DerivedParams, alpha: float, schemes, e,
     proposed = "proposed" in counts
     surrogate = "relay_assisted_secondary" in counts
     if proposed or surrogate:
-        x = snr_p * g("pr")
-        y = snr_s * g("sr")
-        s_first = y >= ls * (1.0 + x)
-        if proposed:
-            c_p = x > y
-            # boolean selects: np.where on bool arrays costs ~25x more
-            active["proposed"] = (
-                (c_p & ((x >= lp * (1.0 + y)) & (y >= ls)))
-                | (~c_p & ((y > x) & s_first & (x >= lp))))
-            counts["proposed"]["order_p"] = n(c_p)
-            del c_p
+        x = np.multiply(snr_p, g("pr", f1), out=f1)
+        y = np.multiply(snr_s, g("sr", f2), out=f2)
+        np.add(x, 1.0, out=t)
+        t *= ls
+        s_first = np.greater_equal(y, t, out=b1)   # y >= ls * (1 + x)
         if surrogate:
             # Surrogate baseline: the relay activates when it decodes the
             # secondary signal through the primary interference; it then
             # forwards it at full power while the primary transmitter
             # repeats, so the primary's second copy sees the relay as
-            # interference.
+            # interference.  Counted first below, while den is still live.
             active["relay_assisted_secondary"] = s_first
-        del x, y, s_first
-    silent = {scheme: ~d1 for scheme, d1 in active.items()}
+        if proposed:
+            c_p = np.greater(x, y, out=b2)
+            counts["proposed"]["order_p"] = n(c_p)
+            # c_p & (x >= lp * (1 + y)) & (y >= ls), or else (y > x, which
+            # implies ~c_p) & s_first & (x >= lp); boolean ops are exact
+            np.add(y, 1.0, out=t)
+            t *= lp
+            d1 = np.greater_equal(x, t, out=b3)
+            d1 &= c_p
+            d1 &= np.greater_equal(y, ls, out=b4)
+            s_side = np.greater(y, x, out=b2)
+            s_side &= s_first
+            s_side &= np.greater_equal(x, lp, out=b4)
+            d1 |= s_side
+            active["proposed"] = d1
     for scheme, d1 in active.items():
         counts[scheme]["p_d1"] = n(d1)
 
@@ -184,31 +212,43 @@ def _count_group(derived: DerivedParams, alpha: float, schemes, e,
             continue
         snr, snr_i, theta, lam, share, rest = rows[user]
         key = user[:3]   # the SchemeEstimates fields pri* or sec*
-        num = snr * g(sig)
-        den = snr_i * g(cross) + 1.0
-        sinr = num / den
-        if user == "primary" or not surrogate:
-            del den   # only the secondary's surrogate SINR reads it again
+        num = np.multiply(snr, g(sig, f1), out=f1)
+        den = np.multiply(snr_i, g(cross, f2), out=f2)
+        den += 1.0
+        sinr = np.divide(num, den, out=f3)
         if "noncooperative" in counts:
-            counts["noncooperative"][key] = n(sinr < theta)
-        if active:
-            r, relayed = g(relay), {}
-            if proposed:
-                relayed["proposed"] = (
-                    sinr + share * snr_r * r / (rest * snr_r * r + 1.0) < lam)
-            if surrogate:
-                relayed["relay_assisted_secondary"] = (
-                    sinr + num / (snr_r * r + 1.0) if user == "primary"
-                    else (num + snr_r * r) / den) < lam
-            del r
-            repeated = 2.0 * sinr < lam
-            for scheme, d1 in active.items():
-                c = counts[scheme]
-                c[f"{key}_d1"] = n(d1 & relayed[scheme])
-                c[f"{key}_d0"] = n(silent[scheme] & repeated)
-                c[key] = c[f"{key}_d1"] + c[f"{key}_d0"]
-            del relayed, repeated
-        del num, sinr
+            counts["noncooperative"][key] = n(np.less(sinr, theta, out=b2))
+        if not active:
+            continue
+        np.multiply(2.0, sinr, out=t)
+        repeated = np.less(t, lam, out=b4)
+        for scheme, d1 in active.items():
+            r = g(relay, t)
+            if scheme == "proposed":
+                # sinr + share * snr_r * r / (rest * snr_r * r + 1.0), in
+                # den's vector: the surrogate, counted first, read it last
+                q = np.multiply(rest * snr_r, r, out=f2)
+                q += 1.0
+                r *= share * snr_r
+                r /= q
+                r += sinr
+            else:
+                r *= snr_r
+                if user == "primary":   # sinr + num / (snr_r * r + 1.0)
+                    r += 1.0
+                    np.divide(num, r, out=r)
+                    r += sinr
+                else:                   # (num + snr_r * r) / den
+                    r += num
+                    r /= den
+            relayed = np.less(r, lam, out=b2)
+            relayed &= d1
+            silent = np.invert(d1, out=b5)
+            silent &= repeated
+            c = counts[scheme]
+            c[f"{key}_d1"] = n(relayed)
+            c[f"{key}_d0"] = n(silent)
+            c[key] = c[f"{key}_d1"] + c[f"{key}_d0"]
     return [counts[scheme] for scheme in schemes]
 
 
@@ -223,6 +263,20 @@ def check_run(trials, seed: int, workers: int) -> None:
         raise ValueError("seed must be a nonnegative integer")
     if seed >= 2 ** 128:
         raise ValueError("seed must be below 2**128")   # the Philox key width
+
+
+def check_scenario(derived: DerivedParams) -> None:
+    """Raise ValueError for a scenario whose draws can overflow the kernel:
+    one where a link's variance (its draws before the SNR scales them) or
+    mean gain times _HEADROOM and the largest 1 + lambda is not finite."""
+    scale = _HEADROOM * (1.0 + max(derived.lambda_p, derived.lambda_s))
+    for name in LINKS:
+        var = getattr(derived.params.link_vars, name)
+        gain = getattr(derived.gain, name)
+        if not math.isfinite(scale * max(var, gain)):
+            what = "variance" if var > gain else "mean gain"
+            raise ValueError(f"{what} of link {name} overflows a simulated "
+                             "draw")
 
 
 def check_request(alpha: float, scheme: str) -> None:
@@ -240,8 +294,9 @@ def estimate_many(seed: int, trials: int, requests, workers: int = 1,
     Every request reads trials [0, trials) of the seed's stream, so each
     chunk's unit draws are generated once and every request is counted on
     them: one kernel call per (params, alpha) group counts all of its
-    schemes, and only integer counts are kept.  Memory stays at one chunk per
-    worker whatever `trials` or the number of requests, and result i is
+    schemes, and only integer counts are kept.  Memory stays at one chunk of
+    draws and one kernel workspace per worker, which every chunk and group
+    reuses, whatever `trials` or the number of requests, and result i is
     bit-identical to estimate() on requests[i] for any worker count: chunks
     draw from disjoint trial-index ranges of the counter-based stream.
     With primary False no primary event is counted and every primary
@@ -254,15 +309,19 @@ def estimate_many(seed: int, trials: int, requests, workers: int = 1,
         groups.setdefault((params, alpha), {})[scheme] = None
     jobs = [(params, alpha, derive(params), tuple(schemes))
             for (params, alpha), schemes in groups.items()]
+    for _, _, derived, _ in jobs:
+        check_scenario(derived)
     chunks = [(start, min(_CHUNK_TRIALS, trials - start))
               for start in range(0, trials, _CHUNK_TRIALS)]
     workers = min(workers, len(chunks))
 
     def run(part):
-        """Summed counts per request over a worker's chunks, in one buffer."""
+        """Summed counts per request over a worker's chunks, in one draw
+        buffer and one kernel workspace."""
         import numpy as np
 
         buf = np.empty(_DOUBLES_PER_TRIAL * min(_CHUNK_TRIALS, trials))
+        work = _workspace(min(_CHUNK_TRIALS, trials))
         totals = {(params, alpha, scheme): Counter()
                   for params, alpha, _, schemes in jobs for scheme in schemes}
         for start, n in part:
@@ -270,7 +329,7 @@ def estimate_many(seed: int, trials: int, requests, workers: int = 1,
                             out=buf[:_DOUBLES_PER_TRIAL * n].reshape(-1, n))
             for params, alpha, derived, schemes in jobs:
                 for scheme, counts in zip(schemes, _count_group(
-                        derived, alpha, schemes, e, primary)):
+                        derived, alpha, schemes, e, primary, work)):
                     totals[params, alpha, scheme].update(counts)
         return totals
 

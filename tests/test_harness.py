@@ -234,6 +234,26 @@ def test_sweep_underflowing_primary_gain_is_an_error_row():
     assert errors == {-3000.0: "mean gain of link pp underflows", 20.0: ""}
 
 
+def test_cli_sweep_overflowing_relay_draw_is_an_error_row(capsys):
+    # from about 3060 dB a unit-variance relay draw can overflow the kernel:
+    # the simulated rows stop there and the sweep goes on with error rows
+    assert cli_main(["--trials", "1000", "sweep", "--axis", "snr_r_db",
+                     "--start", "2960", "--stop", "3080", "--step", "40",
+                     "--schemes", "proposed,relay_assisted_secondary",
+                     "--mode", "montecarlo"]) == 0
+    rows = rows_from_csv(capsys.readouterr().out)
+    assert [(r["value"], r["scheme"]) for r in rows] == [
+        (value, scheme) for value in ("2960", "3000", "3040", "3080")
+        for scheme in ("proposed", "relay_assisted_secondary")]
+    for row in rows:
+        if row["value"] == "3080":
+            assert row["mc_sec"] == ""
+            assert row["error"] == ("mean gain of link rp overflows a "
+                                    "simulated draw")
+        else:
+            assert row["mc_sec"] != "" and row["error"] == ""
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_sweep_bad_worker_count_fails_the_whole_sweep(mode):
     # the simulator's own message, before any row, in every mode
@@ -869,12 +889,19 @@ _SECONDARY_SNR_OVERFLOWS = ("admitted secondary SNR overflows: link variance "
     *[(["snr_p_db=-3000", "link_vars.pp=1e-300"], [command],
        "mean gain of link pp underflows")
       for command in ("analytic", "allocate", "simulate")],
+    # a relay draw up to 36.7 times its mean gain overflows the kernel's
+    # relayed term; the closed forms keep their wider domain
+    (["snr_r_db=3080"], ["simulate", "--alpha", "0.3"],
+     "mean gain of link rp overflows a simulated draw"),
+    # a finite mean gain, but the draw overflows before the SNR scales it
+    (["link_vars.rs=1e308", "snr_r_db=-100"], ["simulate"],
+     "variance of link rs overflows a simulated draw"),
 ], ids=["sp-analytic", "sp-allocate", "sp-simulate", "ss-gain", "pr-gain",
         "nan-conditional", "full-power-secondary", "full-power-underflow",
         "full-power-no-convergence", "ss-underflow-alpha-0",
         "ss-underflow-alpha-0.5", "ss-underflow-alpha-1",
         "pp-underflow-analytic", "pp-underflow-allocate",
-        "pp-underflow-simulate"])
+        "pp-underflow-simulate", "rp-draw-simulate", "rs-draw-simulate"])
 def test_cli_rejects_overflowing_scenario(overrides, command, message, capsys):
     # an overflow is refused, never printed as a NaN outage or a 0 +- 0
     # estimate

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ from crrelay.montecarlo import (
     OutageEstimate,
     _count_group,
     _unit_block,
+    _workspace,
 )
 from crrelay.system import LINKS, USER_LINKS
 from conftest import (_uniform_block, link_draws, replay_counts,
@@ -111,6 +113,40 @@ def test_unit_block_peak_memory_stays_near_its_output():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * e.nbytes
+
+
+def test_count_group_with_a_workspace_allocates_no_trial_vector(
+        table1_derived):
+    # every SINR term, event mask and count is written into the workspace,
+    # so a full chunk's kernel call allocates less than one float vector
+    e = _unit_block(4, 0, _CHUNK_TRIALS)
+    work = _workspace(_CHUNK_TRIALS)
+    first = _count_group(table1_derived, 0.37, SCHEMES, e, True, work)
+    tracemalloc.start()
+    try:
+        counts = _count_group(table1_derived, 0.37, SCHEMES, e, True, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == first == _count_group(table1_derived, 0.37, SCHEMES, e)
+    assert peak < 8 * _CHUNK_TRIALS
+
+
+def test_fresh_process_faults_do_not_grow_with_the_chunk_count():
+    # the kernel reuses one workspace per worker, so a fresh process takes
+    # no page faults per chunk: 1e6 trials (31 chunks) fault about as many
+    # pages as 2e5 (7 chunks), after a warm-up that loads numpy
+    pytest.importorskip("resource")
+    code = ("import resource, sys\n"
+            "from crrelay import default_params, estimate\n"
+            "estimate(default_params(), 0.5, 1000, seed=3)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "estimate(default_params(), 0.5, int(sys.argv[1]), seed=3)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt "
+            "- before)\n")
+    few, many = (int(run_fresh(code, str(trials)))
+                 for trials in (200_000, 1_000_000))
+    assert many - few <= 200, (few, many)
 
 
 def test_import_does_not_load_numpy_random():
@@ -562,25 +598,33 @@ def test_estimate_many_can_skip_primary_events(table1):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_estimate_many_reuses_one_draw_buffer_per_worker(table1, monkeypatch,
                                                         workers):
-    # every chunk refills its worker's one draw buffer, so the peak is that
-    # buffer plus the kernel's few live trial vectors, never a second buffer
-    # or a per-chunk copy of the links
+    # every chunk refills its worker's one draw buffer, and every kernel
+    # call writes into its worker's one workspace (four float and five bool
+    # trial vectors), so the peak is that buffer and workspace per worker,
+    # never a second buffer, a per-chunk copy of the links or a kernel
+    # temporary
     import crrelay.montecarlo as mc
 
-    owners = []   # kept alive, so no two buffers can share an id
-    unit_block = mc._unit_block
+    owners, works = [], []   # kept alive, so no two can share an id
+    unit_block, count_group = mc._unit_block, mc._count_group
 
     def recording(seed, start, n, out=None):
         owners.append(out if out.base is None else out.base)
         return unit_block(seed, start, n, out=out)
 
+    def counting(derived, alpha, schemes, e, primary, work):
+        works.append(work)
+        return count_group(derived, alpha, schemes, e, primary, work)
+
     monkeypatch.setattr(mc, "_unit_block", recording)
+    monkeypatch.setattr(mc, "_count_group", counting)
     requests = [(params, 0.5, scheme)
                 for params in (table1, symmetric_relay_params())
                 for scheme in SCHEMES]
     trials = 8 * _CHUNK_TRIALS + 17
     estimate_many(3, 1000, requests, workers)   # numpy's first-use state
     owners.clear()
+    works.clear()
     tracemalloc.start()
     try:
         estimate_many(3, trials, requests, workers)
@@ -588,6 +632,9 @@ def test_estimate_many_reuses_one_draw_buffer_per_worker(table1, monkeypatch,
     finally:
         tracemalloc.stop()
     assert len(owners) == 9 and len({id(o) for o in owners}) == workers
+    # two groups per chunk; a worker's chunks are every workers-th of 9
+    calls = Counter(id(work) for work in works)
+    assert sorted(calls.values()) == ([18] if workers == 1 else [8, 10])
     vector = 8 * _CHUNK_TRIALS   # one float64 trial vector of a chunk
     assert peak <= workers * (8 * vector + 8 * vector)
 

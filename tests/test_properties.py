@@ -20,6 +20,7 @@ from crrelay.analytic import (
     primary_split_floor,
     secondary_split_ceiling,
 )
+from crrelay.montecarlo import SCHEMES
 from crrelay.system import LINKS
 from conftest import replay_counts
 
@@ -213,3 +214,19 @@ def test_extreme_scenarios_raise_or_give_no_nan(params, alpha):
         return
     values = (res.alpha, res.snr_r, res.u_p) if res.feasible else ()
     assert not any(map(math.isnan, (res.u_s_total, *values))), res
+
+
+@settings(max_examples=300, **PROPERTY_SETTINGS)
+@given(params=extreme_scenarios(), alpha=splits)
+def test_extreme_scenarios_simulate_finite_or_raise(params, alpha):
+    # the simulator refuses a scenario whose draws could overflow; on every
+    # other one no kernel expression overflows (filterwarnings turns a numpy
+    # overflow warning into a failure) and every estimate is finite
+    assume(params is not None)
+    for scheme in SCHEMES:
+        try:
+            est = estimate(params, alpha, 300, seed=1, scheme=scheme)
+        except ValueError:
+            return
+        for field in est:
+            assert field is None or all(map(math.isfinite, field)), est
