@@ -19,13 +19,16 @@ worker count or chunking.
 The uniforms depend on the seed and trial index alone, never on the scenario,
 scheme or split: only the per-link variance scales them.  So the unit-mean
 exponentials -log1p(-u) are generated once per (seed, chunk) and shared by
-every request of an estimate_many() call.  A chunk's draws are transposed
+every request of an estimate_many() call.  Each worker keeps one Philox
+generator for the call: its chunks continue that stream, which is advanced
+only across the chunks of other workers.  A chunk's draws are transposed
 into their (8, n) layout one cache-sized sub-block of the stream at a time,
 into one draw buffer per worker that every chunk of the call refills.
 Requests on the same scenario and split form a group, and one kernel call
 counts all of a group's schemes, computing the SINR terms they share once.
 Every kernel call of a worker writes its terms and event masks into that
-worker's one workspace, so no chunk allocates a trial vector.
+worker's one workspace, so no chunk allocates a trial vector, and it reads
+a unit-variance link's draws in place, never writing to a draw row.
 numpy is imported on the first draw, so the commands that never simulate
 never load it.
 """
@@ -40,10 +43,13 @@ SCHEMES = ("proposed", "noncooperative", "relay_assisted_secondary")
 _DOUBLES_PER_TRIAL = 8
 _BLOCKS_PER_TRIAL = 2       # Philox counter blocks (4 doubles each) per trial
 # Trials per chunk.  Bounds memory, never results: a worker holds one chunk of
-# unit draws (64 B per trial) and one kernel workspace (four float and five
-# bool trial vectors, 37 B per trial) beside them.
-_CHUNK_TRIALS = 1 << 15
-_SUB_TRIALS = 1 << 12       # trials per 256 KB sub-block, transposed in cache
+# unit draws (64 B per trial, 1 MB) and one kernel workspace (four float and
+# five bool trial vectors, 37 B per trial, about 0.6 MB) beside them.  Half
+# as many trials would pay the kernel's fixed per-call cost too often.
+_CHUNK_TRIALS = 1 << 14
+# Trials per 128 KB sub-block of raw draws, transposed in cache; the only
+# transient beside the chunk, one eighth of it.
+_SUB_TRIALS = 1 << 11
 _MANTISSA_BITS = 53         # a raw 64-bit draw keeps its top 53 bits
 # A draw's largest multiple of its mean, 53 ln 2 ~ 36.7 (the largest unit
 # draw), times the kernel's sums of two terms.
@@ -99,28 +105,29 @@ def _philox(seed: int, start: int):
     return bit
 
 
-def _unit_block(seed: int, start: int, n: int, out=None) -> "np.ndarray":
-    """Unit-mean exponentials -log1p(-u) for trials [start, start+n).
+def _unit_block(bit, n: int, out=None) -> "np.ndarray":
+    """Unit-mean exponentials -log1p(-u) for the next n trials of `bit`.
 
     Shape (8, n), row k holding link LINKS[k]; a link's channel draws are its
     variance times its row.  Equal to -log1p(-u).T for u the (n, 8) doubles
-    that numpy's Generator draws from _philox(seed, start) (the tests' oracle
-    _uniform_block), read in cache-sized sub-blocks and written into `out`
-    when given, else into a new C-contiguous array.  Each raw 64-bit draw
-    becomes -u as its top 53 bits times -2**-53, the generator's own uniform
-    double with its sign flipped, both steps exact.
+    that numpy's Generator draws from the same generator state (the tests'
+    oracle _uniform_block), which `bit` leaves n trials further on.  Read in
+    cache-sized sub-blocks and written into `out` when given, else into a
+    new C-contiguous array.  Each raw 64-bit draw keeps its top 53 bits,
+    exactly a double, and times -2**-53 becomes -u, the generator's own
+    uniform double with its sign flipped, every step exact.
     """
     import numpy as np
 
-    bit = _philox(seed, start)
     e = np.empty((_DOUBLES_PER_TRIAL, n)) if out is None else out
     for s in range(0, n, _SUB_TRIALS):
         m = min(_SUB_TRIALS, n - s)
         raw = bit.random_raw(m * _DOUBLES_PER_TRIAL)
         raw >>= 64 - _MANTISSA_BITS
-        np.multiply(raw.reshape(m, _DOUBLES_PER_TRIAL).T,
-                    -2.0 ** -_MANTISSA_BITS, out=e[:, s:s + m])
+        # a plain cast; a ufunc that also scaled would cast through buffers
+        e[:, s:s + m] = raw.reshape(m, _DOUBLES_PER_TRIAL).T
         del raw   # one sub-block alive at a time
+    e *= -2.0 ** -_MANTISSA_BITS
     np.log1p(e, out=e)
     np.negative(e, out=e)
     return e
@@ -148,7 +155,10 @@ def _count_group(derived: DerivedParams, alpha: float, schemes, e,
     primary ones when `primary`.  Every scaled link, SINR term and event
     mask is written through ufunc `out=` arguments into `work`, a
     _workspace() at least as long as the chunk, so a call allocates no trial
-    vector; without one it allocates its own.
+    vector; without one it allocates its own.  A unit-variance link is read
+    in place (1.0 * row is row), and no row of `e` is ever written.  The
+    repeated-copy event 2*sinr < lambda is counted as sinr < lambda/2, exact
+    as check_scenario keeps sinr finite and lambda is at least 2**-52.
     """
     import numpy as np
 
@@ -161,9 +171,9 @@ def _count_group(derived: DerivedParams, alpha: float, schemes, e,
     b1, b2, b3, b4, b5 = (v[:m] for v in bools)
 
     def g(name, out):
-        """Link `name`'s draws, its variance times its unit row, into out."""
-        return np.multiply(getattr(p.link_vars, name), e[LINKS.index(name)],
-                           out=out)
+        """Link `name`'s draws: its unit row, or its variance times it."""
+        var, row = getattr(p.link_vars, name), e[LINKS.index(name)]
+        return row if var == 1.0 else np.multiply(var, row, out=out)
 
     def n(mask):
         return int(np.count_nonzero(mask))
@@ -220,25 +230,24 @@ def _count_group(derived: DerivedParams, alpha: float, schemes, e,
             counts["noncooperative"][key] = n(np.less(sinr, theta, out=b2))
         if not active:
             continue
-        np.multiply(2.0, sinr, out=t)
-        repeated = np.less(t, lam, out=b4)
+        repeated = np.less(sinr, 0.5 * lam, out=b4)   # 2 * sinr < lam
         for scheme, d1 in active.items():
-            r = g(relay, t)
+            g_r = g(relay, t)
             if scheme == "proposed":
-                # sinr + share * snr_r * r / (rest * snr_r * r + 1.0), in
+                # sinr + share * snr_r * g_r / (rest * snr_r * g_r + 1.0), in
                 # den's vector: the surrogate, counted first, read it last
-                q = np.multiply(rest * snr_r, r, out=f2)
+                q = np.multiply(rest * snr_r, g_r, out=f2)
                 q += 1.0
-                r *= share * snr_r
+                r = np.multiply(share * snr_r, g_r, out=t)
                 r /= q
                 r += sinr
             else:
-                r *= snr_r
-                if user == "primary":   # sinr + num / (snr_r * r + 1.0)
+                r = np.multiply(snr_r, g_r, out=t)
+                if user == "primary":   # sinr + num / (snr_r * g_r + 1.0)
                     r += 1.0
                     np.divide(num, r, out=r)
                     r += sinr
-                else:                   # (num + snr_r * r) / den
+                else:                   # (num + snr_r * g_r) / den
                     r += num
                     r /= den
             relayed = np.less(r, lam, out=b2)
@@ -295,10 +304,12 @@ def estimate_many(seed: int, trials: int, requests, workers: int = 1,
     chunk's unit draws are generated once and every request is counted on
     them: one kernel call per (params, alpha) group counts all of its
     schemes, and only integer counts are kept.  Memory stays at one chunk of
-    draws and one kernel workspace per worker, which every chunk and group
-    reuses, whatever `trials` or the number of requests, and result i is
-    bit-identical to estimate() on requests[i] for any worker count: chunks
-    draw from disjoint trial-index ranges of the counter-based stream.
+    draws (1 MB) and one kernel workspace (about 0.6 MB) per worker, which
+    every chunk and group reuses, whatever `trials` or the number of
+    requests.  Each worker builds one generator and continues its stream
+    from chunk to chunk, and result i is bit-identical to estimate() on
+    requests[i] for any worker count: chunks draw from disjoint trial-index
+    ranges of the counter-based stream.
     With primary False no primary event is counted and every primary
     estimate is None.
     """
@@ -316,17 +327,22 @@ def estimate_many(seed: int, trials: int, requests, workers: int = 1,
     workers = min(workers, len(chunks))
 
     def run(part):
-        """Summed counts per request over a worker's chunks, in one draw
-        buffer and one kernel workspace."""
+        """Summed counts per request over a worker's chunks, from one
+        generator into one draw buffer and one kernel workspace."""
         import numpy as np
 
         buf = np.empty(_DOUBLES_PER_TRIAL * min(_CHUNK_TRIALS, trials))
         work = _workspace(min(_CHUNK_TRIALS, trials))
         totals = {(params, alpha, scheme): Counter()
                   for params, alpha, _, schemes in jobs for scheme in schemes}
+        at = part[0][0]   # the trial the generator stands at
+        bit = _philox(seed, at)
         for start, n in part:
-            e = _unit_block(seed, start, n,
+            if start > at:   # past the other workers' chunks
+                bit.advance(_BLOCKS_PER_TRIAL * (start - at))
+            e = _unit_block(bit, n,
                             out=buf[:_DOUBLES_PER_TRIAL * n].reshape(-1, n))
+            at = start + n
             for params, alpha, derived, schemes in jobs:
                 for scheme, counts in zip(schemes, _count_group(
                         derived, alpha, schemes, e, primary, work)):

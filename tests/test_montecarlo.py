@@ -33,11 +33,12 @@ from crrelay.montecarlo import (
     SCHEMES,
     OutageEstimate,
     _count_group,
+    _philox,
     _unit_block,
     _workspace,
 )
 from crrelay.system import LINKS, USER_LINKS
-from conftest import (_uniform_block, link_draws, replay_counts,
+from conftest import (_uniform_block, link_draws, link_table, replay_counts,
                       symmetric_relay_params)
 
 
@@ -69,21 +70,23 @@ def test_unit_block_scales_to_inversion_draws(table1):
     # var * (-log1p(-u)) is bit-identical to -var * log1p(-u) on every link,
     # also from an offset start and over a partial last chunk
     u = _uniform_block(9, 1000, 300_001)
-    e = _unit_block(9, 1000, 300_001)
+    e = _unit_block(_philox(9, 1000), 300_001)
     assert e.shape == (8, 300_001) and e.flags["C_CONTIGUOUS"]
     for k, name in enumerate(LINKS):
         var = getattr(table1.link_vars, name)
         assert np.array_equal(var * e[k], -var * np.log1p(-u[:, k]))
 
 
-@pytest.mark.parametrize("n", [1, _SUB_TRIALS - 1, _SUB_TRIALS, _SUB_TRIALS + 1,
-                               2 * _SUB_TRIALS + 17, _CHUNK_TRIALS,
-                               2 * _CHUNK_TRIALS])
+@pytest.mark.parametrize("n", sorted({
+    1, _SUB_TRIALS - 1, _SUB_TRIALS, _SUB_TRIALS + 1, 2 * _SUB_TRIALS + 17,
+    _CHUNK_TRIALS, 2 * _CHUNK_TRIALS,
+    # the same edges at 4,096-trial sub-blocks and 32,768-trial chunks
+    4095, 4096, 4097, 8209, 32_768, 65_536}))
 def test_unit_block_matches_uniforms_across_sub_blocks(n):
     # the sub-blocked transpose continues one stream: every trial reads the
     # same uniforms as the (n, 8) block, also from an odd start
     start = 4099
-    e = _unit_block(3, start, n)
+    e = _unit_block(_philox(3, start), n)
     assert e.shape == (8, n) and e.flags["C_CONTIGUOUS"]
     assert np.array_equal(e, -np.log1p(-_uniform_block(3, start, n)).T)
 
@@ -95,7 +98,7 @@ def test_counts_do_not_depend_on_numpys_log1p(table1):
     u = _uniform_block(0, 0, _CHUNK_TRIALS)
     e_libm = np.array([-math.log1p(-x) for x in u.ravel().tolist()])
     e_libm = e_libm.reshape(u.shape).T
-    e = _unit_block(0, 0, _CHUNK_TRIALS)
+    e = _unit_block(_philox(0, 0), _CHUNK_TRIALS)
     for params, alpha in ((default_params(), 0.5), (default_params(), 1.0),
                           (table1, allocate(table1).alpha)):
         d = derive(params)
@@ -105,10 +108,13 @@ def test_counts_do_not_depend_on_numpys_log1p(table1):
 
 def test_unit_block_peak_memory_stays_near_its_output():
     # the chunk is written in place from cache-sized sub-blocks; a full-size
-    # uniform temporary next to the output would double the peak
+    # uniform temporary next to the output would double the peak.  A small
+    # draw first imports numpy.random outside the traced window
+    _unit_block(_philox(4, 0), 1)
+    bit = _philox(4, 0)
     tracemalloc.start()
     try:
-        e = _unit_block(4, 0, _CHUNK_TRIALS)
+        e = _unit_block(bit, _CHUNK_TRIALS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -119,7 +125,7 @@ def test_count_group_with_a_workspace_allocates_no_trial_vector(
         table1_derived):
     # every SINR term, event mask and count is written into the workspace,
     # so a full chunk's kernel call allocates less than one float vector
-    e = _unit_block(4, 0, _CHUNK_TRIALS)
+    e = _unit_block(_philox(4, 0), _CHUNK_TRIALS)
     work = _workspace(_CHUNK_TRIALS)
     first = _count_group(table1_derived, 0.37, SCHEMES, e, True, work)
     tracemalloc.start()
@@ -134,8 +140,8 @@ def test_count_group_with_a_workspace_allocates_no_trial_vector(
 
 def test_fresh_process_faults_do_not_grow_with_the_chunk_count():
     # the kernel reuses one workspace per worker, so a fresh process takes
-    # no page faults per chunk: 1e6 trials (31 chunks) fault about as many
-    # pages as 2e5 (7 chunks), after a warm-up that loads numpy
+    # no page faults per chunk: 1e6 trials (62 chunks) fault about as many
+    # pages as 2e5 (13 chunks), after a warm-up that loads numpy
     pytest.importorskip("resource")
     code = ("import resource, sys\n"
             "from crrelay import default_params, estimate\n"
@@ -289,7 +295,7 @@ def test_relay_decision_orders_are_exclusive(table1, table1_derived):
     # fire on the same draw
     d = table1_derived
     g = link_draws(table1, seed=31, start=0, n=4000)
-    e = _unit_block(31, 0, 4000)
+    e = _unit_block(_philox(31, 0), 4000)
     for i in range(4000):
         x = table1.snr_p * float(g["pr"][i])
         y = d.snr_s * float(g["sr"][i])
@@ -323,6 +329,28 @@ def test_estimate_matches_replay_across_sub_blocks(table1, scheme):
         assert (est.pri.p_hat, est.sec.p_hat) == (pri / n, sec / n)
         if scheme != "noncooperative":
             assert est.p_d1.p_hat == d1 / n
+
+
+@pytest.mark.parametrize("primary", [True, False])
+def test_unit_variance_kernel_matches_replay(primary):
+    # at unit variance the kernel reads every link's draw row in place; one
+    # call counting all schemes must match each scheme's own replay and
+    # leave the rows it read untouched
+    params = default_params()._replace(link_vars=link_table())
+    d = derive(params)
+    n, seed = 2 * _SUB_TRIALS + 17, 23
+    e = _unit_block(_philox(seed, 0), n)
+    draws = e.copy()
+    work = _workspace(n)
+    for alpha in (0.0, 0.37, 1.0):
+        for scheme, c in zip(SCHEMES, _count_group(d, alpha, SCHEMES, e,
+                                                   primary, work)):
+            d1, pri, sec = replay_counts(params, alpha, seed, n, scheme)
+            assert c["sec"] == sec
+            assert c.get("pri") == (pri if primary else None)
+            if scheme != "noncooperative":
+                assert c["p_d1"] == d1
+        assert np.array_equal(e, draws)
 
 
 def test_simulate_slot_alpha_one_relay_term(table1, table1_derived):
@@ -455,7 +483,7 @@ def test_ratio_outage_tails_against_conditional_monte_carlo():
     # trials keeps a relative error in the tail.  The estimate's trials is
     # the count-equivalent p(1-p)/se^2, so the Wilson edge, meant for event
     # counts, cannot pass a point vacuously
-    e = _unit_block(7, 0, 1_000_000)
+    e = _unit_block(_philox(7, 0), 1_000_000)
     row = {name: e[k] for k, name in enumerate(LINKS)}
     base = default_params()
     checks = []
@@ -556,8 +584,10 @@ def test_bit_identical_across_chunk_sizes(table1, monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("trials", [1, _CHUNK_TRIALS - 1, _CHUNK_TRIALS + 1,
-                                    2 * _CHUNK_TRIALS + 17, 131_072, 300_001])
+@pytest.mark.parametrize("trials", sorted({
+    1, _CHUNK_TRIALS - 1, _CHUNK_TRIALS + 1, 2 * _CHUNK_TRIALS + 17,
+    # the same edges at 32,768-trial chunks
+    32_767, 32_769, 65_553, 131_072, 300_001}))
 def test_estimate_many_matches_per_request_estimate(table1, trials, workers):
     # one shared draw per chunk and one kernel call per (scenario, split)
     # group serve every request exactly as its own estimate() would.  The
@@ -608,9 +638,9 @@ def test_estimate_many_reuses_one_draw_buffer_per_worker(table1, monkeypatch,
     owners, works = [], []   # kept alive, so no two can share an id
     unit_block, count_group = mc._unit_block, mc._count_group
 
-    def recording(seed, start, n, out=None):
+    def recording(bit, n, out=None):
         owners.append(out if out.base is None else out.base)
-        return unit_block(seed, start, n, out=out)
+        return unit_block(bit, n, out=out)
 
     def counting(derived, alpha, schemes, e, primary, work):
         works.append(work)
@@ -637,6 +667,43 @@ def test_estimate_many_reuses_one_draw_buffer_per_worker(table1, monkeypatch,
     assert sorted(calls.values()) == ([18] if workers == 1 else [8, 10])
     vector = 8 * _CHUNK_TRIALS   # one float64 trial vector of a chunk
     assert peak <= workers * (8 * vector + 8 * vector)
+
+
+@pytest.mark.parametrize("workers, trials", [
+    (1, 8 * _CHUNK_TRIALS + 17), (2, 8 * _CHUNK_TRIALS + 17),
+    (3, 8 * _CHUNK_TRIALS + 17), (2, _CHUNK_TRIALS)])
+def test_estimate_many_builds_one_philox_per_worker(table1, monkeypatch,
+                                                    workers, trials):
+    # each worker keys one generator and continues its stream from chunk to
+    # chunk; a single chunk has a single worker
+    made = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        made.append(kwargs.get("key"))
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    requests = [(table1, 0.5, scheme) for scheme in SCHEMES]
+    batch = estimate_many(5, trials, requests, workers)
+    assert made == [5] * min(workers, -(-trials // _CHUNK_TRIALS))
+    monkeypatch.undo()
+    assert batch == estimate_many(5, trials, requests)
+
+
+def test_estimate_many_working_set_stays_below_two_mib():
+    # verify's two requests at 1e6 trials on one worker: one chunk of draws
+    # and one workspace, whatever the trial count, under 2 MiB in all
+    requests = [(default_params(), 0.5, scheme)
+                for scheme in ("proposed", "noncooperative")]
+    estimate_many(3, 1000, requests)   # numpy's first-use state
+    tracemalloc.start()
+    try:
+        estimate_many(3, 1_000_000, requests)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 def test_different_seeds_differ(table1):

@@ -1,5 +1,6 @@
 """Property tests over random valid scenarios."""
 import math
+import sys
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -68,6 +69,19 @@ def test_estimate_counts_match_scalar_replay(params, alpha, seed):
     est = estimate(params, alpha, n, seed)
     assert (est.p_d1.p_hat, est.pri.p_hat, est.sec.p_hat) == \
         (d1 / n, pri / n, sec / n)
+
+
+@settings(max_examples=300, **PROPERTY_SETTINGS)
+@given(sinr=st.floats(0.0, sys.float_info.max / 2.0 ** 8),
+       lam=st.floats(2.0 ** -52, 1e300))
+def test_repeated_copy_event_halves_lambda_exactly(sinr, lam):
+    # the kernel counts 2*sinr < lambda as sinr < lambda/2: over the SINRs a
+    # checked scenario can reach and every accepted lambda both products are
+    # exact, so the events agree, also next to the threshold
+    half = 0.5 * lam
+    for s in (sinr, half, math.nextafter(half, 0.0),
+              math.nextafter(half, math.inf)):
+        assert (2.0 * s < lam) == (s < 0.5 * lam)
 
 
 def _split_pairs(d, a, b):
