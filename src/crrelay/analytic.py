@@ -200,16 +200,21 @@ def _full_power_outage(g_sig, g_cross, g_relay, threshold, user) -> float:
     first-order one, which is itself at most about 1e-5 of x.  Above the cut
     the integral's absolute error, scaled by g_sig/(g_cross*g_relay), can
     swamp a small outage; below it its coefficients can pass double range.
+    A slope, scale or integrand past double range is refused by name.
     """
     d = g_sig + threshold * g_cross
     if g_relay <= 1e-5 * min(g_sig, threshold):
         if d * d == 0.0:
             raise ArithmeticError(_full_power_message(user, "underflows"))
-        return (_ratio_outage(g_sig, g_cross, threshold)
-                - g_relay * math.exp(-threshold / g_sig)
-                * (1.0 / d + g_sig * g_cross / (d * d)))
+        slope = 1.0 / d + g_sig * g_cross / (d * d)
+        if not math.isfinite(slope):
+            raise ArithmeticError(_full_power_message(user, "overflows"))
+        return _clamp01(_ratio_outage(g_sig, g_cross, threshold)
+                        - g_relay * math.exp(-threshold / g_sig) * slope)
     c = (1.0 / g_relay - 1.0 / g_sig) / g_cross
-    if not (math.isfinite(c) and math.isfinite(d)):
+    relayed = g_cross * g_relay
+    if not (math.isfinite(c) and math.isfinite(d) and relayed > 0.0
+            and math.isfinite(g_sig / relayed)):
         raise ArithmeticError(_full_power_message(user, "overflows"))
     a = g_sig
     try:
@@ -219,10 +224,12 @@ def _full_power_outage(g_sig, g_cross, g_relay, threshold, user) -> float:
     except QuadratureError as exc:
         raise QuadratureError(
             _full_power_message(user, "does not converge")) from exc
+    except OverflowError as exc:
+        raise ArithmeticError(_full_power_message(user, "overflows")) from exc
     return _clamp01(
         1.0
         - math.exp(-threshold / g_relay)
-        - (g_sig / (g_cross * g_relay)) * shifted
+        - (g_sig / relayed) * shifted
     )
 
 

@@ -4,6 +4,7 @@ from decimal import Decimal, localcontext
 import pytest
 
 from crrelay import LinkTable, SystemParams, derive, table1_params
+from crrelay.harness import ORACLES
 from crrelay.montecarlo import _DOUBLES_PER_TRIAL, _philox, _unit_block
 from crrelay.system import (
     LINKS,
@@ -55,6 +56,18 @@ def exp_over_x_reference(c, a, b) -> float:
             total += term
             if k > abs(cb) and abs(term) <= abs(total) * Decimal("1e-25"):
                 return float(total)
+
+
+def exact_oracles(derived, at0, at1, noncoop):
+    """(name, estimate, closed form) of the exact and split ORACLES rows
+    whose event occurred: a split row at alpha 0 and 1, an exact one once."""
+    for row in ORACLES:
+        for alpha in {"exact": (1.0,), "split": (0.0, 1.0)}.get(row.kind, ()):
+            est = getattr(noncoop if row.scheme == "noncooperative"
+                          else at1 if alpha else at0, row.field)
+            if est is not None:
+                yield (f"{row.scheme} {row.field} a{alpha:g}", est,
+                       row.form(derived, alpha))
 
 
 def symmetric_relay_params():

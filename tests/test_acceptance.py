@@ -28,14 +28,11 @@ from crrelay import (
     allocate,
     common_alpha_band,
     cond_outage_d1_exact,
-    cond_outage_d0,
     derive,
     estimate,
     estimate_many,
     integrate_exp_over_x,
     min_snr_r_for_epsilon,
-    noncoop_outage,
-    prob_decode_order,
     prob_relay_active,
     prob_relay_active_exact,
     reproduce,
@@ -50,7 +47,7 @@ from crrelay.allocation import rate_s_at_split_ceiling
 from crrelay.analytic import primary_split_floor
 from crrelay.harness import _mc_check, default_params
 from crrelay.montecarlo import _CHUNK_TRIALS
-from conftest import exp_over_x_reference, synth_derived
+from conftest import exact_oracles, exp_over_x_reference, synth_derived
 
 TABLE1_EPS = (0.04, 0.05, 0.06, 0.07, 0.08, 0.09)
 TABLE1_ALPHA_REF = (0.488, 0.489, 0.489, 0.488, 0.488, 0.487)
@@ -199,25 +196,10 @@ def oracle_runs():
 
 def test_c3a_oracle_equivalence_closed_forms(oracle_runs):
     runs, elapsed = oracle_runs
-    checks = []
-    for k, run in enumerate(runs):
-        d = run["derived"]
-        e0, e1, nc = run["alpha0"], run["alpha1"], run["noncoop"]
-        checks += [
-            _mc_check(f"s{k} order_p", e1.order_p, prob_decode_order(d, "p")),
-            _mc_check(f"s{k} sec_d0", e1.sec_d0,
-                      cond_outage_d0(d, "secondary")),
-            _mc_check(f"s{k} pri_d1 a0", e0.pri_d1,
-                      cond_outage_d1_exact(d, "primary", 0.0)),
-            _mc_check(f"s{k} sec_d1 a0", e0.sec_d1,
-                      cond_outage_d1_exact(d, "secondary", 0.0)),
-            _mc_check(f"s{k} pri_d1 a1", e1.pri_d1,
-                      cond_outage_d1_exact(d, "primary", 1.0)),
-            _mc_check(f"s{k} sec_d1 a1", e1.sec_d1,
-                      cond_outage_d1_exact(d, "secondary", 1.0)),
-            _mc_check(f"s{k} noncoop sec", nc.sec,
-                      noncoop_outage(d, "secondary")),
-        ]
+    checks = [_mc_check(f"s{k} {name}", est, ref)
+              for k, run in enumerate(runs)
+              for name, est, ref in exact_oracles(
+                  run["derived"], run["alpha0"], run["alpha1"], run["noncoop"])]
     agree, failed = _judged(checks)
     assert _line("C3a oracle equivalence (closed forms)",
                  agree and elapsed < 60.0,

@@ -32,6 +32,7 @@ from crrelay import (
 from crrelay.cli import main as cli_main
 from crrelay.harness import (
     MODES,
+    ORACLES,
     REPRODUCE_TARGETS,
     ResultRow,
     _mc_check,
@@ -627,8 +628,9 @@ def test_compare_analytic_mc_extreme_split(table1):
 
 
 def test_exact_conditionals_integrate_once(monkeypatch, capsys):
-    # analytic and verify read the conditionals the totals mixed instead of
-    # evaluating them again: one quadrature for the relay-aided user
+    # analytic reads the conditionals the totals mixed instead of evaluating
+    # them again: one quadrature for the relay-aided user.  verify evaluates
+    # each ORACLES row on its own: the user's relay-active row and both totals
     calls = []
     integrate = crrelay.analytic.integrate_exp_over_x
 
@@ -642,7 +644,7 @@ def test_exact_conditionals_integrate_once(monkeypatch, capsys):
     calls.clear()
     report = compare_analytic_mc(default_params(), alpha=1.0, trials=1_000)
     assert any("(exact)" in c.name for c in report.checks)
-    assert len(calls) == 1
+    assert len(calls) == 3
 
 
 def test_mc_check_judges_certain_outage_by_wilson():
@@ -737,6 +739,30 @@ def test_compare_analytic_mc_no_secondary(table1):
                                  trials=5_000, seed=5)
     assert report.ok
     assert any("no secondary access" in c.name for c in report.checks)
+
+
+@pytest.mark.parametrize("gain, alpha, conditionals", [
+    (1e-12, 0.5, ["secondary outage | relay silent",
+                  "primary outage | relay silent"]),
+    (1e8, 1.0, ["primary outage | relay active (exact)",
+                "secondary outage | relay active (exact)"]),
+], ids=["relay-never-active", "relay-always-active"])
+def test_compare_analytic_mc_leaves_out_unseen_conditionals(
+        table1, gain, alpha, conditionals):
+    # links toward the relay 1e-12 or 1e8 times as strong: in 2,000 trials
+    # the relay never or always decodes both signals, so verify has no
+    # relay-active or no relay-silent estimate and leaves out those rows
+    links = table1.link_vars._replace(pr=gain, sr=gain)
+    report = compare_analytic_mc(table1._replace(link_vars=links), alpha,
+                                 trials=2_000, seed=3)
+    total = "bound" if alpha == 0.5 else "exact-conditional mixture"
+    assert [c.name for c in report.checks] == [
+        "relay activation frequency", "SIC order: primary decoded first",
+        *conditionals, f"total secondary outage within {total}",
+        f"total primary outage within {total}",
+        "non-cooperative secondary outage",
+        "non-cooperative primary outage at the admission threshold"]
+    assert report.ok
 
 
 # ---- CLI -------------------------------------------------------------------------
@@ -856,8 +882,11 @@ _SECONDARY_SNR_OVERFLOWS = ("admitted secondary SNR overflows: link variance "
      "mean gain of link ss overflows"),
     (["link_vars.pr=1e300", "snr_p_db=200"], ["analytic"],
      "mean gain of link pr overflows"),
+    # the weak-relay expansion's slope reads inf/inf
     (["snr_p_db=1000", "snr_r_db=-1000", "link_vars.ss=1e200"],
-     ["analytic", "--alpha", "0"], "an outage probability evaluated to NaN"),
+     ["analytic", "--alpha", "0"],
+     "full-power secondary outage overflows: the mean gains of links ss, ps "
+     "and rs are out of range"),
     # c = (1/g_rs - 1/g_ss)/g_ps of the full-power secondary form overflows
     (["link_vars.pp=4.84e+33", "link_vars.sp=3.89e+35", "link_vars.ps=1.46e-259",
       "link_vars.ss=4.56e-112", "link_vars.pr=4.14e-59", "link_vars.sr=8.99e+30",
@@ -881,6 +910,17 @@ _SECONDARY_SNR_OVERFLOWS = ("admitted secondary SNR overflows: link variance "
      ["analytic", "--alpha", "0"],
      "full-power secondary outage does not converge: the mean gains of links "
      "ss, ps and rs are out of range"),
+    # the quadrature's exponent c*x + shift cancels two terms near 7e19,
+    # and the rounding left over overflows exp
+    (["rate_p=0.6320358722067694", "rate_s=0.12501383767923258",
+      "epsilon=0.09310726660037971", "snr_p_db=53.34007886245094",
+      "snr_r_db=-47.72278596776293", "link_vars.pp=33092472529.19655",
+      "link_vars.sp=0.00013669490147871384",
+      "link_vars.ps=0.002960680217220911",
+      "link_vars.ss=0.07261769066378727", "link_vars.sr=3488278132.3369083"],
+     ["analytic", "--alpha", "0"],
+     "full-power secondary outage overflows: the mean gains of links ss, ps "
+     "and rs are out of range"),
     # just above the cutoff snr_s * var_ss rounds to 0: the exact forms and
     # the bounds name it alike
     *[(["link_vars.ss=5e-324", "snr_p_db=10.22"], ["analytic", "--alpha", a],
@@ -898,7 +938,8 @@ _SECONDARY_SNR_OVERFLOWS = ("admitted secondary SNR overflows: link variance "
      "variance of link rs overflows a simulated draw"),
 ], ids=["sp-analytic", "sp-allocate", "sp-simulate", "ss-gain", "pr-gain",
         "nan-conditional", "full-power-secondary", "full-power-underflow",
-        "full-power-no-convergence", "ss-underflow-alpha-0",
+        "full-power-no-convergence", "full-power-exp-overflow",
+        "ss-underflow-alpha-0",
         "ss-underflow-alpha-0.5", "ss-underflow-alpha-1",
         "pp-underflow-analytic", "pp-underflow-allocate",
         "pp-underflow-simulate", "rp-draw-simulate", "rs-draw-simulate"])
@@ -1032,10 +1073,11 @@ def test_cli_arithmetic_error_exits_1(exc, monkeypatch, capsys):
 
     monkeypatch.setattr("crrelay.analytic.integrate_exp_over_x", fail)
     assert cli_main(["analytic", "--alpha", "1"]) == 1
-    # a quadrature failure is reported by the form that ran it
-    message = ("full-power primary outage does not converge: the mean gains "
-               "of links pp, sp and rp are out of range"
-               if isinstance(exc, QuadratureError) else str(exc))
+    # a quadrature failure or overflow is reported by the form that ran it
+    message = ("full-power primary outage {}: the mean gains of links pp, sp "
+               "and rp are out of range").format(
+        "does not converge" if isinstance(exc, QuadratureError)
+        else "overflows")
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
@@ -1378,7 +1420,7 @@ def test_package_records_are_immutable():
         if isinstance(cls, type) and issubclass(cls, tuple)
         and cls.__module__ == f"crrelay.{path.stem}"]
     assert sorted(cls.__name__ for cls in records) == [
-        "AllocationResult", "Check", "DerivedParams", "LinkTable",
+        "AllocationResult", "Check", "DerivedParams", "LinkTable", "Oracle",
         "OutageEstimate", "OutageSummary", "Report", "ResultRow",
         "SchemeEstimates", "SystemParams"]
     for cls in records:
@@ -1420,6 +1462,17 @@ def test_closed_forms_take_no_scenario_field():
         if arg.arg in ("epsilon", "rate_p", "rate_s")
     ]
     assert passed == []
+
+
+def test_every_closed_form_has_an_oracle():
+    # every public closed form of a scenario has an ORACLES row naming it;
+    # the exact activation form joins verify once verify's pins may move
+    named = {name for row in ORACLES for name in row.form.__code__.co_names}
+    forms = {name for name, fn in vars(crrelay.analytic).items()
+             if isinstance(fn, types.FunctionType) and not name.startswith("_")
+             and fn.__module__ == "crrelay.analytic"
+             and fn.__code__.co_varnames[:1] == ("derived",)}
+    assert forms - named == {"prob_relay_active_exact"}
 
 
 # ---- documentation -------------------------------------------------------------

@@ -22,7 +22,6 @@ from crrelay import (
     estimate,
     estimate_many,
     noncoop_outage,
-    prob_decode_order,
     prob_relay_active,
     prob_relay_active_exact,
 )
@@ -38,8 +37,8 @@ from crrelay.montecarlo import (
     _workspace,
 )
 from crrelay.system import LINKS, USER_LINKS
-from conftest import (_uniform_block, link_draws, link_table, replay_counts,
-                      symmetric_relay_params)
+from conftest import (_uniform_block, exact_oracles, link_draws, link_table,
+                      replay_counts, symmetric_relay_params)
 
 
 # ---- estimates --------------------------------------------------------------
@@ -394,29 +393,6 @@ def test_activation_frequency_matches_event_integral():
 
 # ---- oracle agreement with the closed forms ----------------------------------
 
-def test_estimates_match_closed_forms(table1):
-    d = derive(table1)
-    n, seed = 400_000, 41
-
-    def z(est, value):
-        return abs(est.p_hat - value) / est.std_err
-
-    est1 = estimate(table1, 1.0, n, seed)
-    assert z(est1.order_p, prob_decode_order(d, "p")) <= 3.0
-    assert z(est1.sec_d0, cond_outage_d0(d, "secondary")) <= 3.0
-    assert z(est1.pri_d0, cond_outage_d0(d, "primary")) <= 3.0
-    assert z(est1.pri_d1, cond_outage_d1_exact(d, "primary", 1.0)) <= 3.0
-    assert z(est1.sec_d1, cond_outage_d1_exact(d, "secondary", 1.0)) <= 3.0
-
-    est0 = estimate(table1, 0.0, n, seed)
-    assert z(est0.pri_d1, cond_outage_d1_exact(d, "primary", 0.0)) <= 3.0
-    assert z(est0.sec_d1, cond_outage_d1_exact(d, "secondary", 0.0)) <= 3.0
-
-    nc = estimate(table1, 0.5, n, seed, scheme="noncooperative")
-    assert z(nc.sec, noncoop_outage(d, "secondary")) <= 3.0
-    assert z(nc.pri, table1.epsilon) <= 3.0
-
-
 def _wide_scenarios(rng, count):
     """Admitted scenarios with link variances log-uniform in 10^(+-1), snr_p
     in 5-35 dB, snr_r in -10-30 dB, epsilon in 0.01-0.1, rates in 0.1-0.5."""
@@ -435,10 +411,11 @@ def _wide_scenarios(rng, count):
 
 
 def test_wide_oracle_over_random_scenarios():
-    # ten closed forms on each of 100 random admitted scenarios against one
-    # simulation, two-sided at the Bonferroni threshold for 1,000
-    # comparisons at family-wise level 1e-3; a conditional whose event
-    # never occurred is skipped
+    # the exact activation form and the exact ORACLES rows, ten closed forms
+    # on each of 100 random admitted scenarios against one simulation,
+    # two-sided at the Bonferroni threshold for 1,000 comparisons at
+    # family-wise level 1e-3; a conditional whose event never occurred is
+    # skipped
     seed, z_max = 26, 4.89
     scenarios = _wide_scenarios(random.Random(seed), 100)
     requests = [(params, alpha, scheme) for params in scenarios
@@ -448,20 +425,8 @@ def test_wide_oracle_over_random_scenarios():
     comparisons = []
     for k, (at0, at1, nc) in enumerate(zip(estimates, estimates, estimates)):
         d = derive(scenarios[k])
-        forms = [
-            ("decode order", at1.order_p, prob_decode_order(d, "p")),
-            ("exact activation", at1.p_d1, prob_relay_active_exact(d))]
-        for user in ("primary", "secondary"):
-            key = user[:3]   # the SchemeEstimates fields pri* or sec*
-            forms += [
-                (f"{user} | relay silent", getattr(at1, f"{key}_d0"),
-                 cond_outage_d0(d, user)),
-                (f"non-cooperative {user}", getattr(nc, key),
-                 noncoop_outage(d, user))]
-            forms += [(f"{user} | relay active at alpha {alpha:g}",
-                       getattr(est, f"{key}_d1"),
-                       cond_outage_d1_exact(d, user, alpha))
-                      for alpha, est in ((0.0, at0), (1.0, at1))]
+        forms = [("exact activation", at1.p_d1, prob_relay_active_exact(d)),
+                 *exact_oracles(d, at0, at1, nc)]
         comparisons += [
             (abs(est.p_hat - ref) / est.std_err if est.std_err else 0.0,
              _mc_check(f"scenario {k}, {name}", est, ref, z_max=z_max))

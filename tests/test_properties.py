@@ -21,6 +21,7 @@ from crrelay.analytic import (
     primary_split_floor,
     secondary_split_ceiling,
 )
+from crrelay.harness import ORACLES
 from crrelay.montecarlo import SCHEMES
 from crrelay.system import LINKS
 from conftest import replay_counts
@@ -210,18 +211,20 @@ def extreme_scenarios(draw):
 @settings(max_examples=300, **PROPERTY_SETTINGS)
 @given(params=extreme_scenarios(), alpha=splits)
 def test_extreme_scenarios_raise_or_give_no_nan(params, alpha):
-    # an overflow inside a closed form must surface as an error, never as a
-    # NaN outage; an infeasible allocation's NaN split is its documented
-    # sentinel, so only its secondary outage is read
+    # every closed form verify checks, and the exact activation form, gives a
+    # probability or refuses the scenario: an overflow inside one must
+    # surface as an error, never as a NaN or an outage outside [0, 1].  An
+    # infeasible allocation's NaN split is its documented sentinel, so only
+    # its secondary outage is read
     assume(params is not None)
-    try:
-        s = total_secondary_outage(derive(params), alpha)
-    except (ValueError, ArithmeticError):
-        pass
-    else:
-        values = (s.p_d1, s.total_sec, s.total_pri,
-                  s.pri_d0, s.sec_d0, s.pri_d1, s.sec_d1)
-        assert not any(v is not None and math.isnan(v) for v in values), s
+    forms = {row.label: row.form for row in ORACLES}
+    forms["exact activation"] = lambda d, a: prob_relay_active_exact(d)
+    for label, form in forms.items():
+        try:
+            value = form(derive(params), alpha)
+        except (ValueError, ArithmeticError):
+            continue
+        assert 0.0 <= value <= 1.0, (label, value)
     try:
         res = allocate(params)
     except (ValueError, ArithmeticError):
