@@ -30,18 +30,21 @@ from .system import USER_LINKS, DerivedParams
 
 class OutageSummary(namedtuple(
         "OutageSummary",
-        "p_d1 total_sec total_pri pri_d0 sec_d0 pri_d1 sec_d1 bound",
-        defaults=(None, None, None, None, False))):
-    """Activation-weighted total outage probabilities and their conditionals.
+        "pri sec p_d1 order_p pri_d0 pri_d1 sec_d0 sec_d1 bound",
+        defaults=(None,) * 8 + (False,))):
+    """A scheme's closed forms, under the names of its SchemeEstimates.
 
-    pri_d0/sec_d0 are the exact relay-silent conditionals and pri_d1/sec_d1
-    the relay-active ones, all None without secondary access, where nothing
-    is mixed.  bound is True at an interior power split, where pri_d1, sec_d1
+    For the proposed scheme pri/sec are the activation-weighted totals,
+    p_d1 their weight and order_p the primary-first SIC order; pri_d0/sec_d0
+    are the exact relay-silent conditionals and pri_d1/sec_d1 the
+    relay-active ones, all None without secondary access, where nothing is
+    mixed.  bound is True at an interior power split, where pri_d1, sec_d1
     and so the totals are upper bounds.  At a split of exactly 0 or 1 both
     totals mix exact conditionals, but under the paper's approximate
     activation weight p_d1 (see prob_relay_active), so they are not exact
-    totals either.  total_pri is the symmetric primary mixture; it is a
-    derived quantity, not a published closed form.
+    totals either.  pri is the symmetric primary mixture; it is a derived
+    quantity, not a published closed form.  The non-cooperative scheme's
+    record holds only its exact one-slot pri and sec, with p_d1 None.
     """
 
     __slots__ = ()
@@ -177,6 +180,10 @@ def cond_outage_d0(derived: DerivedParams, user: str) -> float:
     threshold.
     """
     g_sig, g_cross, _, lam, _ = _user_gains(derived, user)
+    if 2.0 * g_sig == math.inf:
+        raise ArithmeticError(
+            f"relay-silent {user} outage overflows: the mean gain of link "
+            f"{USER_LINKS[user][0]} is out of range")
     return _ratio_outage(2.0 * g_sig, g_cross, lam)
 
 
@@ -226,11 +233,10 @@ def _full_power_outage(g_sig, g_cross, g_relay, threshold, user) -> float:
             _full_power_message(user, "does not converge")) from exc
     except OverflowError as exc:
         raise ArithmeticError(_full_power_message(user, "overflows")) from exc
-    return _clamp01(
-        1.0
-        - math.exp(-threshold / g_relay)
-        - (g_sig / relayed) * shifted
-    )
+    outage = 1.0 - math.exp(-threshold / g_relay) - (g_sig / relayed) * shifted
+    if outage != outage:     # an infinite integral times an underflowed scale
+        raise ArithmeticError(_full_power_message(user, "overflows"))
+    return _clamp01(outage)
 
 
 def cond_outage_d1_exact(derived: DerivedParams, user: str,
@@ -295,7 +301,7 @@ def upper_bound_d1(derived: DerivedParams, user: str, alpha: float) -> float:
 
 def total_secondary_outage(derived: DerivedParams,
                            alpha: float) -> OutageSummary:
-    """Activation-weighted totals for both users at the given split.
+    """The proposed scheme's closed forms at the given split.
 
     With no admitted secondary (snr_s = 0) the secondary outage is 1 by
     definition and the primary's is its relay-silent form, interference-free.
@@ -307,17 +313,18 @@ def total_secondary_outage(derived: DerivedParams,
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     if derived.snr_s == 0.0:
-        return OutageSummary(0.0, 1.0, cond_outage_d0(derived, "primary"))
+        return OutageSummary(pri=cond_outage_d0(derived, "primary"), sec=1.0,
+                             p_d1=0.0)
     w = prob_relay_active(derived)
     bound = alpha not in (0.0, 1.0)
     d1 = upper_bound_d1 if bound else cond_outage_d1_exact
     pri_d1, sec_d1 = (d1(derived, u, alpha) for u in USER_LINKS)
     pri_d0, sec_d0 = (cond_outage_d0(derived, u) for u in USER_LINKS)
     return OutageSummary(
-        p_d1=w,
-        total_sec=_clamp01((1.0 - w) * sec_d0 + w * sec_d1),
-        total_pri=_clamp01((1.0 - w) * pri_d0 + w * pri_d1),
-        pri_d0=pri_d0, sec_d0=sec_d0, pri_d1=pri_d1, sec_d1=sec_d1,
+        pri=_clamp01((1.0 - w) * pri_d0 + w * pri_d1),
+        sec=_clamp01((1.0 - w) * sec_d0 + w * sec_d1),
+        p_d1=w, order_p=prob_decode_order(derived, "p"),
+        pri_d0=pri_d0, pri_d1=pri_d1, sec_d0=sec_d0, sec_d1=sec_d1,
         bound=bound,
     )
 

@@ -168,8 +168,8 @@ def _cmd_analytic(params, args):
           f"(admission cutoff {cutoff_db:.4g} dB)")
     kind = "bound" if summary.bound else "exact"
     print(f"relay activation: {summary.p_d1:.6g}")
-    print(f"total secondary outage ({kind}): {summary.total_sec:.6g}")
-    print(f"total primary outage ({kind}):   {summary.total_pri:.6g}")
+    print(f"total secondary outage ({kind}): {summary.sec:.6g}")
+    print(f"total primary outage ({kind}):   {summary.pri:.6g}")
     if summary.pri_d0 is not None:
         print(f"conditionals: pri_d0={summary.pri_d0:.6g} "
               f"sec_d0={summary.sec_d0:.6g} pri_d1={summary.pri_d1:.6g} "

@@ -29,15 +29,11 @@ from .allocation import (
     rate_s_at_split_ceiling,
 )
 from .analytic import (
-    cond_outage_d0,
-    cond_outage_d1_exact,
+    OutageSummary,
     noncoop_outage,
     primary_split_floor,
-    prob_decode_order,
-    prob_relay_active,
     secondary_split_ceiling,
     total_secondary_outage,
-    upper_bound_d1,
 )
 from .montecarlo import (SCHEMES, OutageEstimate, check_request, check_run,
                          check_scenario, estimate, estimate_many)
@@ -240,19 +236,18 @@ def _apply_axis(scenario: SystemParams, axis: str, value: float, alpha: float):
     return scenario._replace(**{axis: float(value)}), alpha
 
 
-def _analytic_cells(derived, alpha: float, scheme: str) -> dict:
-    """A row's closed-form cells; none for the relay-assisted baseline,
-    which has no closed form, unless it lacks secondary access."""
+def _closed_forms(derived, alpha: float, scheme: str) -> OutageSummary | None:
+    """A scheme's closed forms as an OutageSummary, fielded like its
+    SchemeEstimates; None for the relay-assisted baseline, which has no
+    closed form, unless it lacks secondary access (outage 1)."""
     if scheme == "proposed":
-        summary = total_secondary_outage(derived, alpha)
-        return {"analytic_sec": summary.total_sec,
-                "analytic_is_bound": summary.bound, "p_d1": summary.p_d1}
+        return total_secondary_outage(derived, alpha)
     if derived.snr_s == 0.0:
-        return {"analytic_sec": 1.0, "analytic_is_bound": False}
+        return OutageSummary(sec=1.0)
     if scheme == "noncooperative":
-        return {"analytic_sec": noncoop_outage(derived, "secondary"),
-                "analytic_is_bound": False}
-    return {}
+        return OutageSummary(pri=noncoop_outage(derived, "primary"),
+                             sec=noncoop_outage(derived, "secondary"))
+    return None
 
 
 def run_sweep(scenario: SystemParams, axis: str, values, *,
@@ -321,8 +316,10 @@ def run_sweep(scenario: SystemParams, axis: str, values, *,
                     continue
             try:
                 check_request(split, scheme)
-                if mode in ("analytic", "both"):
-                    row.update(_analytic_cells(derived, split, scheme))
+                if mode in ("analytic", "both") and (closed := _closed_forms(
+                        derived, split, scheme)) is not None:
+                    row.update(analytic_sec=closed.sec, p_d1=closed.p_d1,
+                               analytic_is_bound=closed.bound)
                 if mode in ("montecarlo", "both"):
                     check_scenario(derived)
                     mc_rows.append(row)
@@ -677,46 +674,31 @@ def reproduce(target: str, out_dir=None, trials=None, seed: int = 0,
 # analytic vs simulation
 
 
-def _relay_active(user):
-    return lambda d, a: (cond_outage_d1_exact if a in (0.0, 1.0)
-                         else upper_bound_d1)(d, user, a)
-
-
-# Every closed form verify checks, in its order: form(derived, alpha) against
-# one field of a scheme's SchemeEstimates.  kind is exact (two-sided), split
-# (exact and two-sided at alpha 0 or 1, a one-sided bound in between), bound
-# (one-sided) or approximation (the paper's activation weight, two-sided and
-# off by design).  label and note are templates over active, total, mixture
-# and epsilon.  A form looks its analytic function up by this module's name
-# when it runs.
-Oracle = namedtuple("Oracle", "label scheme field form kind note",
-                    defaults=("",))
+# Every closed form verify checks, in its order: the field of a scheme's
+# _closed_forms record judged against the same field of its SchemeEstimates.
+# kind is exact (two-sided), split (exact and two-sided at alpha 0 or 1, a
+# one-sided bound in between), bound (one-sided) or approximation (the
+# paper's activation weight, two-sided and off by design).  label and note
+# are templates over active, total, mixture and epsilon.
+Oracle = namedtuple("Oracle", "label scheme field kind note", defaults=("",))
 ORACLES = (
-    Oracle("relay activation frequency", "proposed", "p_d1",
-           lambda d, a: prob_relay_active(d), "approximation",
+    Oracle("relay activation frequency", "proposed", "p_d1", "approximation",
            "closed form factorizes correlated order/threshold events; a "
            "persistent ~0.1-1% gap is expected"),
-    Oracle("SIC order: primary decoded first", "proposed", "order_p",
-           lambda d, a: prob_decode_order(d, "p"), "exact"),
-    Oracle("secondary outage | relay silent", "proposed", "sec_d0",
-           lambda d, a: cond_outage_d0(d, "secondary"), "exact"),
-    Oracle("primary outage | relay silent", "proposed", "pri_d0",
-           lambda d, a: cond_outage_d0(d, "primary"), "exact"),
-    Oracle("primary outage | {active}", "proposed", "pri_d1",
-           _relay_active("primary"), "split"),
-    Oracle("secondary outage | {active}", "proposed", "sec_d1",
-           _relay_active("secondary"), "split"),
+    Oracle("SIC order: primary decoded first", "proposed", "order_p", "exact"),
+    Oracle("secondary outage | relay silent", "proposed", "sec_d0", "exact"),
+    Oracle("primary outage | relay silent", "proposed", "pri_d0", "exact"),
+    Oracle("primary outage | {active}", "proposed", "pri_d1", "split"),
+    Oracle("secondary outage | {active}", "proposed", "sec_d1", "split"),
     Oracle("total secondary outage within {total}", "proposed", "sec",
-           lambda d, a: total_secondary_outage(d, a).total_sec, "bound",
-           "{mixture}"),
-    Oracle("total primary outage within {total}", "proposed", "pri",
-           lambda d, a: total_secondary_outage(d, a).total_pri, "bound",
+           "bound", "{mixture}"),
+    Oracle("total primary outage within {total}", "proposed", "pri", "bound",
            "{mixture}"),
     Oracle("non-cooperative secondary outage", "noncooperative", "sec",
-           lambda d, a: noncoop_outage(d, "secondary"), "exact"),
+           "exact"),
     Oracle("non-cooperative primary outage at the admission threshold",
-           "noncooperative", "pri", lambda d, a: noncoop_outage(d, "primary"),
-           "exact", "equals epsilon={epsilon} by construction"),
+           "noncooperative", "pri", "exact",
+           "equals epsilon={epsilon} by construction"),
 )
 
 
@@ -725,8 +707,9 @@ def compare_analytic_mc(params: SystemParams, alpha: float,
                         workers: int = 1) -> Report:
     """Cross-check every closed form against the event-level simulator.
 
-    Each ORACLES row whose conditioning event occurred is judged by the one
-    agreement rule, `_mc_check` at 3 standard errors with its Wilson edge.
+    Each ORACLES row whose conditioning event occurred is judged against
+    the same field of its scheme's _closed_forms record by the one agreement
+    rule, `_mc_check` at 3 standard errors with its Wilson edge.
     """
     derived = derive(params)
     title = (f"verification: alpha={alpha}, trials={trials}, seed={seed}")
@@ -743,14 +726,16 @@ def compare_analytic_mc(params: SystemParams, alpha: float,
     schemes = ("proposed", "noncooperative")
     runs = dict(zip(schemes, estimate_many(
         seed, trials, [(params, alpha, s) for s in schemes], workers)))
-    interior = alpha not in (0.0, 1.0)
+    closed = {s: _closed_forms(derived, alpha, s) for s in schemes}
+    interior = closed["proposed"].bound
     words = dict(zip(("active", "total", "mixture"), (
         ("relay active within bound", "bound", "") if interior else
         ("relay active (exact)", "exact-conditional mixture",
          "mixture weight inherits the activation closed form"))),
         epsilon=params.epsilon)
     checks = tuple(
-        _mc_check(row.label.format(**words), mc, row.form(derived, alpha),
+        _mc_check(row.label.format(**words), mc,
+                  getattr(closed[row.scheme], row.field),
                   bound=row.kind == "bound" or interior and row.kind == "split",
                   note=row.note.format(**words))
         for row in ORACLES

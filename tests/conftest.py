@@ -4,7 +4,7 @@ from decimal import Decimal, localcontext
 import pytest
 
 from crrelay import LinkTable, SystemParams, derive, table1_params
-from crrelay.harness import ORACLES
+from crrelay.harness import ORACLES, _closed_forms
 from crrelay.montecarlo import _DOUBLES_PER_TRIAL, _philox, _unit_block
 from crrelay.system import (
     LINKS,
@@ -66,8 +66,8 @@ def exact_oracles(derived, at0, at1, noncoop):
             est = getattr(noncoop if row.scheme == "noncooperative"
                           else at1 if alpha else at0, row.field)
             if est is not None:
-                yield (f"{row.scheme} {row.field} a{alpha:g}", est,
-                       row.form(derived, alpha))
+                yield (f"{row.scheme} {row.field} a{alpha:g}", est, getattr(
+                    _closed_forms(derived, alpha, row.scheme), row.field))
 
 
 def symmetric_relay_params():

@@ -321,7 +321,7 @@ def _usprime_at(params, alpha):
     d = derive(params)
     snr_r = min_snr_r_for_epsilon(d, alpha)
     d_r = derive(params._replace(snr_r=snr_r))
-    return total_secondary_outage(d_r, alpha).total_sec, snr_r
+    return total_secondary_outage(d_r, alpha).sec, snr_r
 
 
 def test_c8_trends():

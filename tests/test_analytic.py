@@ -344,6 +344,24 @@ def test_d1_exact_weak_direct_link_keeps_relay(overrides, ref):
         ref, rel=0.0, abs=1e-12)
 
 
+def test_d1_exact_names_an_overflowing_final_sum():
+    # the secondary integral overflows to inf while its scale
+    # g_ss/(g_ps*g_rs) underflows to 0: the final sum read 0 * inf, refused
+    # as an anonymous NaN by the form and by the totals that mix it
+    d = derive(SystemParams(
+        rate_p=1.2496299763923282, rate_s=1.4797649571768332,
+        snr_p=1.6760559082898258e+32, snr_r=1.002759234861377e+194,
+        epsilon=0.18018092186629392, link_vars=LinkTable(
+            pp=1, sp=1, ps=1.0877496319854075e+70, ss=1.660387787950969e-243,
+            pr=1, sr=1, rp=1, rs=1)))
+    message = ("full-power secondary outage overflows: the mean gains of "
+               "links ss, ps and rs are out of range")
+    with pytest.raises(ArithmeticError, match=message):
+        cond_outage_d1_exact(d, "secondary", 0.0)
+    with pytest.raises(ArithmeticError, match=message):
+        total_secondary_outage(d, 0.0)
+
+
 # ---- relay-active bounds ---------------------------------------------------
 
 def test_bound_reference_values(table1_derived):
@@ -426,11 +444,12 @@ def test_total_mixture_consistency(table1_derived):
         pri_d1, sec_d1 = d1(d, "primary", alpha), d1(d, "secondary", alpha)
         assert (summary.pri_d0, summary.sec_d0, summary.pri_d1,
                 summary.sec_d1) == (pri_d0, sec_d0, pri_d1, sec_d1)
-        assert summary.total_sec == pytest.approx(
+        assert summary.sec == pytest.approx(
             (1.0 - w) * sec_d0 + w * sec_d1, abs=1e-12)
-        assert summary.total_pri == pytest.approx(
+        assert summary.pri == pytest.approx(
             (1.0 - w) * pri_d0 + w * pri_d1, abs=1e-12)
         assert summary.p_d1 == w
+        assert summary.order_p == prob_decode_order(d, "p")
         assert summary.bound == (alpha == 0.5)
 
 
@@ -441,30 +460,31 @@ def test_total_degenerate_mixture_without_relay_links(table1):
     d = derive(table1._replace(link_vars=lv))
     summary = total_secondary_outage(d, 0.5)
     assert summary.p_d1 < 1e-10
-    assert summary.total_sec == pytest.approx(cond_outage_d0(d, "secondary"),
-                                              abs=1e-9)
+    assert summary.sec == pytest.approx(cond_outage_d0(d, "secondary"),
+                                        abs=1e-9)
 
 
 def test_total_full_primary_split_is_worst_for_secondary(table1_derived):
     at_alloc = total_secondary_outage(table1_derived, T1_ALPHA_EPS)
     at_one = total_secondary_outage(table1_derived, 1.0)
-    assert at_one.total_sec >= at_alloc.total_sec
+    assert at_one.sec >= at_alloc.sec
 
 
 def test_total_usprime_reference(table1_derived):
     summary = total_secondary_outage(table1_derived, T1_ALPHA_EPS)
     assert summary.bound
-    assert summary.total_sec == pytest.approx(T1_USPRIME, rel=1e-10)
+    assert summary.sec == pytest.approx(T1_USPRIME, rel=1e-10)
 
 
 def test_total_without_secondary_access(table1):
     d = derive(table1._replace(epsilon=1e-9))
     assert d.snr_s == 0.0
     summary = total_secondary_outage(d, 0.5)
-    assert summary.total_sec == 1.0
+    assert summary.sec == 1.0
     assert summary.p_d1 == 0.0
+    assert summary.order_p is None
     assert not summary.bound
-    assert summary.total_pri == pytest.approx(
+    assert summary.pri == pytest.approx(
         1.0 - math.exp(-d.lambda_p / (2.0 * d.gain.pp)), rel=1e-14)
 
 
@@ -516,7 +536,7 @@ def test_probabilities_stay_in_unit_interval():
         values = []
         for alpha in (0.0, 0.37, 1.0):
             summary = total_secondary_outage(d, alpha)
-            values += [summary.p_d1, summary.total_sec, summary.total_pri]
+            values += [summary.p_d1, summary.sec, summary.pri]
             if d.snr_s > 0.0:
                 values += [upper_bound_d1(d, "primary", alpha),
                            upper_bound_d1(d, "secondary", alpha)]

@@ -16,6 +16,7 @@ import crrelay.analytic
 import crrelay.cli
 from crrelay import (
     OutageEstimate,
+    OutageSummary,
     QuadratureError,
     SystemParams,
     axis_values,
@@ -35,6 +36,7 @@ from crrelay.harness import (
     ORACLES,
     REPRODUCE_TARGETS,
     ResultRow,
+    _closed_forms,
     _mc_check,
     parse_config_text,
 )
@@ -628,9 +630,9 @@ def test_compare_analytic_mc_extreme_split(table1):
 
 
 def test_exact_conditionals_integrate_once(monkeypatch, capsys):
-    # analytic reads the conditionals the totals mixed instead of evaluating
-    # them again: one quadrature for the relay-aided user.  verify evaluates
-    # each ORACLES row on its own: the user's relay-active row and both totals
+    # analytic and verify both read the conditionals the totals mixed
+    # instead of evaluating them again: one quadrature for the user holding
+    # the relay power
     calls = []
     integrate = crrelay.analytic.integrate_exp_over_x
 
@@ -638,13 +640,16 @@ def test_exact_conditionals_integrate_once(monkeypatch, capsys):
         calls.append(args)
         return integrate(*args, **kwargs)
     monkeypatch.setattr(crrelay.analytic, "integrate_exp_over_x", counted)
-    assert cli_main(["analytic", "--alpha", "1"]) == 0
-    assert "(d1 exact)" in capsys.readouterr().out
-    assert len(calls) == 1
-    calls.clear()
-    report = compare_analytic_mc(default_params(), alpha=1.0, trials=1_000)
-    assert any("(exact)" in c.name for c in report.checks)
-    assert len(calls) == 3
+    for alpha in ("0", "1"):
+        calls.clear()
+        assert cli_main(["analytic", "--alpha", alpha]) == 0
+        assert "(d1 exact)" in capsys.readouterr().out
+        assert len(calls) == 1
+        calls.clear()
+        report = compare_analytic_mc(default_params(), float(alpha),
+                                     trials=1_000)
+        assert any("(exact)" in c.name for c in report.checks)
+        assert len(calls) == 1
 
 
 def test_mc_check_judges_certain_outage_by_wilson():
@@ -921,6 +926,17 @@ _SECONDARY_SNR_OVERFLOWS = ("admitted secondary SNR overflows: link variance "
      ["analytic", "--alpha", "0"],
      "full-power secondary outage overflows: the mean gains of links ss, ps "
      "and rs are out of range"),
+    # the integral overflows as its scale g_ss/(g_ps*g_rs) underflows, and
+    # the final sum reads 0 * inf
+    (["rate_p=1.25", "rate_s=1.48", "epsilon=0.18", "snr_p_db=322.24",
+      "snr_r_db=1940", "link_vars.sp=1", "link_vars.ps=1.09e70",
+      "link_vars.ss=1.66e-243"], ["analytic", "--alpha", "0"],
+     "full-power secondary outage overflows: the mean gains of links ss, ps "
+     "and rs are out of range"),
+    # the relay-silent form doubles g_ss past double range
+    *[(["snr_p_db=3000", "link_vars.ss=123969069.37988251"], [command],
+       "relay-silent secondary outage overflows: the mean gain of link ss is "
+       "out of range") for command in ("analytic", "allocate")],
     # just above the cutoff snr_s * var_ss rounds to 0: the exact forms and
     # the bounds name it alike
     *[(["link_vars.ss=5e-324", "snr_p_db=10.22"], ["analytic", "--alpha", a],
@@ -939,6 +955,8 @@ _SECONDARY_SNR_OVERFLOWS = ("admitted secondary SNR overflows: link variance "
 ], ids=["sp-analytic", "sp-allocate", "sp-simulate", "ss-gain", "pr-gain",
         "nan-conditional", "full-power-secondary", "full-power-underflow",
         "full-power-no-convergence", "full-power-exp-overflow",
+        "full-power-sum-overflow", "relay-silent-analytic",
+        "relay-silent-allocate",
         "ss-underflow-alpha-0",
         "ss-underflow-alpha-0.5", "ss-underflow-alpha-1",
         "pp-underflow-analytic", "pp-underflow-allocate",
@@ -1465,14 +1483,25 @@ def test_closed_forms_take_no_scenario_field():
 
 
 def test_every_closed_form_has_an_oracle():
-    # every public closed form of a scenario has an ORACLES row naming it;
-    # the exact activation form joins verify once verify's pins may move
-    named = {name for row in ORACLES for name in row.form.__code__.co_names}
+    # every public closed form of a scenario fills a scheme's _closed_forms
+    # record, itself or through total_secondary_outage, and ORACLES judges
+    # every field of that record but bound; the exact activation form joins
+    # verify once verify's pins may move.  A generator expression's names
+    # sit in a nested code object, so those are read too
+    codes = [_closed_forms.__code__,
+             crrelay.analytic.total_secondary_outage.__code__]
+    named = set()
+    while codes:
+        code = codes.pop()
+        named.update(code.co_names)
+        codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
     forms = {name for name, fn in vars(crrelay.analytic).items()
              if isinstance(fn, types.FunctionType) and not name.startswith("_")
              and fn.__module__ == "crrelay.analytic"
              and fn.__code__.co_varnames[:1] == ("derived",)}
     assert forms - named == {"prob_relay_active_exact"}
+    fields = [row.field for row in ORACLES]
+    assert set(fields) == set(OutageSummary._fields) - {"bound"}, fields
 
 
 # ---- documentation -------------------------------------------------------------

@@ -1,4 +1,5 @@
 """Property tests over random valid scenarios."""
+import functools
 import math
 import sys
 
@@ -6,11 +7,17 @@ from hypothesis import assume, given, settings, strategies as st
 
 from crrelay import (
     LinkTable,
+    OutageSummary,
     SystemParams,
     allocate,
+    cond_outage_d0,
+    cond_outage_d1_exact,
     db_to_linear,
     derive,
     estimate,
+    noncoop_outage,
+    prob_decode_order,
+    prob_relay_active,
     prob_relay_active_exact,
     total_secondary_outage,
     upper_bound_d1,
@@ -21,7 +28,7 @@ from crrelay.analytic import (
     primary_split_floor,
     secondary_split_ceiling,
 )
-from crrelay.harness import ORACLES
+from crrelay.harness import _closed_forms
 from crrelay.montecarlo import SCHEMES
 from crrelay.system import LINKS
 from conftest import replay_counts
@@ -55,7 +62,7 @@ def test_closed_forms_are_probabilities(params, alpha):
     d = derive(params)
     assume(d.snr_s > 0.0)
     summary = total_secondary_outage(d, alpha)
-    values = [summary.p_d1, summary.total_sec, summary.total_pri,
+    values = [summary.p_d1, summary.sec, summary.pri,
               prob_relay_active_exact(d),
               upper_bound_d1(d, "primary", alpha),
               upper_bound_d1(d, "secondary", alpha)]
@@ -211,20 +218,39 @@ def extreme_scenarios(draw):
 @settings(max_examples=300, **PROPERTY_SETTINGS)
 @given(params=extreme_scenarios(), alpha=splits)
 def test_extreme_scenarios_raise_or_give_no_nan(params, alpha):
-    # every closed form verify checks, and the exact activation form, gives a
-    # probability or refuses the scenario: an overflow inside one must
-    # surface as an error, never as a NaN or an outage outside [0, 1].  An
-    # infeasible allocation's NaN split is its documented sentinel, so only
-    # its secondary outage is read
+    # every public closed form, called on its own for both users (the exact
+    # relay-active one at both extreme splits), and every field of each
+    # scheme's closed-form record gives a probability or refuses the
+    # scenario: an overflow inside one must surface as an error, never as a
+    # NaN or an outage outside [0, 1], and a form refusing does not leave
+    # its siblings unchecked.  An infeasible allocation's NaN split is its
+    # documented sentinel, so only its secondary outage is read
     assume(params is not None)
-    forms = {row.label: row.form for row in ORACLES}
-    forms["exact activation"] = lambda d, a: prob_relay_active_exact(d)
+    forms = {"relay activation": prob_relay_active,
+             "exact activation": prob_relay_active_exact,
+             **{f"{first} decoded first": functools.partial(
+                 prob_decode_order, first=first) for first in "ps"}}
+    for user in ("primary", "secondary"):
+        forms.update({
+            f"{user} {form.__name__} {args}": functools.partial(
+                form, user=user, **args)
+            for form, args in ((cond_outage_d0, {}), (noncoop_outage, {}),
+                               (upper_bound_d1, {"alpha": alpha}),
+                               (cond_outage_d1_exact, {"alpha": 0.0}),
+                               (cond_outage_d1_exact, {"alpha": 1.0}))})
     for label, form in forms.items():
         try:
-            value = form(derive(params), alpha)
+            value = form(derive(params))
         except (ValueError, ArithmeticError):
             continue
         assert 0.0 <= value <= 1.0, (label, value)
+    for scheme in SCHEMES:
+        try:
+            record = _closed_forms(derive(params), alpha, scheme)
+        except (ValueError, ArithmeticError):
+            continue
+        for field, value in zip(OutageSummary._fields, record or ()):
+            assert value is None or 0.0 <= value <= 1.0, (scheme, field, value)
     try:
         res = allocate(params)
     except (ValueError, ArithmeticError):
