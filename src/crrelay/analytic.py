@@ -187,11 +187,6 @@ def cond_outage_d0(derived: DerivedParams, user: str) -> float:
     return _ratio_outage(2.0 * g_sig, g_cross, lam)
 
 
-def _full_power_message(user, failure) -> str:
-    return (f"full-power {user} outage {failure}: the mean gains of links "
-            "{}, {} and {} are out of range".format(*USER_LINKS[user]))
-
-
 def _full_power_outage(g_sig, g_cross, g_relay, threshold, user) -> float:
     """Outage of direct copy plus a full-power relay copy for the given user.
 
@@ -207,36 +202,31 @@ def _full_power_outage(g_sig, g_cross, g_relay, threshold, user) -> float:
     first-order one, which is itself at most about 1e-5 of x.  Above the cut
     the integral's absolute error, scaled by g_sig/(g_cross*g_relay), can
     swamp a small outage; below it its coefficients can pass double range.
-    A slope, scale or integrand past double range is refused by name.
+    Any arithmetic failure, or a value that is not finite, is refused by name.
     """
     d = g_sig + threshold * g_cross
-    if g_relay <= 1e-5 * min(g_sig, threshold):
-        if d * d == 0.0:
-            raise ArithmeticError(_full_power_message(user, "underflows"))
-        slope = 1.0 / d + g_sig * g_cross / (d * d)
-        if not math.isfinite(slope):
-            raise ArithmeticError(_full_power_message(user, "overflows"))
-        return _clamp01(_ratio_outage(g_sig, g_cross, threshold)
-                        - g_relay * math.exp(-threshold / g_sig) * slope)
-    c = (1.0 / g_relay - 1.0 / g_sig) / g_cross
-    relayed = g_cross * g_relay
-    if not (math.isfinite(c) and math.isfinite(d) and relayed > 0.0
-            and math.isfinite(g_sig / relayed)):
-        raise ArithmeticError(_full_power_message(user, "overflows"))
-    a = g_sig
+    failure, error = "overflows", ArithmeticError
     try:
-        shifted = integrate_exp_over_x(
-            c, a, d, exp_shift=-c * a - threshold / g_relay
-        )
-    except QuadratureError as exc:
-        raise QuadratureError(
-            _full_power_message(user, "does not converge")) from exc
-    except OverflowError as exc:
-        raise ArithmeticError(_full_power_message(user, "overflows")) from exc
-    outage = 1.0 - math.exp(-threshold / g_relay) - (g_sig / relayed) * shifted
-    if outage != outage:     # an infinite integral times an underflowed scale
-        raise ArithmeticError(_full_power_message(user, "overflows"))
-    return _clamp01(outage)
+        if g_relay <= 1e-5 * min(g_sig, threshold):
+            outage = (_ratio_outage(g_sig, g_cross, threshold)
+                      - g_relay * math.exp(-threshold / g_sig)
+                      * (1.0 / d + g_sig * g_cross / (d * d)))
+        else:
+            c = (1.0 / g_relay - 1.0 / g_sig) / g_cross
+            shifted = integrate_exp_over_x(
+                c, g_sig, d, exp_shift=-c * g_sig - threshold / g_relay)
+            outage = (1.0 - math.exp(-threshold / g_relay)
+                      - g_sig / (g_cross * g_relay) * shifted)
+        if math.isfinite(outage):
+            return _clamp01(outage)
+    except ZeroDivisionError:
+        failure = "underflows"
+    except QuadratureError:
+        failure, error = "does not converge", QuadratureError
+    except (ArithmeticError, ValueError):   # ValueError: c or d not finite
+        pass
+    raise error(f"full-power {user} outage {failure}: the mean gains of links "
+                "{}, {} and {} are out of range".format(*USER_LINKS[user]))
 
 
 def cond_outage_d1_exact(derived: DerivedParams, user: str,

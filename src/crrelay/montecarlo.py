@@ -19,13 +19,14 @@ worker count or chunking.
 The uniforms depend on the seed and trial index alone, never on the scenario,
 scheme or split: only the per-link variance scales them.  So the unit-mean
 exponentials -log1p(-u) are generated once per (seed, chunk) and shared by
-every request of an estimate_many() call.  Each worker keeps one Philox
-generator for the call: its chunks continue that stream, which is advanced
-only across the chunks of other workers.  A chunk's draws are transposed
-into their (8, n) layout one cache-sized sub-block of the stream at a time,
-into one draw buffer per worker that every chunk of the call refills.
-Requests on the same scenario and split form a group, and one kernel call
-counts all of a group's schemes, computing the SINR terms they share once.
+every request of an estimate_many() call.  Each worker reads one
+contiguous run of whole chunks from one Philox generator, keyed at the run's
+first trial, so its chunks continue that stream and it never skips ahead.
+A chunk's draws are transposed into their (8, n) layout one cache-sized
+sub-block of the stream at a time, into one draw buffer per worker that
+every chunk of the call refills.  Requests on the same scenario and split
+form a group, and one kernel call counts all of a group's schemes,
+computing the SINR terms they share once.
 Every kernel call of a worker writes its terms and event masks into that
 worker's one workspace, so no chunk allocates a trial vector, and it reads
 a unit-variance link's draws in place, never writing to a draw row.
@@ -306,8 +307,9 @@ def estimate_many(seed: int, trials: int, requests, workers: int = 1,
     schemes, and only integer counts are kept.  Memory stays at one chunk of
     draws (1 MB) and one kernel workspace (about 0.6 MB) per worker, which
     every chunk and group reuses, whatever `trials` or the number of
-    requests.  Each worker builds one generator and continues its stream
-    from chunk to chunk, and result i is bit-identical to estimate() on
+    requests.  Of the call's n chunks, worker w of W counts chunks
+    [n*w//W, n*(w+1)//W) on one generator that continues its stream from
+    chunk to chunk, and result i is bit-identical to estimate() on
     requests[i] for any worker count: chunks draw from disjoint trial-index
     ranges of the counter-based stream.
     With primary False no primary event is counted and every primary
@@ -327,22 +329,18 @@ def estimate_many(seed: int, trials: int, requests, workers: int = 1,
     workers = min(workers, len(chunks))
 
     def run(part):
-        """Summed counts per request over a worker's chunks, from one
-        generator into one draw buffer and one kernel workspace."""
+        """Summed counts per request over a worker's run of chunks, from
+        one generator into one draw buffer and one kernel workspace."""
         import numpy as np
 
         buf = np.empty(_DOUBLES_PER_TRIAL * min(_CHUNK_TRIALS, trials))
         work = _workspace(min(_CHUNK_TRIALS, trials))
         totals = {(params, alpha, scheme): Counter()
                   for params, alpha, _, schemes in jobs for scheme in schemes}
-        at = part[0][0]   # the trial the generator stands at
-        bit = _philox(seed, at)
-        for start, n in part:
-            if start > at:   # past the other workers' chunks
-                bit.advance(_BLOCKS_PER_TRIAL * (start - at))
+        bit = _philox(seed, part[0][0])
+        for _, n in part:
             e = _unit_block(bit, n,
                             out=buf[:_DOUBLES_PER_TRIAL * n].reshape(-1, n))
-            at = start + n
             for params, alpha, derived, schemes in jobs:
                 for scheme, counts in zip(schemes, _count_group(
                         derived, alpha, schemes, e, primary, work)):
@@ -354,9 +352,11 @@ def estimate_many(seed: int, trials: int, requests, workers: int = 1,
     else:
         from concurrent.futures import ThreadPoolExecutor
 
+        n = len(chunks)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(run, [chunks[w::workers]
-                                           for w in range(workers)]))
+            partials = list(pool.map(run, [
+                chunks[n * w // workers:n * (w + 1) // workers]
+                for w in range(workers)]))
 
     # update keeps zero counts, which `+` drops: a 0.0 estimate stays 0.0
     totals = partials[0]

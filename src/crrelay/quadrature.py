@@ -6,7 +6,8 @@ pulling in a special-function dependency, the integrand (smooth on the strictly
 positive intervals that ever occur) is handled by adaptive Simpson refinement
 with a log fast path at c = 0.  Every call runs at one tolerance, 1e-10
 absolute and 1e-10 relative, with at most 60 halvings of any panel; hitting
-that cap raises QuadratureError.
+that cap raises QuadratureError, and a value past double range raises
+OverflowError, so a returned integral is always finite.
 """
 
 import math
@@ -28,7 +29,8 @@ def integrate_exp_over_x(c: float, a: float, b: float,
     Requires 0 < a <= b so the 1/x singularity is never inside the interval.
     exp_shift folds a constant into the exponent, which keeps the outage
     formulas finite when exp(c*b) alone would overflow; the default computes
-    the plain integral of exp(c*x)/x.
+    the plain integral of exp(c*x)/x.  A value that is not finite, such as
+    a sum of panels that overflowed, raises OverflowError.
     """
     if not (math.isfinite(c) and math.isfinite(a) and math.isfinite(b)):
         raise ValueError("c, a, b must be finite")
@@ -37,12 +39,13 @@ def integrate_exp_over_x(c: float, a: float, b: float,
     if a == b:
         return 0.0
     if c == 0.0:
-        return math.exp(exp_shift) * math.log(b / a)
-
-    def f(x):
-        return math.exp(c * x + exp_shift) / x
-
-    return _adaptive_simpson(f, a, b)
+        value = math.exp(exp_shift) * math.log(b / a)
+    else:
+        value = _adaptive_simpson(lambda x: math.exp(c * x + exp_shift) / x,
+                                  a, b)
+    if not math.isfinite(value):
+        raise OverflowError(f"integral on [{a}, {b}] is not finite")
+    return value
 
 
 _MIN_DEPTH = 6   # splits forced before acceptance; guards peaked integrands
@@ -89,8 +92,9 @@ def _adaptive_simpson(f, a, b) -> float:
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     tol0 = max(_ABS_TOL, _REL_TOL * abs(whole))
     total = _refine(f, a, b, fa, fm, fb, whole, tol0)
-    # the crude whole-interval estimate can badly misjudge the magnitude;
-    # re-anchor the relative tolerance on the refined value when it does
+    # the crude whole-interval estimate can badly misjudge the magnitude, or
+    # overflow where the panels do not; re-anchor the relative tolerance on
+    # the refined value when it does
     tol1 = max(_ABS_TOL, _REL_TOL * abs(total))
     if tol0 > 4.0 * tol1:
         total = _refine(f, a, b, fa, fm, fb, whole, tol1)

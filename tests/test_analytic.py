@@ -345,9 +345,9 @@ def test_d1_exact_weak_direct_link_keeps_relay(overrides, ref):
 
 
 def test_d1_exact_names_an_overflowing_final_sum():
-    # the secondary integral overflows to inf while its scale
-    # g_ss/(g_ps*g_rs) underflows to 0: the final sum read 0 * inf, refused
-    # as an anonymous NaN by the form and by the totals that mix it
+    # the secondary integral's panels sum to -inf while its scale
+    # g_ss/(g_ps*g_rs) underflows to 0: the form and the totals that mix it
+    # name the overflow, never an anonymous NaN
     d = derive(SystemParams(
         rate_p=1.2496299763923282, rate_s=1.4797649571768332,
         snr_p=1.6760559082898258e+32, snr_r=1.002759234861377e+194,

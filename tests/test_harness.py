@@ -887,19 +887,22 @@ _SECONDARY_SNR_OVERFLOWS = ("admitted secondary SNR overflows: link variance "
      "mean gain of link ss overflows"),
     (["link_vars.pr=1e300", "snr_p_db=200"], ["analytic"],
      "mean gain of link pr overflows"),
-    # the weak-relay expansion's slope reads inf/inf
+    # a 1000 dB primary over a -1000 dB relay and a huge ss link: the
+    # secondary's weak-relay expansion reads inf/inf, a NaN result
     (["snr_p_db=1000", "snr_r_db=-1000", "link_vars.ss=1e200"],
      ["analytic", "--alpha", "0"],
      "full-power secondary outage overflows: the mean gains of links ss, ps "
      "and rs are out of range"),
-    # c = (1/g_rs - 1/g_ss)/g_ps of the full-power secondary form overflows
+    # a ps link of 1.46e-259: the full-power secondary integral's coefficient
+    # c = (1/g_rs - 1/g_ss)/g_ps is past double range
     (["link_vars.pp=4.84e+33", "link_vars.sp=3.89e+35", "link_vars.ps=1.46e-259",
       "link_vars.ss=4.56e-112", "link_vars.pr=4.14e-59", "link_vars.sr=8.99e+30",
       "link_vars.rp=6.84e-57", "link_vars.rs=2.53e+159", "snr_p_db=-10.55",
       "snr_r_db=216.76"], ["analytic", "--alpha", "0"],
      "full-power secondary outage overflows: the mean gains of links ss, ps "
      "and rs are out of range"),
-    # the weak-relay limit's d*d underflows to 0
+    # tiny ss, ps and rs links: the weak-relay expansion divides by d*d,
+    # which underflows to 0
     (["link_vars.pp=3.04e+92", "link_vars.sp=1.71e+268",
       "link_vars.ps=5.72e-230", "link_vars.ss=8.81e-77",
       "link_vars.pr=1.07e-188", "link_vars.sr=9e+283", "link_vars.rp=9.66e-233",
@@ -926,8 +929,8 @@ _SECONDARY_SNR_OVERFLOWS = ("admitted secondary SNR overflows: link variance "
      ["analytic", "--alpha", "0"],
      "full-power secondary outage overflows: the mean gains of links ss, ps "
      "and rs are out of range"),
-    # the integral overflows as its scale g_ss/(g_ps*g_rs) underflows, and
-    # the final sum reads 0 * inf
+    # a 1940 dB relay over a 1e-243 ss link: the secondary integral's panels
+    # sum to -inf (its scale g_ss/(g_ps*g_rs) underflows to 0)
     (["rate_p=1.25", "rate_s=1.48", "epsilon=0.18", "snr_p_db=322.24",
       "snr_r_db=1940", "link_vars.sp=1", "link_vars.ps=1.09e70",
       "link_vars.ss=1.66e-243"], ["analytic", "--alpha", "0"],

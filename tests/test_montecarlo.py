@@ -627,7 +627,7 @@ def test_estimate_many_reuses_one_draw_buffer_per_worker(table1, monkeypatch,
     finally:
         tracemalloc.stop()
     assert len(owners) == 9 and len({id(o) for o in owners}) == workers
-    # two groups per chunk; a worker's chunks are every workers-th of 9
+    # two groups per chunk; each worker counts one contiguous run of the 9
     calls = Counter(id(work) for work in works)
     assert sorted(calls.values()) == ([18] if workers == 1 else [8, 10])
     vector = 8 * _CHUNK_TRIALS   # one float64 trial vector of a chunk

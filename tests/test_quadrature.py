@@ -146,6 +146,26 @@ def test_wide_interval_near_singularity_converges():
         reference, rel=1e-12)
 
 
+def test_overflowing_panel_sum_raises():
+    # the full-power secondary integral of a 1940 dB relay over a 1e-243 ss
+    # link: the crude estimate overflows, so every panel is accepted and
+    # the panels summed to -inf for a positive integrand
+    with pytest.raises(OverflowError, match="not finite"):
+        integrate_exp_over_x(-1.2356e109, 4.44e-212, 1.2358e103,
+                             exp_shift=5.49e-103)
+
+
+def test_overflowing_crude_estimate_is_re_anchored():
+    # here only the crude whole-interval estimate overflows (to inf); the
+    # panels do not, and the re-anchored refinement reaches
+    # exp(shift) * (Ei(c*b) - Ei(c*a)), mpmath at 40 digits
+    c, a, b, shift = -1.0, 1e-3, 1e4, 697.7
+    f = (b - a) / 6.0 * (math.exp(c * a + shift) / a)
+    assert f == math.inf
+    assert integrate_exp_over_x(c, a, b, exp_shift=shift) == pytest.approx(
+        6.4382722173122212953e303, rel=1e-10)
+
+
 def test_exp_shift_scales_integral():
     for c, a, b in random_triples(20, seed=8):
         plain = integrate_exp_over_x(c, a, b)
