@@ -324,9 +324,8 @@ def estimate_many(seed: int, trials: int, requests, workers: int = 1,
             for (params, alpha), schemes in groups.items()]
     for _, _, derived, _ in jobs:
         check_scenario(derived)
-    chunks = [(start, min(_CHUNK_TRIALS, trials - start))
-              for start in range(0, trials, _CHUNK_TRIALS)]
-    workers = min(workers, len(chunks))
+    starts = range(0, trials, _CHUNK_TRIALS)
+    workers = min(workers, len(starts))
 
     def run(part):
         """Summed counts per request over a worker's run of chunks, from
@@ -337,8 +336,9 @@ def estimate_many(seed: int, trials: int, requests, workers: int = 1,
         work = _workspace(min(_CHUNK_TRIALS, trials))
         totals = {(params, alpha, scheme): Counter()
                   for params, alpha, _, schemes in jobs for scheme in schemes}
-        bit = _philox(seed, part[0][0])
-        for _, n in part:
+        bit = _philox(seed, part[0])
+        for start in part:
+            n = min(_CHUNK_TRIALS, trials - start)
             e = _unit_block(bit, n,
                             out=buf[:_DOUBLES_PER_TRIAL * n].reshape(-1, n))
             for params, alpha, derived, schemes in jobs:
@@ -348,14 +348,14 @@ def estimate_many(seed: int, trials: int, requests, workers: int = 1,
         return totals
 
     if workers == 1:
-        partials = [run(chunks)]
+        partials = [run(starts)]
     else:
         from concurrent.futures import ThreadPoolExecutor
 
-        n = len(chunks)
+        n = len(starts)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(run, [
-                chunks[n * w // workers:n * (w + 1) // workers]
+                starts[n * w // workers:n * (w + 1) // workers]
                 for w in range(workers)]))
 
     # update keeps zero counts, which `+` drops: a 0.0 estimate stays 0.0

@@ -634,6 +634,32 @@ def test_estimate_many_reuses_one_draw_buffer_per_worker(table1, monkeypatch,
     assert peak <= workers * (8 * vector + 8 * vector)
 
 
+def test_estimate_many_plans_its_chunks_in_constant_memory(table1,
+                                                          monkeypatch):
+    # 1e10 trials are 610,352 chunks: a list of (start, n) pairs would take
+    # about 58 MB before the first draw.  The run stops at its first draw,
+    # so the peak is the draw buffer and workspace alone (numpy is imported
+    # at the top of this module, outside the traced window)
+    import crrelay.montecarlo as mc
+
+    class FirstDraw(Exception):
+        pass
+
+    def stop(seed, start):
+        raise FirstDraw(start)
+
+    monkeypatch.setattr(mc, "_philox", stop)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FirstDraw):
+            estimate_many(1, 10 ** 10, [(table1, 0.5, "proposed")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    vector = 8 * _CHUNK_TRIALS
+    assert peak <= 8 * vector + 8 * vector
+
+
 @pytest.mark.parametrize("workers, trials", [
     (1, 8 * _CHUNK_TRIALS + 17), (2, 8 * _CHUNK_TRIALS + 17),
     (3, 8 * _CHUNK_TRIALS + 17), (2, _CHUNK_TRIALS)])

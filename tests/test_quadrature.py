@@ -38,6 +38,8 @@ def random_triples(n, seed=3):
 def test_log_fast_path():
     assert integrate_exp_over_x(0.0, 1.0, 2.0) == pytest.approx(
         math.log(2.0), rel=1e-14)
+    # b / a overflows, yet the integral log(b) - log(a) is finite
+    assert integrate_exp_over_x(0.0, 1e-300, 1e300) == 1381.5510557964274
 
 
 def test_unit_exponent_reference():
@@ -124,11 +126,14 @@ def test_refinement_convergence():
 
 def test_depth_cap_signals_failure(monkeypatch):
     # a cap of 8 halvings leaves room past the forced minimum depth: a smooth
-    # integrand still converges, the 1/x peak at 0.01 cannot
+    # integrand still converges, the 1/x peak at 0.01 cannot.  The message
+    # names the first capped panel in the walk's right-first order
     monkeypatch.setattr("crrelay.quadrature._MAX_DEPTH", 8)
     assert integrate_exp_over_x(0.1, 1.0, 2.0) == pytest.approx(
         exp_over_x_reference(0.1, 1.0, 2.0), rel=1e-10, abs=1e-10)
-    with pytest.raises(QuadratureError):
+    with pytest.raises(QuadratureError,
+                       match=r"no convergence on \[29\.8828515625, 30\.0\] "
+                             r"at depth 8"):
         integrate_exp_over_x(2.0, 0.01, 30.0)
     assert issubclass(QuadratureError, ArithmeticError)
 
