@@ -19,6 +19,8 @@ the weight of every total, of the allocator and of the reproduction targets.
 prob_relay_active_exact integrates the same event exactly and is what the
 simulator matches.  Totals therefore mix their conditionals under an
 approximate weight and are not exact even where the conditionals are.
+Both, and prob_decode_order, the primary-first probability that the totals
+record as order_p, read the gains toward the relay through one check.
 """
 
 import math
@@ -67,29 +69,27 @@ def _ratio_outage(g_sig: float, g_cross: float, threshold: float) -> float:
     )
 
 
-def prob_decode_order(derived: DerivedParams, first: str) -> float:
-    """Probability the relay's SIC decodes the given user's signal first.
-
-    The stronger received signal is taken first; for exponential received
-    powers that order wins with probability gain_ir/(gain_ir + gain_jr).
-    """
-    g = derived.gain
-    if not (g.pr > 0.0 and g.sr > 0.0):
-        raise ValueError("decode order needs positive mean gains toward the relay")
-    if first == "p":
-        return g.pr / (g.pr + g.sr)
-    if first == "s":
-        return g.sr / (g.sr + g.pr)
-    raise ValueError("first must be 'p' or 's'")
-
-
-def _check_activation_inputs(derived: DerivedParams) -> None:
+def _relay_gains(derived: DerivedParams) -> tuple:
+    """(gain_pr, gain_sr), the mean gains toward the relay, for an admitted
+    secondary and both positive."""
     if derived.snr_s == 0.0:
         raise ValueError("relay activation model assumes an admitted "
                          "secondary transmitter")
     g = derived.gain
     if not (g.pr > 0.0 and g.sr > 0.0):
         raise ValueError("relay activation needs positive mean gains toward the relay")
+    return g.pr, g.sr
+
+
+def prob_decode_order(derived: DerivedParams) -> float:
+    """The primary-first probability: the relay's SIC decodes the primary
+    signal first.
+
+    The stronger received signal is taken first; for exponential received
+    powers the primary's wins with probability gain_pr/(gain_pr + gain_sr).
+    """
+    g_pr, g_sr = _relay_gains(derived)
+    return g_pr / (g_pr + g_sr)
 
 
 def prob_relay_active(derived: DerivedParams) -> float:
@@ -104,13 +104,12 @@ def prob_relay_active(derived: DerivedParams) -> float:
     that decision and the one the simulator matches.  This paper form stays
     the activation weight of the totals.
     """
-    _check_activation_inputs(derived)
-    g = derived.gain
+    g_pr, g_sr = _relay_gains(derived)
     lp, ls = derived.lambda_p, derived.lambda_s
     m_p = max(lp * (1.0 + ls), ls)
     m_s = max(ls * (1.0 + lp), lp)
-    p_first = (g.pr / (g.pr + g.sr)) * math.exp(-m_p / g.pr - ls / g.sr)
-    s_first = (g.sr / (g.sr + g.pr)) * math.exp(-m_s / g.sr - lp / g.pr)
+    p_first = (g_pr / (g_pr + g_sr)) * math.exp(-m_p / g_pr - ls / g_sr)
+    s_first = (g_sr / (g_sr + g_pr)) * math.exp(-m_s / g_sr - lp / g_pr)
     return _clamp01(p_first + s_first)
 
 
@@ -150,11 +149,10 @@ def prob_relay_active_exact(derived: DerivedParams) -> float:
     primary first (X > Y, X >= lambda_p*(1+Y), Y >= lambda_s) and its mirror
     with the roles swapped.  Each region integrates in closed form.
     """
-    _check_activation_inputs(derived)
-    g = derived.gain
+    g_pr, g_sr = _relay_gains(derived)
     lp, ls = derived.lambda_p, derived.lambda_s
-    return _clamp01(_first_decoded_active(g.pr, g.sr, lp, ls)
-                    + _first_decoded_active(g.sr, g.pr, ls, lp))
+    return _clamp01(_first_decoded_active(g_pr, g_sr, lp, ls)
+                    + _first_decoded_active(g_sr, g_pr, ls, lp))
 
 
 def _user_gains(derived: DerivedParams, user: str) -> tuple:
@@ -313,7 +311,7 @@ def total_secondary_outage(derived: DerivedParams,
     return OutageSummary(
         pri=_clamp01((1.0 - w) * pri_d0 + w * pri_d1),
         sec=_clamp01((1.0 - w) * sec_d0 + w * sec_d1),
-        p_d1=w, order_p=prob_decode_order(derived, "p"),
+        p_d1=w, order_p=prob_decode_order(derived),
         pri_d0=pri_d0, pri_d1=pri_d1, sec_d0=sec_d0, sec_d1=sec_d1,
         bound=bound,
     )

@@ -58,6 +58,15 @@ def exp_over_x_reference(c, a, b) -> float:
                 return float(total)
 
 
+def ratio_outage_reference(g, g_c, t) -> float:
+    """1 - g*exp(-t/g)/(g + t*g_c), the ratio outage of
+    analytic._ratio_outage, in decimal arithmetic at 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        g, g_c, t = Decimal(g), Decimal(g_c), Decimal(t)
+        return float(1 - g * (-t / g).exp() / (g + t * g_c))
+
+
 def exact_oracles(derived, at0, at1, noncoop):
     """(name, estimate, closed form) of the exact and split ORACLES rows
     whose event occurred: a split row at alpha 0 and 1, an exact one once."""

@@ -228,8 +228,7 @@ def test_extreme_scenarios_raise_or_give_no_nan(params, alpha):
     assume(params is not None)
     forms = {"relay activation": prob_relay_active,
              "exact activation": prob_relay_active_exact,
-             **{f"{first} decoded first": functools.partial(
-                 prob_decode_order, first=first) for first in "ps"}}
+             "primary decoded first": prob_decode_order}
     for user in ("primary", "secondary"):
         forms.update({
             f"{user} {form.__name__} {args}": functools.partial(
