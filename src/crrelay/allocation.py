@@ -8,7 +8,8 @@ falls with the split nor rises with the relay SNR, and the closed-form split
 never rises with the relay SNR.  So each relay SNR's best is its smallest
 feasible split, which the primary bound gives in closed form, and a walk down
 the relay-SNR grid stops once no smaller relay SNR can do better.  Only the
-relay gains depend on the relay SNR; all else is computed once per scenario.
+relay gains depend on the relay SNR, though the closed-form inverse also
+recomputes the no-relay primary bound and its log gap at each grid point.
 """
 
 import math
@@ -84,12 +85,14 @@ def alpha_for_primary_bound(derived: DerivedParams, *,
     Without secondary access and with epsilon far below X, the bound at the
     split misses epsilon by up to 2e-5 relative.
     """
+    if snr_r is None:
+        snr_r = derived.params.snr_r
+    elif not 0.0 <= snr_r < math.inf:
+        derived.params._replace(snr_r=snr_r)   # raises SystemParams' message
     log_gap = _primary_log_gap(derived)
     lam = derived.lambda_p
     if log_gap is None:
         return primary_split_floor(lam)
-    if snr_r is None:
-        snr_r = derived.params.snr_r
     g_rp = snr_r * derived.params.link_vars.rp
     if g_rp * log_gap == 0.0:      # no relay gain, or one that underflows
         return None
@@ -138,14 +141,17 @@ def allocate(params: SystemParams, snr_r_grid=None) -> AllocationResult:
     Feasibility of the winner is re-checked, never assumed.
     """
     epsilon = params.epsilon
+    snr_r_grid = sorted(DEFAULT_SNR_R_GRID if snr_r_grid is None
+                        else snr_r_grid)
+    if not snr_r_grid:
+        raise ValueError("relay-SNR grid must be nonempty")
+    for snr_r in snr_r_grid:
+        if not 0.0 <= snr_r < math.inf:
+            params._replace(snr_r=snr_r)     # raises SystemParams' own message
     derived = derive(params)
     if derived.snr_s == 0.0:
         return AllocationResult(alpha=math.nan, snr_r=math.nan, u_p=math.nan,
                                 u_s_total=1.0, feasible=False)
-    if snr_r_grid is None:
-        snr_r_grid = DEFAULT_SNR_R_GRID
-    if len(snr_r_grid) == 0:
-        raise ValueError("relay-SNR grid must be nonempty")
 
     w = prob_relay_active(derived)     # independent of the relay SNR
     sec_d0 = cond_outage_d0(derived, "secondary")
@@ -154,10 +160,6 @@ def allocate(params: SystemParams, snr_r_grid=None) -> AllocationResult:
     lam_p, lam_s = derived.lambda_p, derived.lambda_s
     x = _ratio_outage(g.pp, g.sp, lam_p)     # the bounds without relay help
     y = _ratio_outage(g.ss, g.ps, lam_s)
-    snr_r_grid = sorted(snr_r_grid)
-    for snr_r in snr_r_grid:
-        if not 0.0 <= snr_r < math.inf:
-            params._replace(snr_r=snr_r)     # raises SystemParams' own message
     best = None   # (u_s_total, snr_r, alpha)
     for snr_r in reversed(snr_r_grid):
         g_rp, g_rs = snr_r * v.rp, snr_r * v.rs

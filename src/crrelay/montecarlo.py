@@ -22,14 +22,14 @@ exponentials -log1p(-u) are generated once per (seed, chunk) and shared by
 every request of an estimate_many() call.  Each worker reads one
 contiguous run of whole chunks from one Philox generator, keyed at the run's
 first trial, so its chunks continue that stream and it never skips ahead.
-A chunk's draws are transposed into their (8, n) layout one cache-sized
-sub-block of the stream at a time, into one draw buffer per worker that
-every chunk of the call refills.  Requests on the same scenario and split
-form a group, and one kernel call counts all of a group's schemes,
-computing the SINR terms they share once.
-Every kernel call of a worker writes its terms and event masks into that
-worker's one workspace, so no chunk allocates a trial vector, and it reads
-a unit-variance link's draws in place, never writing to a draw row.
+Each worker allocates its chunk memory once, in _workspace(): a chunk's
+draws are transposed into the draw buffer, viewed as (8, n), one
+cache-sized sub-block of the stream at a time.  Requests on the same
+scenario and split form a group, and one kernel call counts all of a
+group's schemes, computing the SINR terms they share once and writing
+them and its event masks into the kernel's vectors, so no chunk allocates
+a trial vector.  It reads a unit-variance link's draws in place, never
+writing to a draw row.
 numpy is imported on the first draw, so the commands that never simulate
 never load it.
 """
@@ -43,10 +43,8 @@ SCHEMES = ("proposed", "noncooperative", "relay_assisted_secondary")
 
 _DOUBLES_PER_TRIAL = 8
 _BLOCKS_PER_TRIAL = 2       # Philox counter blocks (4 doubles each) per trial
-# Trials per chunk.  Bounds memory, never results: a worker holds one chunk of
-# unit draws (64 B per trial, 1 MB) and one kernel workspace (four float and
-# five bool trial vectors, 37 B per trial, about 0.6 MB) beside them.  Half
-# as many trials would pay the kernel's fixed per-call cost too often.
+# Trials per chunk.  Bounds memory (see _workspace), never results; half as
+# many would pay the kernel's fixed per-call cost too often.
 _CHUNK_TRIALS = 1 << 14
 # Trials per 128 KB sub-block of raw draws, transposed in cache; the only
 # transient beside the chunk, one eighth of it.
@@ -106,21 +104,21 @@ def _philox(seed: int, start: int):
     return bit
 
 
-def _unit_block(bit, n: int, out=None) -> "np.ndarray":
-    """Unit-mean exponentials -log1p(-u) for the next n trials of `bit`.
+def _unit_block(bit, n: int, out) -> "np.ndarray":
+    """Unit-mean exponentials -log1p(-u) for the next n trials of `bit`,
+    written into the flat draw buffer `out` viewed as (8, n): that view.
 
-    Shape (8, n), row k holding link LINKS[k]; a link's channel draws are its
-    variance times its row.  Equal to -log1p(-u).T for u the (n, 8) doubles
-    that numpy's Generator draws from the same generator state (the tests'
-    oracle _uniform_block), which `bit` leaves n trials further on.  Read in
-    cache-sized sub-blocks and written into `out` when given, else into a
-    new C-contiguous array.  Each raw 64-bit draw keeps its top 53 bits,
+    Row k holds link LINKS[k]; a link's channel draws are its variance times
+    its row.  Equal to -log1p(-u).T for u the (n, 8) doubles that numpy's
+    Generator draws from the same generator state (the tests' oracle
+    _uniform_block), which `bit` leaves n trials further on.  Read in
+    cache-sized sub-blocks.  Each raw 64-bit draw keeps its top 53 bits,
     exactly a double, and times -2**-53 becomes -u, the generator's own
     uniform double with its sign flipped, every step exact.
     """
     import numpy as np
 
-    e = np.empty((_DOUBLES_PER_TRIAL, n)) if out is None else out
+    e = out[:_DOUBLES_PER_TRIAL * n].reshape(_DOUBLES_PER_TRIAL, n)
     for s in range(0, n, _SUB_TRIALS):
         m = min(_SUB_TRIALS, n - s)
         raw = bit.random_raw(m * _DOUBLES_PER_TRIAL)
@@ -135,14 +133,18 @@ def _unit_block(bit, n: int, out=None) -> "np.ndarray":
 
 
 def _workspace(n: int) -> tuple:
-    """Four float64 and five bool trial vectors for chunks of up to n trials."""
+    """A worker's chunk memory for chunks of up to n trials, its only trial
+    vectors: the flat draw buffer of 8*n doubles that _unit_block fills (64 B
+    per trial, 1 MB at _CHUNK_TRIALS), and _count_group's work, four float64
+    and five bool vectors (37 B per trial, about 0.6 MB)."""
     import numpy as np
 
-    return np.empty((4, n)), np.empty((5, n), dtype=bool)
+    return (np.empty(_DOUBLES_PER_TRIAL * n),
+            (np.empty((4, n)), np.empty((5, n), dtype=bool)))
 
 
 def _count_group(derived: DerivedParams, alpha: float, schemes, e,
-                 primary: bool = True, work=None) -> list:
+                 primary: bool, work) -> list:
     """Integer event counts of each scheme in `schemes` over a chunk of draws.
 
     All schemes run on one scenario and split, so the SINR terms they share
@@ -154,10 +156,10 @@ def _count_group(derived: DerivedParams, alpha: float, schemes, e,
     Row k of `e` holds link LINKS[k]'s unit draws.  Each count is keyed by
     the SchemeEstimates field it fills; secondary events are always counted,
     primary ones when `primary`.  Every scaled link, SINR term and event
-    mask is written through ufunc `out=` arguments into `work`, a
-    _workspace() at least as long as the chunk, so a call allocates no trial
-    vector; without one it allocates its own.  A unit-variance link is read
-    in place (1.0 * row is row), and no row of `e` is ever written.  The
+    mask is written through ufunc `out=` arguments into `work`, the kernel's
+    vectors of a _workspace() at least as long as the chunk, so a call
+    allocates no trial vector.  A unit-variance link is read in place
+    (1.0 * row is row), and no row of `e` is ever written.  The
     repeated-copy event 2*sinr < lambda is counted as sinr < lambda/2, exact
     as check_scenario keeps sinr finite and lambda is at least 2**-52.
     """
@@ -167,7 +169,7 @@ def _count_group(derived: DerivedParams, alpha: float, schemes, e,
     snr_p, snr_s, snr_r = p.snr_p, derived.snr_s, p.snr_r
     lp, ls = derived.lambda_p, derived.lambda_s
     m = e.shape[1]
-    floats, bools = _workspace(m) if work is None else work
+    floats, bools = work
     f1, f2, f3, t = (v[:m] for v in floats)
     b1, b2, b3, b4, b5 = (v[:m] for v in bools)
 
@@ -304,14 +306,13 @@ def estimate_many(seed: int, trials: int, requests, workers: int = 1,
     Every request reads trials [0, trials) of the seed's stream, so each
     chunk's unit draws are generated once and every request is counted on
     them: one kernel call per (params, alpha) group counts all of its
-    schemes, and only integer counts are kept.  Memory stays at one chunk of
-    draws (1 MB) and one kernel workspace (about 0.6 MB) per worker, which
-    every chunk and group reuses, whatever `trials` or the number of
-    requests.  Of the call's n chunks, worker w of W counts chunks
-    [n*w//W, n*(w+1)//W) on one generator that continues its stream from
-    chunk to chunk, and result i is bit-identical to estimate() on
-    requests[i] for any worker count: chunks draw from disjoint trial-index
-    ranges of the counter-based stream.
+    schemes, and only integer counts are kept.  Memory stays at one
+    _workspace() per worker (about 1.6 MB), which every chunk and group
+    reuses, whatever `trials` or the number of requests.  Of the call's n
+    chunks, worker w of W counts chunks [n*w//W, n*(w+1)//W) on one
+    generator that continues its stream from chunk to chunk, and result i is
+    bit-identical to estimate() on requests[i] for any worker count: chunks
+    draw from disjoint trial-index ranges of the counter-based stream.
     With primary False no primary event is counted and every primary
     estimate is None.
     """
@@ -329,18 +330,14 @@ def estimate_many(seed: int, trials: int, requests, workers: int = 1,
 
     def run(part):
         """Summed counts per request over a worker's run of chunks, from
-        one generator into one draw buffer and one kernel workspace."""
-        import numpy as np
-
-        buf = np.empty(_DOUBLES_PER_TRIAL * min(_CHUNK_TRIALS, trials))
-        work = _workspace(min(_CHUNK_TRIALS, trials))
+        one generator into one workspace."""
+        buf, work = _workspace(min(_CHUNK_TRIALS, trials))
         totals = {(params, alpha, scheme): Counter()
                   for params, alpha, _, schemes in jobs for scheme in schemes}
         bit = _philox(seed, part[0])
         for start in part:
             n = min(_CHUNK_TRIALS, trials - start)
-            e = _unit_block(bit, n,
-                            out=buf[:_DOUBLES_PER_TRIAL * n].reshape(-1, n))
+            e = _unit_block(bit, n, buf)
             for params, alpha, derived, schemes in jobs:
                 for scheme, counts in zip(schemes, _count_group(
                         derived, alpha, schemes, e, primary, work)):

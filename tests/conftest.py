@@ -105,7 +105,10 @@ def _uniform_block(seed: int, start: int, n: int):
 
 def link_draws(params, seed, start, n):
     """Channel draws per link: each link's variance times its unit row."""
-    e = _unit_block(_philox(seed, start), n)
+    import numpy as np
+
+    e = _unit_block(_philox(seed, start), n,
+                    np.empty(_DOUBLES_PER_TRIAL * n))
     return {name: getattr(params.link_vars, name) * e[k]
             for k, name in enumerate(LINKS)}
 

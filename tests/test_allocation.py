@@ -98,6 +98,23 @@ def test_alpha_extraction_infeasible(table1_derived):
     assert alpha_for_primary_bound(derive(tight), snr_r=5e-324) is None
 
 
+@pytest.mark.parametrize("snr_r, message", [
+    (-1.0, "snr_r must be nonnegative"),
+    (-1e-300, "snr_r must be nonnegative"),
+    (math.nan, "snr_r must be finite"),
+    (math.inf, "snr_r must be finite"),
+    (-math.inf, "snr_r must be finite"),
+])
+def test_alpha_extraction_rejects_a_relay_snr_the_scenario_would(
+        table1_derived, snr_r, message):
+    # SystemParams' own messages, also where the no-relay bound already
+    # meets epsilon and the split floor would be returned: a negative relay
+    # SNR is no split, and NaN is not an unreachable epsilon
+    for d in (table1_derived, derive(SLACK)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            alpha_for_primary_bound(d, snr_r=snr_r)
+
+
 def test_alpha_extraction_takes_no_epsilon(table1_derived):
     # epsilon comes from the scenario; a positional second argument is
     # refused rather than read as a relay SNR
@@ -345,21 +362,24 @@ def _grid_scan_allocate(params, snr_r_grid=None):
     oracle's grid, plus the closed-form split and its nudged twin, at every
     relay SNR, keeping the first strict improvement."""
     epsilon = params.epsilon
+    if snr_r_grid is None:
+        snr_r_grid = DEFAULT_SNR_R_GRID
+    if len(snr_r_grid) == 0:
+        raise ValueError("relay-SNR grid must be nonempty")
+    # each relay SNR's scenario, validated before the no-access exit
+    relayed = [params._replace(snr_r=snr_r) for snr_r in sorted(snr_r_grid)]
     derived = derive(params)
     infeasible = AllocationResult(alpha=math.nan, snr_r=math.nan, u_p=math.nan,
                                   u_s_total=1.0, feasible=False)
     if derived.snr_s == 0.0:
         return infeasible
-    if snr_r_grid is None:
-        snr_r_grid = DEFAULT_SNR_R_GRID
-    if len(snr_r_grid) == 0:
-        raise ValueError("relay-SNR grid must be nonempty")
     w = prob_relay_active(derived)
     sec_d0 = cond_outage_d0(derived, "secondary")
     grid = set(_default_alpha_grid(derived.lambda_p))
     best = None
-    for snr_r in sorted(snr_r_grid):
-        d_r = derive(derived.params._replace(snr_r=snr_r))
+    for params_r in relayed:
+        snr_r = params_r.snr_r
+        d_r = derive(params_r)
         seed_alpha = alpha_for_primary_bound(d_r)
         candidates = grid
         if seed_alpha is not None:
@@ -576,7 +596,13 @@ def test_allocate_walks_a_flat_plateau_to_the_feasibility_edge(monkeypatch,
     dict(snr_r_grid=(-math.inf, *DEFAULT_SNR_R_GRID)),
 ])
 def test_allocate_rejects_grids_like_grid_scan(table1, grids):
-    _assert_matches_grid_scan(table1, table1.epsilon, **grids)
+    # the grid is checked before the no-access exit, so a scenario below the
+    # secondary cutoff (epsilon 1e-9) rejects it too, not calls it infeasible
+    assert derive(table1._replace(epsilon=1e-9)).snr_s == 0.0
+    for epsilon in (table1.epsilon, 1e-9):
+        with pytest.raises(ValueError):
+            allocate(table1._replace(epsilon=epsilon), **grids)
+        _assert_matches_grid_scan(table1, epsilon, **grids)
 
 
 def test_default_alpha_grid_covers_floor_to_one(table1_derived):

@@ -875,6 +875,18 @@ def test_cli_names_the_non_finite_value(override, name, capsys):
     assert capsys.readouterr() == ("", f"error: {name} must be finite\n")
 
 
+@pytest.mark.parametrize("snr_r_db", ["nan", "4000"])
+@pytest.mark.parametrize("scenario", [[], ["--set", "epsilon=0.001"]])
+def test_cli_allocate_rejects_a_non_finite_relay_snr(scenario, snr_r_db,
+                                                     capsys):
+    # the relay SNR is checked before the no-access exit: at epsilon 0.001
+    # the default scenario admits no secondary, and the value is still an
+    # error, not an infeasible allocation
+    argv = [*scenario, "allocate", "--snr-r-db", snr_r_db]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr() == ("", "error: snr_r must be finite\n")
+
+
 _SECONDARY_SNR_OVERFLOWS = ("admitted secondary SNR overflows: link variance "
                             "pp is too large or sp too small")
 

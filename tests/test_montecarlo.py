@@ -11,8 +11,6 @@ import pytest
 
 import crrelay
 from crrelay import (
-    LinkTable,
-    SystemParams,
     allocate,
     cond_outage_d0,
     cond_outage_d1_exact,
@@ -39,6 +37,7 @@ from crrelay.montecarlo import (
 from crrelay.system import LINKS, USER_LINKS
 from conftest import (_uniform_block, exact_oracles, link_draws, link_table,
                       replay_counts, symmetric_relay_params)
+from replay import wide_scenarios
 
 
 # ---- estimates --------------------------------------------------------------
@@ -69,7 +68,7 @@ def test_unit_block_scales_to_inversion_draws(table1):
     # var * (-log1p(-u)) is bit-identical to -var * log1p(-u) on every link,
     # also from an offset start and over a partial last chunk
     u = _uniform_block(9, 1000, 300_001)
-    e = _unit_block(_philox(9, 1000), 300_001)
+    e = _unit_block(_philox(9, 1000), 300_001, np.empty(8 * 300_001))
     assert e.shape == (8, 300_001) and e.flags["C_CONTIGUOUS"]
     for k, name in enumerate(LINKS):
         var = getattr(table1.link_vars, name)
@@ -85,7 +84,7 @@ def test_unit_block_matches_uniforms_across_sub_blocks(n):
     # the sub-blocked transpose continues one stream: every trial reads the
     # same uniforms as the (n, 8) block, also from an odd start
     start = 4099
-    e = _unit_block(_philox(3, start), n)
+    e = _unit_block(_philox(3, start), n, np.empty(8 * n))
     assert e.shape == (8, n) and e.flags["C_CONTIGUOUS"]
     assert np.array_equal(e, -np.log1p(-_uniform_block(3, start, n)).T)
 
@@ -97,35 +96,38 @@ def test_counts_do_not_depend_on_numpys_log1p(table1):
     u = _uniform_block(0, 0, _CHUNK_TRIALS)
     e_libm = np.array([-math.log1p(-x) for x in u.ravel().tolist()])
     e_libm = e_libm.reshape(u.shape).T
-    e = _unit_block(_philox(0, 0), _CHUNK_TRIALS)
+    buf, work = _workspace(_CHUNK_TRIALS)
+    e = _unit_block(_philox(0, 0), _CHUNK_TRIALS, buf)
     for params, alpha in ((default_params(), 0.5), (default_params(), 1.0),
                           (table1, allocate(table1).alpha)):
         d = derive(params)
-        assert (_count_group(d, alpha, SCHEMES, e_libm)
-                == _count_group(d, alpha, SCHEMES, e))
+        assert (_count_group(d, alpha, SCHEMES, e_libm, True, work)
+                == _count_group(d, alpha, SCHEMES, e, True, work))
 
 
 def test_unit_block_peak_memory_stays_near_its_output():
-    # the chunk is written in place from cache-sized sub-blocks; a full-size
-    # uniform temporary next to the output would double the peak.  A small
-    # draw first imports numpy.random outside the traced window
-    _unit_block(_philox(4, 0), 1)
+    # the chunk is written into its preallocated buffer from cache-sized
+    # sub-blocks (one eighth of it); a full-size uniform temporary would
+    # allocate the whole buffer again.  A small draw first imports
+    # numpy.random outside the traced window
+    out = _workspace(_CHUNK_TRIALS)[0]
+    _unit_block(_philox(4, 0), 1, out)
     bit = _philox(4, 0)
     tracemalloc.start()
     try:
-        e = _unit_block(bit, _CHUNK_TRIALS)
+        _unit_block(bit, _CHUNK_TRIALS, out)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * e.nbytes
+    assert peak <= 0.25 * out.nbytes
 
 
 def test_count_group_with_a_workspace_allocates_no_trial_vector(
         table1_derived):
     # every SINR term, event mask and count is written into the workspace,
     # so a full chunk's kernel call allocates less than one float vector
-    e = _unit_block(_philox(4, 0), _CHUNK_TRIALS)
-    work = _workspace(_CHUNK_TRIALS)
+    buf, work = _workspace(_CHUNK_TRIALS)
+    e = _unit_block(_philox(4, 0), _CHUNK_TRIALS, buf)
     first = _count_group(table1_derived, 0.37, SCHEMES, e, True, work)
     tracemalloc.start()
     try:
@@ -133,7 +135,7 @@ def test_count_group_with_a_workspace_allocates_no_trial_vector(
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert counts == first == _count_group(table1_derived, 0.37, SCHEMES, e)
+    assert counts == first
     assert peak < 8 * _CHUNK_TRIALS
 
 
@@ -278,14 +280,16 @@ def unit_column(params, **draw):
 
 def test_relay_decision_no_signal(table1, table1_derived):
     e = unit_column(table1, pp=1, sp=1, ps=1, ss=1, pr=0.0, sr=0.0, rp=1, rs=1)
-    counts = _count_group(table1_derived, 0.5, ("proposed",), e)[0]
+    counts = _count_group(table1_derived, 0.5, ("proposed",), e, True,
+                          _workspace(1)[1])[0]
     assert counts["p_d1"] == 0 and counts["order_p"] == 0
 
 
 def test_relay_decision_strong_signals(table1, table1_derived):
     e = unit_column(table1, pp=1, sp=1, ps=1, ss=1, pr=100.0, sr=50.0,
                     rp=1, rs=1)
-    counts = _count_group(table1_derived, 0.5, ("proposed",), e)[0]
+    counts = _count_group(table1_derived, 0.5, ("proposed",), e, True,
+                          _workspace(1)[1])[0]
     assert counts["p_d1"] == 1 and counts["order_p"] == 1
 
 
@@ -294,14 +298,16 @@ def test_relay_decision_orders_are_exclusive(table1, table1_derived):
     # fire on the same draw
     d = table1_derived
     g = link_draws(table1, seed=31, start=0, n=4000)
-    e = _unit_block(_philox(31, 0), 4000)
+    buf, work = _workspace(4000)
+    e = _unit_block(_philox(31, 0), 4000, buf)
     for i in range(4000):
         x = table1.snr_p * float(g["pr"][i])
         y = d.snr_s * float(g["sr"][i])
         p_branch = x > y and x >= d.lambda_p * (1 + y) and y >= d.lambda_s
         s_branch = y > x and y >= d.lambda_s * (1 + x) and x >= d.lambda_p
         assert not (p_branch and s_branch)
-        counts = _count_group(d, 0.5, ("proposed",), e[:, i:i + 1])[0]
+        counts = _count_group(d, 0.5, ("proposed",), e[:, i:i + 1], True,
+                              work)[0]
         assert counts["p_d1"] == (p_branch or s_branch)
         assert counts["order_p"] == (x > y)
 
@@ -338,9 +344,9 @@ def test_unit_variance_kernel_matches_replay(primary):
     params = default_params()._replace(link_vars=link_table())
     d = derive(params)
     n, seed = 2 * _SUB_TRIALS + 17, 23
-    e = _unit_block(_philox(seed, 0), n)
+    buf, work = _workspace(n)
+    e = _unit_block(_philox(seed, 0), n, buf)
     draws = e.copy()
-    work = _workspace(n)
     for alpha in (0.0, 0.37, 1.0):
         for scheme, c in zip(SCHEMES, _count_group(d, alpha, SCHEMES, e,
                                                    primary, work)):
@@ -356,12 +362,14 @@ def test_simulate_slot_alpha_one_relay_term(table1, table1_derived):
     # with all relay power on the primary, a huge relay-to-primary channel
     # makes a primary outage impossible
     draw = dict(pp=1e-9, sp=1, ps=1, ss=1, pr=100.0, sr=50.0, rp=1e9, rs=1e9)
+    work = _workspace(1)[1]
     counts = _count_group(table1_derived, 1.0, ("proposed",),
-                          unit_column(table1, **draw))[0]
+                          unit_column(table1, **draw), True, work)[0]
     assert counts["p_d1"] == 1 and counts["pri_d1"] == 0
     # and the secondary gets nothing from the relay
     counts2 = _count_group(table1_derived, 1.0, ("proposed",),
-                           unit_column(table1, **{**draw, "ss": 1e-9}))[0]
+                           unit_column(table1, **{**draw, "ss": 1e-9}), True,
+                           work)[0]
     assert counts2["p_d1"] == 1 and counts2["sec_d1"] == 1
 
 
@@ -371,7 +379,8 @@ def test_simulate_slot_interior_alpha_saturates(table1, table1_derived):
     alpha = 0.3
     e = unit_column(table1, pp=1e-12, sp=1, ps=1, ss=1, pr=100.0, sr=50.0,
                     rp=1e12, rs=1e12)
-    counts = _count_group(table1_derived, alpha, ("proposed",), e)[0]
+    counts = _count_group(table1_derived, alpha, ("proposed",), e, True,
+                          _workspace(1)[1])[0]
     # alpha/(1-alpha) = 0.4286 < lambda_p = 0.7411: outage despite the relay
     assert counts["p_d1"] == 1 and counts["pri_d1"] == 1
 
@@ -393,23 +402,6 @@ def test_activation_frequency_matches_event_integral():
 
 # ---- oracle agreement with the closed forms ----------------------------------
 
-def _wide_scenarios(rng, count):
-    """Admitted scenarios with link variances log-uniform in 10^(+-1), snr_p
-    in 5-35 dB, snr_r in -10-30 dB, epsilon in 0.01-0.1, rates in 0.1-0.5."""
-    scenarios = []
-    while len(scenarios) < count:
-        params = SystemParams(
-            rate_p=rng.uniform(0.1, 0.5), rate_s=rng.uniform(0.1, 0.5),
-            snr_p=db_to_linear(rng.uniform(5.0, 35.0)),
-            snr_r=db_to_linear(rng.uniform(-10.0, 30.0)),
-            epsilon=rng.uniform(0.01, 0.1),
-            link_vars=LinkTable(
-                **{name: 10.0 ** rng.uniform(-1.0, 1.0) for name in LINKS}))
-        if derive(params).snr_s > 0.0:
-            scenarios.append(params)
-    return scenarios
-
-
 def test_wide_oracle_over_random_scenarios():
     # the exact activation form and the exact ORACLES rows, ten closed forms
     # on each of 100 random admitted scenarios against one simulation,
@@ -417,7 +409,7 @@ def test_wide_oracle_over_random_scenarios():
     # family-wise level 1e-3; a conditional whose event never occurred is
     # skipped
     seed, z_max = 26, 4.89
-    scenarios = _wide_scenarios(random.Random(seed), 100)
+    scenarios = wide_scenarios(random.Random(seed), 100)
     requests = [(params, alpha, scheme) for params in scenarios
                 for alpha, scheme in ((0.0, "proposed"), (1.0, "proposed"),
                                       (0.0, "noncooperative"))]
@@ -448,7 +440,7 @@ def test_ratio_outage_tails_against_conditional_monte_carlo():
     # trials keeps a relative error in the tail.  The estimate's trials is
     # the count-equivalent p(1-p)/se^2, so the Wilson edge, meant for event
     # counts, cannot pass a point vacuously
-    e = _unit_block(_philox(7, 0), 1_000_000)
+    e = _unit_block(_philox(7, 0), 1_000_000, np.empty(8 * 1_000_000))
     row = {name: e[k] for k, name in enumerate(LINKS)}
     base = default_params()
     checks = []
@@ -603,9 +595,9 @@ def test_estimate_many_reuses_one_draw_buffer_per_worker(table1, monkeypatch,
     owners, works = [], []   # kept alive, so no two can share an id
     unit_block, count_group = mc._unit_block, mc._count_group
 
-    def recording(bit, n, out=None):
-        owners.append(out if out.base is None else out.base)
-        return unit_block(bit, n, out=out)
+    def recording(bit, n, out):
+        owners.append(out)
+        return unit_block(bit, n, out)
 
     def counting(derived, alpha, schemes, e, primary, work):
         works.append(work)
